@@ -117,19 +117,24 @@ check-scale:
 	diff -r results/scale-a results/scale-b
 	@echo "check-scale: two capped scale sweeps byte-identical"
 
-# Runtime parity: the fast experiment tier forced onto the thread
-# runtime and onto the coroutine runtime must produce byte-identical
-# artifacts — virtual time cannot depend on how rank programs are
-# scheduled.  (tests/simmpi/test_runtime_parity.py pins the same
-# invariant at golden-trace granularity.)
+# Runtime parity: the fast experiment tier and the cryptmpi experiment
+# (chunk pipeline on helper cores) forced onto the thread runtime and
+# onto the coroutine runtime must produce byte-identical artifacts —
+# virtual time cannot depend on how rank programs are scheduled.
+# (tests/simmpi/test_runtime_parity.py pins the same invariant at
+# golden-trace granularity.)
 check-runtime-parity:
 	rm -rf results/runtime-threads results/runtime-coroutines
 	$(PYTHON) -m repro.experiments run fast --runtime threads \
 		--output results/runtime-threads
 	$(PYTHON) -m repro.experiments run fast --runtime coroutines \
 		--output results/runtime-coroutines
+	$(PYTHON) -m repro.experiments run cryptmpi --runtime threads \
+		--output results/runtime-threads/cryptmpi
+	$(PYTHON) -m repro.experiments run cryptmpi --runtime coroutines \
+		--output results/runtime-coroutines/cryptmpi
 	diff -r results/runtime-threads results/runtime-coroutines
-	@echo "check-runtime-parity: fast tier byte-identical across runtimes"
+	@echo "check-runtime-parity: fast tier and cryptmpi byte-identical across runtimes"
 
 install:
 	$(PYTHON) setup.py develop

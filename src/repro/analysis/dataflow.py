@@ -362,7 +362,7 @@ class RecorderModel:
 #: class names that construct model objects when called
 _MODEL_CLASSES = frozenset((
     "EncryptedComm", "SecurityConfig", "NasComm", "CounterNonces",
-    "RandomNonces", "PipelinedCrypto", "ChunkPipeline", "TraceRecorder",
+    "RandomNonces", "ChunkPipeline", "TraceRecorder",
 ))
 
 #: crypto-factory functions modeled instead of interpreted
@@ -1425,7 +1425,7 @@ class Interp:
                 return None
             return Unknown(f"recorder.{name}")
         if isinstance(obj, CtxModel):
-            if name in ("compute", "co_compute", "extra_cores"):
+            if name in ("compute", "co_compute"):
                 result = Unknown(name)
                 return GenResult(result) if name == "co_compute" \
                     else result
@@ -1475,7 +1475,7 @@ class Interp:
             return NonceSrcModel("counter", sender)
         if cls == "RandomNonces":
             return NonceSrcModel("random", None)
-        if cls in ("PipelinedCrypto", "ChunkPipeline"):
+        if cls == "ChunkPipeline":
             inner = taint.strip(args[0]) if args else None
             if isinstance(inner, CommModel):
                 return CommModel(inner.rank, inner.size,

@@ -144,7 +144,8 @@ class RunOptions:
 
     ``engine`` (an :class:`EngineOptions` or a spec string like
     ``"coroutines:max_ranks=4096"``) picks the rank runtime — the
-    coroutine scheduler or the historical thread-per-rank fallback —
+    coroutine scheduler or the thread-per-rank runtime plain functions
+    need —
     plus the rank ceiling and the handoff checks; None defers to the
     process-wide default (:func:`repro.des.options.set_default_engine_options`).
 

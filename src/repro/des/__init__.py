@@ -4,8 +4,10 @@
 built on:
 
 - :mod:`repro.des.engine` — event heap + virtual clock,
-- :mod:`repro.des.process` — thread-backed simulated processes with
-  ``sleep`` and one-shot :class:`SimEvent` futures,
+- :mod:`repro.des.process` — simulated processes: generator ranks
+  stepped as coroutines (OS threads only for plain functions), one-shot
+  :class:`SimEvent` futures, and :func:`~repro.des.process.blocking`,
+  which derives every blocking spelling from its ``co_*`` form,
 - :mod:`repro.des.resources` — FIFO resources (cores, send engines),
 - :mod:`repro.des.flows` — max-min fair fluid bandwidth sharing used to
   model NIC contention.

@@ -1,42 +1,42 @@
-"""Simulated processes: coroutine ranks with a thread fallback runtime.
+"""Simulated processes: generator ranks, with threads for plain functions.
 
-Historically every simulated rank ran arbitrary Python on its own OS
-thread with strict one-at-a-time handoff: a rank that blocks in virtual
-time hands control back to the engine and sleeps on a private lock until
-the engine wakes it.  That gives straight-line user code but costs two
-lock round trips per handoff — the ``process_handoff`` line in
-``BENCH_core.json`` — and one OS thread per rank, which caps the fleet
-well below the 4096 ranks the ``scale`` experiment simulates.
-
-The default runtime is now *coroutines*: a rank is a resumable generator
-stepped directly by the engine callback that wakes it.  Rank code that
-needs to block in virtual time is written once in generator style::
+A rank is a resumable generator stepped directly by the engine callback
+that wakes it.  Every operation that blocks in virtual time is written
+once, in generator style, as a ``co_*`` method::
 
     def co_program(ctx):
         yield from ctx.comm.co_send(b"x", 1)   # may yield SimEvents
         yield _Sleep(1e-6)                     # advance virtual time
         return ctx.now
 
-and is driven two ways:
+The blocking spelling of each operation (``comm.send``,
+``request.wait`` …) is not written by hand: :func:`blocking` derives it
+from the ``co_*`` form, and :func:`run_blocking` interprets the
+generator on the calling thread rank.  Two runtimes step the same
+generators:
 
 - **coroutines** — :meth:`Scheduler._step_coro` sends values straight
   into the generator from the engine context: no locks, no threads, one
-  heap entry per wake, O(ranks) memory.
-- **threads** — :func:`run_blocking` interprets the same generator on
-  the rank's thread, translating ``yield event`` into ``event.wait()``
-  and ``yield _Sleep(d)`` into ``proc.sleep(d)``.
+  heap entry per wake, O(ranks) memory.  Every in-repo workload runs
+  here.
+- **threads** — a rank on its own OS thread with strict one-at-a-time
+  handoff.  It exists for plain-function ranks (NAS kernels, examples,
+  user code written against the blocking API), and
+  ``runtime="threads"`` forces generator ranks onto it as the parity
+  reference: :func:`run_blocking` translates ``yield event`` into
+  ``event.wait()`` and ``yield _Sleep(d)`` into ``proc.sleep(d)``.
 
 Both runtimes issue *identical* ``engine.schedule`` call sequences (one
 entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`,
 inline continuation for already-completed events), so artifacts are
 byte-identical between them — ``make check-runtime-parity`` pins that.
-Plain (non-generator) rank functions still run on threads; the
-``runtime="auto"`` default picks per function, so both styles coexist
-in one simulation.
+The ``runtime="auto"`` default picks per function, so both styles
+coexist in one simulation.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from types import GeneratorType
 from typing import Any, Callable, Iterable
@@ -124,24 +124,13 @@ class _Sleep:
         self.delay = delay
 
 
-def co_sleep(delay: float):
-    """Generator form of ``proc.sleep(delay)`` for rank coroutines."""
-    yield _Sleep(delay)
-
-
 def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
     """Drive a ``co_*`` generator with thread-blocking semantics.
 
-    This is how every blocking API spelling (``comm.send``,
-    ``request.wait`` …) is derived from its single generator
-    implementation: ``yield event`` becomes ``event.wait()`` and
-    ``yield _Sleep(d)`` becomes ``current().sleep(d)``, so the engine
-    sees the exact schedule-call sequence the coroutine runtime issues.
-    Non-generator values pass straight through, which lets callers wrap
-    functions that only *sometimes* suspend.
+    ``yield event`` becomes ``event.wait()`` and ``yield _Sleep(d)``
+    becomes ``current().sleep(d)``, so the engine sees the exact
+    schedule-call sequence the coroutine runtime issues.
     """
-    if not isinstance(gen, GeneratorType):
-        return gen
     try:
         item = gen.send(None)
         while True:
@@ -159,8 +148,30 @@ def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
         return stop.value
 
 
+def blocking(co_method: Callable[..., Any]) -> Callable[..., Any]:
+    """Derive the blocking spelling of a ``co_*`` generator method.
+
+    In a class body, ``wait = blocking(co_wait)`` makes ``obj.wait(...)``
+    run ``obj.co_wait(...)`` through :func:`run_blocking` on the calling
+    thread rank.  The owner class exposes the job's scheduler as
+    ``_scheduler``.  The ``co_*`` method is looked up on the instance at
+    call time, so the two spellings can never drift apart.
+    """
+    co_name = co_method.__name__
+
+    @functools.wraps(co_method)
+    def method(self, *args: Any, **kwargs: Any) -> Any:
+        return run_blocking(self._scheduler,
+                            getattr(self, co_name)(*args, **kwargs))
+
+    name = co_name.replace("co_", "", 1)
+    method.__name__ = name
+    method.__qualname__ = co_method.__qualname__[:-len(co_name)] + name
+    return method
+
+
 class SimProcess:
-    """One simulated process on its own OS thread (the fallback runtime).
+    """One simulated process on its own OS thread (the thread runtime).
 
     Handoff uses raw ``threading.Lock`` objects (acquired at creation,
     so the first ``acquire`` blocks) rather than semaphores: the strict
@@ -437,9 +448,6 @@ class Scheduler:
     def wake_soon(self, proc: SimProcess | CoroProcess) -> None:
         """Schedule *proc* to be woken at the current virtual time."""
         self.engine.schedule(0.0, self.wake_now, proc)
-
-    def _hand_to_engine(self) -> None:
-        self._engine_lock.release()
 
     def _step_coro(self, proc: CoroProcess) -> None:
         """(Engine context) step *proc*'s generator until it suspends.

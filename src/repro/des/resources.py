@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.des.process import Scheduler, SimEvent, _Sleep, run_blocking
+from repro.des.process import Scheduler, SimEvent, _Sleep, blocking
 
 
 class Resource:
@@ -35,8 +35,7 @@ class Resource:
         return len(self._queue)
 
     def co_acquire(self):
-        """Acquire a unit; generator form (the single implementation —
-        :meth:`acquire` derives the blocking spelling from it)."""
+        """Suspend the calling process until a unit is available."""
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             return
@@ -44,9 +43,7 @@ class Resource:
         self._queue.append(grant)
         yield grant
 
-    def acquire(self) -> None:
-        """Block the calling process until a unit is available."""
-        run_blocking(self._scheduler, self.co_acquire())
+    acquire = blocking(co_acquire)
 
     def release(self) -> None:
         """Return one unit; wakes the longest-waiting acquirer, if any."""
@@ -68,16 +65,14 @@ class Resource:
         self.release()
 
     def co_execute(self, seconds: float):
-        """Generator form of :meth:`execute`."""
+        """Acquire a unit, hold it for *seconds* of virtual time, release."""
         yield from self.co_acquire()
         try:
             yield _Sleep(seconds)
         finally:
             self.release()
 
-    def execute(self, seconds: float) -> None:
-        """Acquire a unit, hold it for *seconds* of virtual time, release."""
-        run_blocking(self._scheduler, self.co_execute(seconds))
+    execute = blocking(co_execute)
 
 
 class WorkPool:
@@ -106,10 +101,6 @@ class WorkPool:
     @property
     def busy(self) -> int:
         return self._busy
-
-    @property
-    def idle(self) -> int:
-        return max(0, self.capacity - self._busy - len(self._queue))
 
     @property
     def queued(self) -> int:

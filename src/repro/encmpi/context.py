@@ -19,9 +19,9 @@ from repro.encmpi.config import SecurityConfig
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 from repro.simmpi.resilience import ResilienceExhausted
 from repro.models.cryptolib import CryptoLibraryProfile, profile_for_network
-from repro.des.process import run_blocking
+from repro.des.process import blocking
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
-from repro.simmpi.request import Request
+from repro.simmpi.request import Request, co_waitall, waitall
 from repro.simmpi.world import RankContext
 
 
@@ -60,11 +60,12 @@ class EncryptedRequest:
     def status(self):
         return self._inner.status
 
-    def wait(self) -> bytes | None:
-        return run_blocking(self._owner.ctx._scheduler, self.co_wait())
+    @property
+    def _scheduler(self):
+        return self._owner._scheduler
 
     def co_wait(self):
-        """Generator form of :meth:`wait` (the single implementation)."""
+        """Wait for completion; a receive returns the decrypted payload."""
         if self.kind == "send":
             yield from self._inner.co_wait()
             return None
@@ -110,6 +111,8 @@ class EncryptedRequest:
                     _require_id=decision.require_id,
                 )
                 value = yield from self._inner.co_wait()
+
+    wait = blocking(co_wait)
 
 
 class EncryptedComm:
@@ -170,15 +173,13 @@ class EncryptedComm:
     def size(self) -> int:
         return self.ctx.size
 
+    @property
+    def _scheduler(self):
+        return self.ctx._scheduler
+
     # ------------------------------------------------------------------
     # framing
     # ------------------------------------------------------------------
-
-    def _encrypt_charged(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Blocking spelling of :meth:`_co_encrypt_charged`."""
-        return run_blocking(
-            self.ctx._scheduler, self._co_encrypt_charged(plaintext, aad)
-        )
 
     def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
         """Charge virtual encryption time and frame the message."""
@@ -204,13 +205,8 @@ class EncryptedComm:
         # ciphertext buffers in the single simulator process).
         return OpaquePayload(nonce, plaintext, bytes(16))
 
-    def _decrypt_charged(self, wire, aad: bytes = b"") -> bytes:
-        """Blocking spelling of :meth:`_co_decrypt_charged`."""
-        return run_blocking(
-            self.ctx._scheduler, self._co_decrypt_charged(wire, aad)
-        )
-
     def _co_decrypt_charged(self, wire, aad: bytes = b""):
+        """Charge virtual decryption time and open the frame."""
         plain_len = self._plaintext_len(wire)
         dur = self.profile.decrypt_time(plain_len, self.crypto_slowdown)
         yield from self.ctx.co_compute(dur)
@@ -238,6 +234,8 @@ class EncryptedComm:
             c.aead_opens += 1
             c.bytes_opened += plain_len
         return plain
+
+    _decrypt_charged = blocking(_co_decrypt_charged)
 
     def _record_auth_fail(self, plain_len: int) -> None:
         self.auth_failures += 1
@@ -328,19 +326,11 @@ class EncryptedComm:
     # point-to-point (§IV: Send/Recv/ISend/IRecv/Wait/Waitall)
     # ------------------------------------------------------------------
 
-    def isend(self, data: bytes, dest: int, tag: int = 0):
-        if self._pipe is not None:
-            return self._pipe.isend(bytes(data), dest, tag)
-        return run_blocking(
-            self.ctx._scheduler, self._co_isend_serial(data, dest, tag)
-        )
-
     def co_isend(self, data: bytes, dest: int, tag: int = 0):
-        """Generator form of :meth:`isend` (serial plans only)."""
-        self._check_not_pipelined("co_isend")
-        return (yield from self._co_isend_serial(data, dest, tag))
-
-    def _co_isend_serial(self, data: bytes, dest: int, tag: int = 0):
+        """Encrypted_ISend: seal (chunked under a cryptmpi plan), then
+        post the send; returns a request to wait on."""
+        if self._pipe is not None:
+            return (yield from self._pipe.isend(bytes(data), dest, tag))
         data = bytes(data)
         aad = self._aad_for_peer(self.rank, tag)
         wire = yield from self._co_encrypt_charged(data, aad)
@@ -354,20 +344,13 @@ class EncryptedComm:
         )
         return EncryptedRequest(inner, self, "send")
 
-    def _check_not_pipelined(self, op: str) -> None:
-        if self._pipe is not None:
-            raise RuntimeError(
-                f"{op}: CryptoPlan(mode='cryptmpi') chunk pipelining needs "
-                "the threads runtime; run with EngineOptions("
-                "runtime='threads') or the blocking API"
-            )
-
-    def send(self, data: bytes, dest: int, tag: int = 0) -> None:
-        self.isend(data, dest, tag).wait()
+    isend = blocking(co_isend)
 
     def co_send(self, data: bytes, dest: int, tag: int = 0):
         req = yield from self.co_isend(data, dest, tag)
         yield from req.co_wait()
+
+    send = blocking(co_send)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         if self._pipe is not None:
@@ -376,41 +359,15 @@ class EncryptedComm:
         self.messages_received += 1
         return EncryptedRequest(inner, self, "recv", source=source, tag=tag)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[bytes, object]:
-        req = self.irecv(source, tag)
-        data = req.wait()
-        return data, req.status
-
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._check_not_pipelined("co_recv")
+        """Receive and decrypt; returns (plaintext, status)."""
         req = self.irecv(source, tag)
         data = yield from req.co_wait()
         return data, req.status
 
-    @staticmethod
-    def waitall(requests: list[EncryptedRequest]) -> list:
-        return [r.wait() for r in requests]
-
-    @staticmethod
-    def co_waitall(requests: list[EncryptedRequest]):
-        values = []
-        for req in requests:
-            values.append((yield from req.co_wait()))
-        return values
-
-    def sendrecv(
-        self,
-        senddata: bytes,
-        dest: int,
-        recvsource: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> tuple[bytes, object]:
-        rreq = self.irecv(recvsource, recvtag)
-        sreq = self.isend(senddata, dest, sendtag)
-        data = rreq.wait()
-        sreq.wait()
-        return data, rreq.status
+    recv = blocking(co_recv)
+    waitall = staticmethod(waitall)
+    co_waitall = staticmethod(co_waitall)
 
     def co_sendrecv(
         self,
@@ -420,27 +377,22 @@ class EncryptedComm:
         sendtag: int = 0,
         recvtag: int = ANY_TAG,
     ):
-        self._check_not_pipelined("co_sendrecv")
         rreq = self.irecv(recvsource, recvtag)
         sreq = yield from self.co_isend(senddata, dest, sendtag)
         data = yield from rreq.co_wait()
         yield from sreq.co_wait()
         return data, rreq.status
 
+    sendrecv = blocking(co_sendrecv)
+
     # ------------------------------------------------------------------
     # collectives (§IV: Bcast, Allgather, Alltoall, Alltoallv)
     # ------------------------------------------------------------------
 
-    def bcast(self, data: bytes | None, root: int = 0, *,
-              nbytes: int | None = None) -> bytes:
-        """Encrypted_Bcast: the root encrypts once, every other rank
-        decrypts once; the ordinary bcast moves nonce||ciphertext."""
-        return run_blocking(
-            self.ctx._scheduler, self.co_bcast(data, root, nbytes=nbytes)
-        )
-
     def co_bcast(self, data: bytes | None, root: int = 0, *,
                  nbytes: int | None = None):
+        """Encrypted_Bcast: the root encrypts once, every other rank
+        decrypts once; the ordinary bcast moves nonce||ciphertext."""
         if self.ctx.rank == root:
             assert data is not None
             wire = yield from self._co_encrypt_charged(bytes(data))
@@ -453,11 +405,10 @@ class EncryptedComm:
         )
         return (yield from self._co_decrypt_charged(received))
 
-    def allgather(self, data: bytes) -> list[bytes]:
-        """Encrypted_Allgather: encrypt own block, allgather, decrypt all."""
-        return run_blocking(self.ctx._scheduler, self.co_allgather(data))
+    bcast = blocking(co_bcast)
 
     def co_allgather(self, data: bytes):
+        """Encrypted_Allgather: encrypt own block, allgather, decrypt all."""
         wire = yield from self._co_encrypt_charged(bytes(data))
         gathered = yield from self.ctx.comm.co_allgather(wire)
         # Like Algorithm 1's alltoall, every received block — including
@@ -467,12 +418,11 @@ class EncryptedComm:
             out.append((yield from self._co_decrypt_charged(block)))
         return out
 
-    def alltoall(self, chunks: Sequence[bytes]) -> list[bytes]:
-        """Encrypted_Alltoall, exactly Algorithm 1: encrypt every chunk
-        with a fresh nonce, exchange, decrypt every received chunk."""
-        return run_blocking(self.ctx._scheduler, self.co_alltoall(chunks))
+    allgather = blocking(co_allgather)
 
     def co_alltoall(self, chunks: Sequence[bytes]):
+        """Encrypted_Alltoall, exactly Algorithm 1: encrypt every chunk
+        with a fresh nonce, exchange, decrypt every received chunk."""
         enc = []
         for c in chunks:
             enc.append((yield from self._co_encrypt_charged(bytes(c))))
@@ -482,8 +432,7 @@ class EncryptedComm:
             out.append((yield from self._co_decrypt_charged(block)))
         return out
 
-    def alltoallv(self, chunks: Sequence[bytes]) -> list[bytes]:
-        return run_blocking(self.ctx._scheduler, self.co_alltoallv(chunks))
+    alltoall = blocking(co_alltoall)
 
     def co_alltoallv(self, chunks: Sequence[bytes]):
         enc = []
@@ -494,3 +443,5 @@ class EncryptedComm:
         for block in received:
             out.append((yield from self._co_decrypt_charged(block)))
         return out
+
+    alltoallv = blocking(co_alltoallv)

@@ -5,18 +5,21 @@ significantly higher than the single thread encryption-decryption
 throughput, one will almost have no choice but to parallelize
 encryption using multiple threads, or accelerate it via GPU."
 
-:class:`PipelinedCrypto` implements the thread-parallel variant for the
-simulator: a large message is split into fixed-size chunks, each chunk
-is encrypted independently (its own nonce — cryptographically this is
-a sequence of AEAD messages, so security is preserved), and chunks are
-processed round-robin across the cores currently idle on the rank's
-node.  The virtual-time cost becomes
+:class:`ChunkPipeline` is that parallel variant, following CryptMPI: a
+``CryptoPlan(mode="cryptmpi")`` point-to-point message is split into
+fixed-size chunks, each sealed independently under its own nonce (so,
+cryptographically, a sequence of AEAD messages), and the seals and
+opens run on the node's idle helper cores
+(:class:`repro.models.cpu.CoreAllocator`) while earlier chunks are
+already on the wire.  Its send and receive paths are generators, like
+every other blocking operation, so cryptmpi plans run on either rank
+runtime.
+
+:func:`plan_pipeline` is the static counterpart: the wave arithmetic
 
     ceil(nchunks / ncores) waves x per-chunk cost
 
-instead of the serial sum, which is exactly the headroom the paper
-predicts for end-host encryption.  The ablation benchmark sweeps chunk
-size and core count.
+that the analytical predictor shares (:func:`repro.models.cpu.pipeline_waves`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.crypto.aead import WIRE_OVERHEAD
 from repro.crypto.errors import AuthenticationError
+from repro.des.process import blocking
 from repro.encmpi.replay import ReplayError
 from repro.models.cpu import pipeline_waves
 from repro.models.cryptolib import CryptoLibraryProfile
@@ -94,110 +98,6 @@ def plan_pipeline(
     return PipelinePlan(size, chunk_bytes, cores, nchunks, waves, serial, parallel)
 
 
-class PipelinedCrypto:
-    """Charges pipelined (multi-core) crypto time for an EncryptedComm.
-
-    Usage: wrap an :class:`EncryptedComm`'s context before a large
-    transfer.  ``encrypt_time``/``decrypt_time`` report what the rank
-    should be charged given the idle cores on its node *right now*.
-    """
-
-    def __init__(self, enc_comm, chunk_bytes: int = DEFAULT_CHUNK):
-        self.enc = enc_comm
-        self.chunk_bytes = chunk_bytes
-
-    def _cores_available(self) -> int:
-        # The rank's own core plus whatever is idle on the node.
-        return 1 + self.enc.ctx.extra_cores().idle
-
-    def charge_encrypt(self, size: int) -> PipelinePlan:
-        plan = plan_pipeline(
-            self.enc.profile, size, self._cores_available(), self.chunk_bytes
-        )
-        self.enc.ctx.compute(plan.parallel_time)
-        self._emit_aead("seal", size, plan)
-        return plan
-
-    def charge_decrypt(self, size: int) -> PipelinePlan:
-        plan = plan_pipeline(
-            self.enc.profile, size, self._cores_available(), self.chunk_bytes
-        )
-        self.enc.ctx.compute(plan.parallel_time)
-        self._emit_aead("open", size, plan)
-        return plan
-
-    def _emit_aead(self, kind: str, size: int, plan: PipelinePlan) -> None:
-        rec = self.enc.ctx.recorder
-        if rec is None:
-            return
-        rank = self.enc.rank
-        rec.emit("aead", kind, rank, backend=self.enc._aead.name,
-                 bytes=size, dur=plan.parallel_time, cores=plan.cores,
-                 chunks=plan.nchunks)
-        counters = rec.rank_counters(rank)
-        if kind == "seal":
-            counters.aead_seals += 1
-            counters.bytes_sealed += size
-        else:
-            counters.aead_opens += 1
-            counters.bytes_opened += size
-
-    def _consume_nonce(self) -> bytes:
-        nonce = self.enc._nonces.next()
-        rec = self.enc.ctx.recorder
-        if rec is not None:
-            rec.rank_counters(self.enc.rank).nonces_consumed += 1
-        return nonce
-
-    def send(self, data: bytes, dest: int, tag: int = 0) -> PipelinePlan:
-        """Pipelined variant of EncryptedComm.send for bulk payloads."""
-        data = bytes(data)
-        plan = self.charge_encrypt(len(data))
-        wire = self._frame(data)
-        self.enc.ctx.comm.send(
-            wire, dest, tag, wire_bytes=self.enc._wire_bytes(len(data))
-        )
-        return plan
-
-    def recv(self, source: int, tag: int = 0) -> tuple[bytes, PipelinePlan]:
-        wire, _status = self.enc.ctx.comm.recv(source, tag)
-        plan = self.charge_decrypt(max(0, len(wire) - 28))
-        return self._unframe(wire), plan
-
-    # -- chunked framing (nonce per chunk) -------------------------------
-
-    def _frame(self, data: bytes):
-        if self.enc.config.crypto_mode != "real":
-            from repro.simmpi.message import OpaquePayload
-
-            return OpaquePayload(self._consume_nonce(), data, bytes(16))
-        parts = []
-        for off in range(0, max(len(data), 1), self.chunk_bytes):
-            chunk = data[off : off + self.chunk_bytes]
-            nonce = self._consume_nonce()
-            parts.append(len(chunk).to_bytes(4, "big"))
-            parts.append(nonce + self.enc._aead.seal(nonce, chunk))
-        return b"".join(parts)
-
-    def _unframe(self, wire) -> bytes:
-        if self.enc.config.crypto_mode != "real":
-            from repro.simmpi.message import OpaquePayload
-
-            if isinstance(wire, OpaquePayload):
-                return wire.base
-            return wire[12:-16]
-        out = []
-        offset = 0
-        while offset < len(wire):
-            n = int.from_bytes(wire[offset : offset + 4], "big")
-            offset += 4
-            nonce = wire[offset : offset + 12]
-            body = wire[offset + 12 : offset + 12 + n + 16]
-            out.append(self.enc._aead.open(nonce, body))
-            offset += 12 + n + 16
-        return b"".join(out)
-
-
 # ----------------------------------------------------------------------
 # CryptMPI mode: chunked sends scheduled on the node's helper cores
 # ----------------------------------------------------------------------
@@ -230,17 +130,19 @@ class ChunkedSendRequest:
     kind = "send"
     status = None
 
-    def __init__(self, inners):
+    def __init__(self, inners, scheduler):
         self._inners = inners
+        self._scheduler = scheduler
 
     @property
     def completed(self) -> bool:
         return all(r.completed for r in self._inners)
 
-    def wait(self) -> None:
+    def co_wait(self):
         for r in self._inners:
-            r.wait()
-        return None
+            yield from r.co_wait()
+
+    wait = blocking(co_wait)
 
 
 class ChunkedRecvRequest:
@@ -249,7 +151,7 @@ class ChunkedRecvRequest:
     Only the first chunk's receive is posted up front — the frame's
     header tells the receiver how many siblings to expect, so the
     remaining receives (and the helper-core decrypt jobs) are posted
-    inside ``wait``, preserving the non-blocking property of
+    inside ``co_wait``, preserving the non-blocking property of
     Encrypted_IRecv just like the serial path.
     """
 
@@ -257,6 +159,7 @@ class ChunkedRecvRequest:
 
     def __init__(self, pipe: "ChunkPipeline", source: int, tag: int):
         self._pipe = pipe
+        self._scheduler = pipe.enc.ctx._scheduler
         self._source = source
         self._tag = tag
         self._first = pipe.enc.ctx.comm.irecv(source, tag)
@@ -268,12 +171,14 @@ class ChunkedRecvRequest:
     def completed(self) -> bool:
         return self._waited or self._first.completed
 
-    def wait(self) -> bytes:
+    def co_wait(self):
         if self._waited:
             return self._result
         self._waited = True
-        self._result = self._pipe._recv_wait(self)
+        self._result = yield from self._pipe._recv_wait(self)
         return self._result
+
+    wait = blocking(co_wait)
 
 
 class ChunkPipeline:
@@ -303,6 +208,10 @@ class ChunkPipeline:
     matching guarantee index order within a message.  Collectives are
     not chunked — CryptMPI pipelines point-to-point transfers, and the
     serial collectives keep their golden traces.
+
+    :meth:`isend`, :meth:`_recv_wait` and :meth:`_open_chunk_reliable`
+    are generators: the rank waits on helper-core events and on chunk
+    receives by yielding them, under either rank runtime.
     """
 
     def __init__(self, enc_comm):
@@ -326,7 +235,7 @@ class ChunkPipeline:
 
     # -- sender ----------------------------------------------------------
 
-    def isend(self, data: bytes, dest: int, tag: int = 0) -> ChunkedSendRequest:
+    def isend(self, data: bytes, dest: int, tag: int = 0):
         enc = self.enc
         data = bytes(data)
         chunks = self._split(data)
@@ -359,20 +268,20 @@ class ChunkPipeline:
         inners = []
         for i, c in enumerate(chunks):
             if cap > 0:
-                events[i].wait()
+                yield events[i]
             else:
-                enc.ctx.compute(durs[i])  # serial-chunked fallback
+                yield from enc.ctx.co_compute(durs[i])  # serial-chunked fallback
             wire = self._seal_chunk(seq, i, total, c, aad_tail, durs[i])
             reseal = None
             if enc._resilience is not None:
                 reseal = self._make_chunk_reseal(seq, i, total, c, aad_tail)
-            inners.append(enc.ctx.comm.isend(
+            inners.append((yield from enc.ctx.comm.co_isend(
                 wire, dest, tag if i == 0 else sib_tag,
                 wire_bytes=HEADER_SIZE + enc._wire_bytes(len(c)),
                 _internal=i > 0,
                 _reseal=reseal,
-            ))
-        return ChunkedSendRequest(inners)
+            )))
+        return ChunkedSendRequest(inners, enc.ctx._scheduler)
 
     def _seal_chunk(self, seq: int, index: int, total: int, chunk: bytes,
                     aad_tail: bytes, dur: float):
@@ -416,12 +325,12 @@ class ChunkPipeline:
         self.enc.messages_received += 1
         return ChunkedRecvRequest(self, source, tag)
 
-    def _recv_wait(self, req: ChunkedRecvRequest) -> bytes:
+    def _recv_wait(self, req: ChunkedRecvRequest):
         enc = self.enc
         comm = enc.ctx.comm
         alloc = enc.ctx.node_alloc
         cap = self._helper_cap(alloc)
-        wire0 = req._first.wait()
+        wire0 = yield from req._first.co_wait()
         status0 = req._first.status
         seq, total, _ = _parse_chunk_header(wire0)
         if total < 1:
@@ -437,7 +346,7 @@ class ChunkPipeline:
         wires: list = [None] * total
         plains: list = [None] * total
         for i in range(total):
-            wire = wires[i] = inners[i].wait() if i else wire0
+            wire = wires[i] = (yield from inners[i].co_wait()) if i else wire0
             plain_len = max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD)
             dur = enc.profile.decrypt_time(plain_len, enc.crypto_slowdown)
             if cap > 0:
@@ -450,15 +359,15 @@ class ChunkPipeline:
                     chunk=i, after=after,
                 ))
             else:
-                enc.ctx.compute(dur)
-                plains[i] = self._open_chunk_reliable(
+                yield from enc.ctx.co_compute(dur)
+                plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wire, src, tag, seq, i, total, dur)
         if cap > 0:
             for i in range(total):
-                open_events[i].wait()
+                yield open_events[i]
                 plain_len = max(0, len(wires[i]) - HEADER_SIZE - WIRE_OVERHEAD)
                 dur = enc.profile.decrypt_time(plain_len, enc.crypto_slowdown)
-                plains[i] = self._open_chunk_reliable(
+                plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wires[i], src, tag, seq, i, total, dur)
         data = b"".join(plains)
         # Like the serial path, count reflects delivered frame bytes.
@@ -467,8 +376,7 @@ class ChunkPipeline:
         return data
 
     def _open_chunk_reliable(self, inner, wire, src: int, tag: int,
-                             seq: int, index: int, total: int,
-                             dur: float) -> bytes:
+                             seq: int, index: int, total: int, dur: float):
         """Open one chunk; NACK + pinned re-post on failure (resilience)."""
         enc = self.enc
         attempts = 0
@@ -500,10 +408,10 @@ class ChunkPipeline:
                 inner = enc.ctx.comm.irecv(
                     src, tag if index == 0 else CHUNK_TAG_BASE + seq,
                     _internal=index > 0, _require_id=decision.require_id)
-                wire = inner.wait()
+                wire = yield from inner.co_wait()
                 # Retry decrypt runs on the rank's core — the helper
                 # schedule for the happy path is already spent.
-                enc.ctx.compute(dur)
+                yield from enc.ctx.co_compute(dur)
 
     def _open_chunk(self, wire, src: int, tag: int, seq: int, index: int,
                     total: int, dur: float) -> bytes:

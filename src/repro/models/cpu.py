@@ -176,11 +176,6 @@ class CoreAllocator:
     def busy(self) -> int:
         return self._pool.busy
 
-    @property
-    def idle_helpers(self) -> int:
-        """Helper cores free right now (queued work counts as taken)."""
-        return self._pool.idle
-
     def submit(
         self,
         seconds: float,
@@ -197,8 +192,8 @@ class CoreAllocator:
         *after* delays enqueueing until that event succeeds (the
         per-operation helper cap of the cryptmpi pipeline).  Raises
         ``RuntimeError`` when the node has no helpers — callers check
-        :attr:`helpers`/:attr:`idle_helpers` and fall back to computing
-        on the rank's own core.
+        :attr:`helpers` and fall back to computing on the rank's own
+        core.
         """
         done = self._pool.submit(seconds, after=after)
 

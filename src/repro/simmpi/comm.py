@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from repro.des.process import Scheduler, _Sleep, run_blocking
+from repro.des.process import Scheduler, _Sleep, blocking
 from repro.simmpi import collectives as _coll
 from repro.simmpi.message import (
     ANY_SOURCE,
@@ -32,7 +32,7 @@ from repro.simmpi.message import (
     Envelope,
     OpaquePayload,
 )
-from repro.simmpi.request import Request, Status, waitall
+from repro.simmpi.request import Request, Status, co_waitall, waitall
 from repro.simmpi.topology import ClusterRuntime
 from repro.simmpi.transport import Transport
 
@@ -83,6 +83,7 @@ class CommHandle:
         comm_id=None,
     ):
         self._comm = comm
+        self._scheduler = comm.scheduler
         self.rank = rank
         self._members = members
         if members is None:
@@ -108,24 +109,9 @@ class CommHandle:
             return global_rank
         return self._to_local[global_rank]
 
-    @property
-    def is_group(self) -> bool:
-        return self._members is None is False
-
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
-
-    def isend(self, data: bytes, dest: int, tag: int = 0, *, wire_bytes: int = -1,
-              payload_bytes: int = -1, _internal: bool = False,
-              _reseal=None) -> Request:
-        """Blocking spelling of :meth:`co_isend` (thread ranks)."""
-        return run_blocking(
-            self._comm.scheduler,
-            self.co_isend(data, dest, tag, wire_bytes=wire_bytes,
-                          payload_bytes=payload_bytes, _internal=_internal,
-                          _reseal=_reseal),
-        )
 
     def co_isend(self, data: bytes, dest: int, tag: int = 0, *,
                  wire_bytes: int = -1, payload_bytes: int = -1,
@@ -168,21 +154,19 @@ class CommHandle:
         )
         return req
 
-    def send(self, data: bytes, dest: int, tag: int = 0, *, wire_bytes: int = -1,
-             payload_bytes: int = -1, _internal: bool = False) -> None:
-        """Blocking send (returns when the send buffer is reusable)."""
-        self.isend(data, dest, tag, wire_bytes=wire_bytes,
-                   payload_bytes=payload_bytes, _internal=_internal).wait()
+    isend = blocking(co_isend)
 
     def co_send(self, data: bytes, dest: int, tag: int = 0, *,
                 wire_bytes: int = -1, payload_bytes: int = -1,
                 _internal: bool = False):
-        """Generator form of :meth:`send`."""
+        """Send; returns when the send buffer is reusable."""
         req = yield from self.co_isend(
             data, dest, tag, wire_bytes=wire_bytes,
             payload_bytes=payload_bytes, _internal=_internal,
         )
         yield from req.co_wait()
+
+    send = blocking(co_send)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
               _internal: bool = False, _require_id: int | None = None) -> Request:
@@ -257,39 +241,15 @@ class CommHandle:
         req.set_postprocess(postprocess)
         return req
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
-             _internal: bool = False) -> tuple[bytes, Status]:
-        """Blocking receive; returns (payload, status)."""
-        req = self.irecv(source, tag, _internal=_internal)
-        data = req.wait()
-        assert req.status is not None
-        return data, req.status
-
-    def sendrecv(
-        self,
-        senddata: bytes,
-        dest: int,
-        recvsource: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        *,
-        _internal: bool = False,
-    ) -> tuple[bytes, Status]:
-        """Simultaneous send+recv (deadlock-free pairwise exchange)."""
-        rreq = self.irecv(recvsource, recvtag, _internal=_internal)
-        sreq = self.isend(senddata, dest, sendtag, _internal=_internal)
-        data = rreq.wait()
-        sreq.wait()
-        assert rreq.status is not None
-        return data, rreq.status
-
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
                 _internal: bool = False):
-        """Generator form of :meth:`recv`."""
+        """Receive; returns (payload, status)."""
         req = self.irecv(source, tag, _internal=_internal)
         data = yield from req.co_wait()
         assert req.status is not None
         return data, req.status
+
+    recv = blocking(co_recv)
 
     def co_sendrecv(
         self,
@@ -301,7 +261,7 @@ class CommHandle:
         *,
         _internal: bool = False,
     ):
-        """Generator form of :meth:`sendrecv`."""
+        """Simultaneous send+recv (deadlock-free pairwise exchange)."""
         rreq = self.irecv(recvsource, recvtag, _internal=_internal)
         sreq = yield from self.co_isend(senddata, dest, sendtag,
                                         _internal=_internal)
@@ -310,17 +270,9 @@ class CommHandle:
         assert rreq.status is not None
         return data, rreq.status
 
-    @staticmethod
-    def waitall(requests: list[Request]) -> list:
-        return waitall(requests)
-
-    @staticmethod
-    def co_waitall(requests: list[Request]):
-        """Generator form of :meth:`waitall`."""
-        values = []
-        for req in requests:
-            values.append((yield from req.co_wait()))
-        return values
+    sendrecv = blocking(co_sendrecv)
+    waitall = staticmethod(waitall)
+    co_waitall = staticmethod(co_waitall)
 
     # ------------------------------------------------------------------
     # collectives (§IV list + NAS requirements)
@@ -339,25 +291,10 @@ class CommHandle:
         rec.emit("collective", "coll_end", g, op=op)
         return out
 
-    def _run_collective(self, op: str, gen, **meta):
-        """Blocking spelling of :meth:`_co_run_collective`."""
-        return run_blocking(
-            self._comm.scheduler, self._co_run_collective(op, gen, **meta)
-        )
-
-    def barrier(self) -> None:
-        self._run_collective("barrier", _coll.barrier(self))
-
     def co_barrier(self):
         yield from self._co_run_collective("barrier", _coll.barrier(self))
 
-    def bcast(self, data: bytes | None, root: int = 0, *,
-              nbytes: int | None = None) -> bytes:
-        return self._run_collective(
-            "bcast", _coll.bcast(self, data, root, nbytes=nbytes),
-            root=root,
-            bytes=len(data) if data is not None else (nbytes or 0),
-        )
+    barrier = blocking(co_barrier)
 
     def co_bcast(self, data: bytes | None, root: int = 0, *,
                  nbytes: int | None = None):
@@ -367,11 +304,7 @@ class CommHandle:
             bytes=len(data) if data is not None else (nbytes or 0),
         ))
 
-    def gather(self, data: bytes, root: int = 0) -> list[bytes] | None:
-        return self._run_collective(
-            "gather", _coll.gather(self, data, root),
-            root=root, bytes=len(data),
-        )
+    bcast = blocking(co_bcast)
 
     def co_gather(self, data: bytes, root: int = 0):
         return (yield from self._co_run_collective(
@@ -379,12 +312,7 @@ class CommHandle:
             root=root, bytes=len(data),
         ))
 
-    def scatter(self, chunks: Sequence[bytes] | None, root: int = 0) -> bytes:
-        return self._run_collective(
-            "scatter", _coll.scatter(self, chunks, root),
-            root=root,
-            bytes=sum(len(c) for c in chunks) if chunks is not None else 0,
-        )
+    gather = blocking(co_gather)
 
     def co_scatter(self, chunks: Sequence[bytes] | None, root: int = 0):
         return (yield from self._co_run_collective(
@@ -393,21 +321,14 @@ class CommHandle:
             bytes=sum(len(c) for c in chunks) if chunks is not None else 0,
         ))
 
-    def allgather(self, data: bytes) -> list[bytes]:
-        return self._run_collective(
-            "allgather", _coll.allgather(self, data), bytes=len(data)
-        )
+    scatter = blocking(co_scatter)
 
     def co_allgather(self, data: bytes):
         return (yield from self._co_run_collective(
             "allgather", _coll.allgather(self, data), bytes=len(data)
         ))
 
-    def alltoall(self, chunks: Sequence[bytes]) -> list[bytes]:
-        return self._run_collective(
-            "alltoall", _coll.alltoall(self, chunks),
-            bytes=sum(len(c) for c in chunks),
-        )
+    allgather = blocking(co_allgather)
 
     def co_alltoall(self, chunks: Sequence[bytes]):
         return (yield from self._co_run_collective(
@@ -415,11 +336,7 @@ class CommHandle:
             bytes=sum(len(c) for c in chunks),
         ))
 
-    def alltoallv(self, chunks: Sequence[bytes]) -> list[bytes]:
-        return self._run_collective(
-            "alltoallv", _coll.alltoallv(self, chunks),
-            bytes=sum(len(c) for c in chunks),
-        )
+    alltoall = blocking(co_alltoall)
 
     def co_alltoallv(self, chunks: Sequence[bytes]):
         return (yield from self._co_run_collective(
@@ -427,12 +344,7 @@ class CommHandle:
             bytes=sum(len(c) for c in chunks),
         ))
 
-    def reduce(self, data: bytes, op: Callable[[bytes, bytes], bytes],
-               root: int = 0) -> bytes | None:
-        return self._run_collective(
-            "reduce", _coll.reduce(self, data, op, root),
-            root=root, bytes=len(data),
-        )
+    alltoallv = blocking(co_alltoallv)
 
     def co_reduce(self, data: bytes, op: Callable[[bytes, bytes], bytes],
                   root: int = 0):
@@ -441,11 +353,7 @@ class CommHandle:
             root=root, bytes=len(data),
         ))
 
-    def allreduce(self, data: bytes, op: Callable[[bytes, bytes], bytes]) -> bytes:
-        return self._run_collective(
-            "allreduce", _coll.allreduce(self, data, op),
-            bytes=len(data),
-        )
+    reduce = blocking(co_reduce)
 
     def co_allreduce(self, data: bytes, op: Callable[[bytes, bytes], bytes]):
         return (yield from self._co_run_collective(
@@ -453,12 +361,7 @@ class CommHandle:
             bytes=len(data),
         ))
 
-    def reduce_scatter(self, chunks: Sequence[bytes],
-                       op: Callable[[bytes, bytes], bytes]) -> bytes:
-        return self._run_collective(
-            "reduce_scatter", _coll.reduce_scatter(self, chunks, op),
-            bytes=sum(len(c) for c in chunks),
-        )
+    allreduce = blocking(co_allreduce)
 
     def co_reduce_scatter(self, chunks: Sequence[bytes],
                           op: Callable[[bytes, bytes], bytes]):
@@ -467,15 +370,14 @@ class CommHandle:
             bytes=sum(len(c) for c in chunks),
         ))
 
-    def scan(self, data: bytes, op: Callable[[bytes, bytes], bytes]) -> bytes:
-        return self._run_collective(
-            "scan", _coll.scan(self, data, op), bytes=len(data)
-        )
+    reduce_scatter = blocking(co_reduce_scatter)
 
     def co_scan(self, data: bytes, op: Callable[[bytes, bytes], bytes]):
         return (yield from self._co_run_collective(
             "scan", _coll.scan(self, data, op), bytes=len(data)
         ))
+
+    scan = blocking(co_scan)
 
     # ------------------------------------------------------------------
     # internals
@@ -502,7 +404,7 @@ class CommHandle:
     # communicator management
     # ------------------------------------------------------------------
 
-    def split(self, color: int | None, key: int = 0) -> "CommHandle | None":
+    def co_split(self, color: int | None, key: int = 0):
         """MPI_Comm_split: partition this communicator by *color*.
 
         Collective over this handle's group.  Returns a new handle
@@ -510,10 +412,6 @@ class CommHandle:
         by (key, old rank); ``color=None`` (MPI_UNDEFINED) participates
         in the call but gets no new communicator.
         """
-        return run_blocking(self._comm.scheduler, self.co_split(color, key))
-
-    def co_split(self, color: int | None, key: int = 0):
-        """Generator form of :meth:`split`."""
         import struct
 
         if color is not None and color < 0:
@@ -549,6 +447,8 @@ class CommHandle:
             comm_id=comm_id,
         )
 
+    split = blocking(co_split)
+
     # ------------------------------------------------------------------
     # probing
     # ------------------------------------------------------------------
@@ -567,13 +467,9 @@ class CommHandle:
             source=self._local_rank(env.src), tag=env.tag, count=len(env.payload)
         )
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: wait until a matching message is available
-        (it stays queued; a subsequent recv consumes it)."""
-        return run_blocking(self._comm.scheduler, self.co_probe(source, tag))
-
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Generator form of :meth:`probe`."""
+        """Probe: wait until a matching message is available (it stays
+        queued; a subsequent recv consumes it)."""
         match_source = (
             source if source == ANY_SOURCE else self._global_rank(source)
         )
@@ -584,6 +480,8 @@ class CommHandle:
         return Status(
             source=self._local_rank(env.src), tag=env.tag, count=len(env.payload)
         )
+
+    probe = blocking(co_probe)
 
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:
@@ -598,7 +496,3 @@ class CommHandle:
             return
         if not 0 <= tag < MAX_USER_TAG:
             raise ValueError(f"user tag must be in [0, {MAX_USER_TAG}), got {tag}")
-
-
-def _status_of(env: Envelope) -> Status:
-    return Status(source=env.src, tag=env.tag, count=len(env.payload))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable
 
-from repro.des.process import Scheduler, SimEvent, run_blocking
+from repro.des.process import Scheduler, SimEvent, blocking
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class Request:
         return self._event.done
 
     def co_wait(self):
-        """Wait for completion; generator form (the single
-        implementation — :meth:`wait` derives the blocking spelling)."""
+        """Wait for completion; idempotent like MPI_Wait on a request."""
         value = yield self._event
         if self._san_op is not None:
             self._san_op.mark_waited()
@@ -89,13 +88,11 @@ class Request:
             value = self._cached
         return value
 
-    def wait(self) -> Any:
-        """Block until complete; idempotent like MPI_Wait on a request."""
-        return run_blocking(self._scheduler, self.co_wait())
+    wait = blocking(co_wait)
 
 
 def co_waitall(requests: list[Request]):
-    """Generator form of :func:`waitall`."""
+    """MPI_Waitall: wait for every request, returning their values in order."""
     values = []
     for req in requests:
         values.append((yield from req.co_wait()))
@@ -103,5 +100,5 @@ def co_waitall(requests: list[Request]):
 
 
 def waitall(requests: list[Request]) -> list[Any]:
-    """MPI_Waitall: wait for every request, returning their values in order."""
+    """Blocking spelling of :func:`co_waitall` (any mix of request kinds)."""
     return [req.wait() for req in requests]

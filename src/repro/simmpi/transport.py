@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.des.process import Scheduler, SimEvent, _Sleep, run_blocking
+from repro.des.process import Scheduler, SimEvent, _Sleep
 from repro.simmpi.matching import MatchingEngine
 from repro.simmpi.message import Envelope
 from repro.simmpi.topology import ClusterRuntime
@@ -74,10 +74,6 @@ class Transport:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-
-    def isend(self, env: Envelope, on_sent: Callable[[], None]) -> None:
-        """Blocking spelling of :meth:`co_isend` (thread ranks)."""
-        run_blocking(self.sched, self.co_isend(env, on_sent))
 
     def co_isend(self, env: Envelope, on_sent: Callable[[], None]):
         """Inject *env*; runs in the sending rank's process context.

@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 from repro.des.engine import DeadlockError
 from repro.des.options import EngineOptions, resolve_engine_options
-from repro.des.process import Scheduler, _Sleep
+from repro.des.process import Scheduler, _Sleep, blocking
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.models.network import FabricSpec, NetworkModel, resolve_network
 from repro.simmpi.comm import CommHandle, Communicator
@@ -63,52 +63,20 @@ class RankContext:
     def node(self) -> int:
         return self._cluster.node_of(self.rank).index
 
-    def compute(self, seconds: float) -> None:
-        """Spend *seconds* of CPU time (the rank's core is dedicated)."""
-        if seconds < 0:
-            raise ValueError(f"negative compute time: {seconds}")
-        if seconds:
-            self._scheduler.current().sleep(seconds)
-
     def co_compute(self, seconds: float):
-        """Generator form of :meth:`compute` (coroutine ranks)."""
+        """Spend *seconds* of CPU time (the rank's core is dedicated)."""
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
         if seconds:
             yield _Sleep(seconds)
 
-    def extra_cores(self) -> "ExtraCores":
-        """Access to the node's idle cores (the multi-threaded
-        encryption extension uses this; see encmpi.pipeline)."""
-        return ExtraCores(self._scheduler, self._cluster, self.rank)
+    compute = blocking(co_compute)
 
     @property
     def node_alloc(self):
         """The rank's node-local :class:`~repro.models.cpu.CoreAllocator`
         (helper cores the cryptmpi pipeline schedules chunk work onto)."""
         return self._cluster.node_of(self.rank).alloc
-
-
-class ExtraCores:
-    """Best-effort claim on idle cores of the rank's node."""
-
-    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime, rank: int):
-        self._scheduler = scheduler
-        self._node = cluster.node_of(rank)
-
-    @property
-    def idle(self) -> int:
-        """Helper cores on this node free right now.
-
-        Answered by the node's :class:`~repro.models.cpu.CoreAllocator`:
-        one core per resident rank is pinned for that rank's lifetime
-        (never idle, even between its bursts), and helpers already busy
-        — or queued — with pipeline work are not double-counted.  This
-        is what the static wave estimate of
-        :class:`repro.encmpi.pipeline.PipelinedCrypto` consults, so an
-        oversubscribed node (ranks on every core) correctly reports 0.
-        """
-        return self._node.alloc.idle_helpers
 
 
 @dataclass
@@ -178,10 +146,10 @@ def run_program(
     for the process default) picks the rank runtime: under
     ``"coroutines"`` generator programs are stepped directly in the
     engine context (no thread handoffs — this is what lets the scale
-    experiment reach 4096 ranks); ``"threads"`` is the historical
-    thread-per-rank fallback; ``"auto"`` (default) chooses coroutines
-    exactly when *program* is a generator function.  Both runtimes
-    produce byte-identical schedules.
+    experiment reach 4096 ranks); ``"threads"`` runs every rank on
+    its own OS thread (what plain blocking functions need); ``"auto"``
+    (default) chooses coroutines exactly when *program* is a generator
+    function.  Both runtimes produce byte-identical schedules.
     """
     from repro.analysis.sanitize import (
         Sanitizer,

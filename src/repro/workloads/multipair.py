@@ -105,39 +105,12 @@ def multipair_aggregate_throughput(
                 sreq = yield from co_isend(peer, b"\x00" * 4)
                 yield from sreq.co_wait()
 
-    def thread_program(ctx):
-        # blocking spelling, kept for the cryptmpi chunk pipeline
-        # (thread-runtime only — see repro.encmpi.pipeline)
-        enc = EncryptedComm(
-            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-        )
-        isend = lambda d, p: enc.isend(p, d, tag=0)
-        irecv = lambda s: enc.irecv(s, 0)
-        waitall = enc.waitall
-        if ctx.rank < pairs:  # sender
-            peer = ctx.rank + pairs
-            waitall([isend(peer, payload) for _ in range(window)])
-            irecv(peer).wait()
-            t0 = ctx.now
-            for _ in range(iters):
-                waitall([isend(peer, payload) for _ in range(window)])
-                irecv(peer).wait()
-            elapsed = ctx.now - t0
-            per_pair_rate[ctx.rank] = size * window * iters / elapsed
-        else:  # receiver
-            peer = ctx.rank - pairs
-            for _ in range(iters + 1):
-                waitall([irecv(peer) for _ in range(window)])
-                isend(peer, b"\x00" * 4).wait()
-
-    pipelined = plan is not None and plan.pipelined
     run_program(
         nranks,
-        thread_program if pipelined else co_program,
+        co_program,
         network=network,
         cluster=MULTIPAIR_CLUSTER,
         fault_injector=faults.build() if faults is not None else None,
         resilience=resilience,
-        engine="threads" if pipelined else None,
     )
     return sum(per_pair_rate)

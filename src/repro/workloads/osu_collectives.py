@@ -57,41 +57,41 @@ def collective_latency(
                 ),
             )
 
-        def run_op():
+        def co_run_op():
             if op == "bcast":
                 data = payload if ctx.rank == 0 else None
                 if enc is None:
-                    ctx.comm.bcast(data, 0, nbytes=size)
+                    yield from ctx.comm.co_bcast(data, 0, nbytes=size)
                 else:
-                    enc.bcast(data, 0, nbytes=size)
+                    yield from enc.co_bcast(data, 0, nbytes=size)
             elif op == "allgather":
                 if enc is None:
-                    ctx.comm.allgather(payload)
+                    yield from ctx.comm.co_allgather(payload)
                 else:
-                    enc.allgather(payload)
+                    yield from enc.co_allgather(payload)
             elif op == "alltoallv":
                 # osu_alltoallv's default: uniform counts through the
                 # v-variant interface.
                 chunks = [payload] * ctx.size
                 if enc is None:
-                    ctx.comm.alltoallv(chunks)
+                    yield from ctx.comm.co_alltoallv(chunks)
                 else:
-                    enc.alltoallv(chunks)
+                    yield from enc.co_alltoallv(chunks)
             else:
                 chunks = [payload] * ctx.size
                 if enc is None:
-                    ctx.comm.alltoall(chunks)
+                    yield from ctx.comm.co_alltoall(chunks)
                 else:
-                    enc.alltoall(chunks)
+                    yield from enc.co_alltoall(chunks)
 
-        run_op()  # warmup
-        ctx.comm.barrier()
+        yield from co_run_op()  # warmup
+        yield from ctx.comm.co_barrier()
         total = 0.0
         for _ in range(iters):
             t0 = ctx.now
-            run_op()
+            yield from co_run_op()
             total += ctx.now - t0
-            ctx.comm.barrier()
+            yield from ctx.comm.co_barrier()
         per_rank_mean[ctx.rank] = total / iters
 
     run_program(nranks, program, network=network, cluster=cluster)

@@ -71,9 +71,6 @@ def pingpong_oneway_time(
         plan = replace(base, library=library, bytework="modeled")
 
     def co_program(ctx):
-        """Generator rank program — runs as a coroutine under
-        runtime='auto'/'coroutines' (and byte-identically on threads
-        through :func:`repro.des.process.run_blocking`)."""
         if plan is None:
             comm = ctx.comm
             send = lambda d, p: comm.co_send(p, d, tag=TAG_PINGPONG)
@@ -100,37 +97,13 @@ def pingpong_oneway_time(
             yield from send(0, data)
         return None
 
-    def thread_program(ctx):
-        """Blocking spelling, kept for the cryptmpi chunk pipeline
-        (thread-runtime only — see repro.encmpi.pipeline)."""
-        enc = EncryptedComm(
-            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-        )
-        send = lambda d, p: enc.send(p, d, tag=TAG_PINGPONG)
-        recv = lambda s: enc.recv(s, TAG_PINGPONG)[0]
-        if ctx.rank == 0:
-            send(1, payload)
-            recv(1)
-            t0 = ctx.now
-            for _ in range(iters):
-                send(1, payload)
-                data = recv(1)
-                assert len(data) == size
-            return (ctx.now - t0) / (2 * iters)
-        for _ in range(iters + 1):
-            data = recv(0)
-            send(0, data)
-        return None
-
-    pipelined = plan is not None and plan.pipelined
     result = run_program(
         2,
-        thread_program if pipelined else co_program,
+        co_program,
         network=network,
         cluster=PINGPONG_CLUSTER,
         fault_injector=faults.build() if faults is not None else None,
         resilience=resilience,
-        engine="threads" if pipelined else None,
     )
     return result.results[0]
 

@@ -195,35 +195,6 @@ def test_chunked_delivery_survives_corruption_with_resilience():
     assert result.results[1] == payload
 
 
-def test_static_estimator_sees_only_idle_helpers():
-    """The PipelinedCrypto wave estimate must use the allocator's idle
-    helpers, not the node's raw core count (the oversubscription bug)."""
-    from repro.encmpi.pipeline import PipelinedCrypto
-
-    def program(ctx):
-        enc = EncryptedComm(
-            ctx, SecurityConfig(crypto=CryptoPlan(bytework="modeled"))
-        )
-        pipe = PipelinedCrypto(enc, chunk_bytes=CHUNK)
-        if ctx.rank == 0:
-            plan = pipe.charge_encrypt(6 * CHUNK)
-            return (plan.cores, plan.waves, plan.nchunks,
-                    plan.parallel_time, plan.serial_time)
-        return None
-
-    # both ranks resident on the only 2-core node: no helper is idle,
-    # so the estimate must collapse to 1 core at the full serial cost
-    cores, _waves, _n, parallel, serial = \
-        run_program(2, program, cluster=OVERSUBSCRIBED).results[0]
-    assert cores == 1
-    assert parallel == serial
-    # two ranks on separate 4-core nodes: 3 idle helpers + own core
-    cores, waves, nchunks, parallel, serial = \
-        run_program(2, program, cluster=TWO_NODES).results[0]
-    assert (cores, waves, nchunks) == (4, 2, 6)
-    assert parallel < serial
-
-
 def test_goldens_ignore_an_armed_cryptmpi_default():
     """Golden runs pin an explicit serial plan, so even a process-wide
     cryptmpi default (campaign --crypto) must not move their digests."""

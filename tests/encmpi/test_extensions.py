@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.encmpi.keyexchange import establish_session_key
-from repro.encmpi.pipeline import PipelinedCrypto, plan_pipeline
+from repro.encmpi.pipeline import plan_pipeline
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.models.cryptolib import get_profile
@@ -279,50 +279,3 @@ def test_plan_validation():
         plan_pipeline(p, 100, 0)
     with pytest.raises(ValueError):
         plan_pipeline(p, 100, 2, chunk_bytes=0)
-
-
-@pytest.mark.parametrize("mode", ["real", "modeled"])
-def test_pipelined_send_recv_roundtrip(mode):
-    payload = bytes(range(256)) * 1024  # 256 KiB
-
-    def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
-        pipe = PipelinedCrypto(enc, chunk_bytes=64 * 1024)
-        if ctx.rank == 0:
-            plan = pipe.send(payload, 1)
-            return plan.cores
-        data, _plan = pipe.recv(0)
-        return data
-
-    results = run_program(2, prog, cluster=TWO_NODE_CLUSTER).results
-    assert results[1] == payload
-    assert results[0] >= 1
-
-
-def test_pipelined_faster_than_serial_on_idle_node():
-    """With 7 idle cores, the pipelined 2 MB ping-pong beats serial."""
-    size = 2 * MiB
-    times = {}
-
-    def serial(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
-        if ctx.rank == 0:
-            t0 = ctx.now
-            enc.send(b"z" * size, 1)
-            times["serial"] = ctx.now - t0
-        else:
-            enc.recv(0)
-
-    def pipelined(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
-        pipe = PipelinedCrypto(enc)
-        if ctx.rank == 0:
-            t0 = ctx.now
-            pipe.send(b"z" * size, 1)
-            times["pipelined"] = ctx.now - t0
-        else:
-            pipe.recv(0)
-
-    run_program(2, serial, cluster=TWO_NODE_CLUSTER)
-    run_program(2, pipelined, cluster=TWO_NODE_CLUSTER)
-    assert times["pipelined"] < times["serial"]

@@ -3,19 +3,23 @@
 The coroutine rank runtime is only admissible because it is
 *observationally identical* to the thread runtime: same virtual times,
 same event streams, same artifacts.  This suite pins that equivalence
-on the golden workloads and cheap experiment cells, plus the
-EngineOptions enforcement edges (strict-coroutines rejection of plain
-rank functions, the max_ranks ceiling, and the cryptmpi pipeline's
-threads-only constraint).
+on the golden workloads, the cryptmpi chunk pipeline (helper-core
+schedule and chunk retries included), the OSU collective workload and
+cheap experiment cells, plus the EngineOptions enforcement edges
+(strict-coroutines rejection of plain rank functions and the max_ranks
+ceiling).
 """
 
 import pytest
 
 import repro.api as api
+from repro.crypto.aead import NONCE_SIZE
 from repro.des.options import EngineOptions, set_default_engine_options
+from repro.encmpi.pipeline import HEADER_SIZE
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
 from repro.simmpi.world import run_program
+from repro.workloads import osu_collectives
 
 CLUSTER = parse_cluster_spec("2x4")
 
@@ -145,20 +149,86 @@ def test_auto_runtime_picks_by_program_kind():
     assert auto.duration == threads.duration
 
 
-def test_cryptmpi_pipeline_requires_threads():
-    """The chunk pipeline overlaps helper cores with a *blocked* rank
-    thread; its co_ spellings refuse to run rather than deadlock."""
-    plan = api.CryptoPlan(mode="cryptmpi", chunk_bytes=1024)
+# ------------------------------------------------ cryptmpi chunk pipeline
 
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.enc.co_send(b"z" * 4096, 1, tag=9)
-        else:
-            yield from ctx.enc.co_recv(0, 9)
+CRYPTMPI = api.CryptoPlan(mode="cryptmpi", chunk_bytes=1024, bytework="real")
+WINDOW = 4
+MSG_BYTES = 3 * 1024 + 77  # four chunks, the last one short
+TAG_WINDOW, TAG_ECHO = 5, 6
 
-    with pytest.raises(RuntimeError, match="threads"):
-        api.run_job(
-            program, nranks=2,
-            security=api.SecurityConfig(library="boringssl", crypto=plan),
-            options=api.RunOptions(cluster=parse_cluster_spec("2x8")),
-        )
+
+def _co_cryptmpi_exchange(ctx):
+    """A window of multi-chunk isends on one channel, then the whole
+    window echoed back as one larger chunked message."""
+    enc = ctx.enc
+    payloads = [bytes([i + 1]) * MSG_BYTES for i in range(WINDOW)]
+    if ctx.rank == 0:
+        reqs = []
+        for p in payloads:
+            reqs.append((yield from enc.co_isend(p, 1, TAG_WINDOW)))
+        yield from enc.co_waitall(reqs)
+        echo, _status = yield from enc.co_recv(1, TAG_ECHO)
+        return echo == b"".join(payloads), ctx.now
+    got = yield from enc.co_waitall(
+        [enc.irecv(0, TAG_WINDOW) for _ in range(WINDOW)])
+    yield from enc.co_send(b"".join(got), 0, TAG_ECHO)
+    return got == payloads, ctx.now
+
+
+def _run_cryptmpi(runtime_name: str):
+    # corrupt a ciphertext bit (past the chunk header and nonce), so
+    # damaged chunks fail their tag check and take the NACK + re-post
+    # retry path of the pipeline
+    faults = api.FaultPlan(corrupt=0.2, seed=13,
+                           corrupt_bit=8 * (HEADER_SIZE + NONCE_SIZE) + 3)
+    return api.run_job(
+        _co_cryptmpi_exchange, nranks=2,
+        security=api.SecurityConfig(library="boringssl", crypto=CRYPTMPI),
+        options=api.RunOptions(
+            cluster=parse_cluster_spec("2x8"), trace="events",
+            faults=faults,
+            resilience=api.ResiliencePolicy(max_retries=8, timeout=1e-3),
+        ),
+        engine=_force(runtime_name),
+    )
+
+
+def test_cryptmpi_pipeline_identical_on_both_runtimes():
+    threads = _run_cryptmpi("threads")
+    coros = _run_cryptmpi("coroutines")
+    assert [ok for ok, _t in coros.results] == [True, True]
+    assert coros.resilience.nacks > 0, "no chunk took the retry path"
+    busy = coros.trace.events_in("cpu", "core_busy")
+    assert {e.data["work"] for e in busy} == {"seal", "open"}
+    assert threads.duration == coros.duration
+    assert threads.results == coros.results
+    assert threads.resilience == coros.resilience
+    assert threads.trace.canonical_lines() == coros.trace.canonical_lines()
+    assert threads.trace.digest() == coros.trace.digest()
+
+
+@pytest.mark.parametrize("op", osu_collectives.SUPPORTED_OPS)
+def test_collective_latency_identical_on_both_runtimes(op, monkeypatch):
+    """The OSU collective workload at 8 ranks, traced through its own
+    run_program call."""
+    jobs = []
+
+    def traced_run_program(*args, **kwargs):
+        jobs.append(run_program(*args, trace="events", **kwargs))
+        return jobs[-1]
+
+    monkeypatch.setattr(osu_collectives, "run_program", traced_run_program)
+    latency = {}
+    for name in ("threads", "coroutines"):
+        prev = set_default_engine_options(_force(name))
+        try:
+            latency[name] = osu_collectives.collective_latency(
+                op, 512, nranks=8, cluster=CLUSTER, library="boringssl",
+                iters=1)
+        finally:
+            set_default_engine_options(prev)
+    threads, coros = jobs
+    assert latency["threads"] == latency["coroutines"] > 0
+    assert threads.duration == coros.duration
+    assert threads.results == coros.results
+    assert threads.trace.digest() == coros.trace.digest()
