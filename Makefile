@@ -55,67 +55,31 @@ check-sanitize:
 	$(PYTHON) -m repro.experiments campaign fast -j 4 --no-cache \
 		--sanitize --output results/sanitize
 
-# Fault-sweep determinism: the resilience experiment (seeded FaultPlan
-# x backoff policy over the reliable encrypted ping-pong) run twice must
-# produce byte-identical artifacts — retransmission timing, backoff, and
-# fault sequences are all virtual-time deterministic.
-check-resilience:
-	rm -rf results/resilience-a results/resilience-b
-	$(PYTHON) -m repro.experiments run resilience --output results/resilience-a
-	$(PYTHON) -m repro.experiments run resilience --output results/resilience-b
-	diff -r results/resilience-a results/resilience-b
-	@echo "check-resilience: two seeded fault sweeps byte-identical"
+# Run-twice determinism gates: each experiment run twice into
+# results/<name>-a and results/<name>-b must produce byte-identical
+# artifacts.  Everything they sweep is virtual-time deterministic:
+# resilience (seeded FaultPlan x backoff policy: retransmission timing,
+# backoff, fault sequences), cryptmpi (chunked seals on helper cores:
+# core allocation order, chunk completion order, nonce draws), hostile
+# (WAN/IoT jitter/wobble/loss draws and bootstrap resampling, all
+# seeded), predict (the closed-form fit has no wall clock or
+# randomness in it; DET004 lints exactly that) and scale (fluid
+# Encrypted_Alltoall on the coroutine runtime).  Two caps keep the
+# gates fast: REPRO_HOSTILE_REPS=5 repetitions per hostile cell and
+# REPRO_SCALE_MAX_RANKS=256; the committed results/hostile.* and
+# results/scale.* are the full 20-rep and 4096-rank runs.
+RUN_TWICE_GATES := check-resilience check-cryptmpi check-hostile \
+	check-predict check-scale
 
-# Pipelined-crypto determinism: the cryptmpi experiment (chunked seals
-# scheduled on the node's helper cores, overlapped with the wire) run
-# twice must produce byte-identical artifacts — core allocation order,
-# chunk completion order, and nonce draws are all virtual-time
-# deterministic.
-check-cryptmpi:
-	rm -rf results/cryptmpi-a results/cryptmpi-b
-	$(PYTHON) -m repro.experiments run cryptmpi --output results/cryptmpi-a
-	$(PYTHON) -m repro.experiments run cryptmpi --output results/cryptmpi-b
-	diff -r results/cryptmpi-a results/cryptmpi-b
-	@echo "check-cryptmpi: two pipelined-crypto sweeps byte-identical"
+check-hostile: export REPRO_HOSTILE_REPS = 5
+check-scale: export REPRO_SCALE_MAX_RANKS = 256
 
-# Hostile-fabric determinism: the hostile experiment (WAN/IoT presets
-# with seeded jitter/wobble/loss, bootstrap CIs over seeded reps) run
-# twice must produce byte-identical artifacts — noise draws, loss
-# sequences, and resampling are all seeded.  REPRO_HOSTILE_REPS caps the
-# per-cell repetitions so the gate stays fast; the committed
-# results/hostile.* are the full 20-rep run.
-check-hostile:
-	rm -rf results/hostile-a results/hostile-b
-	REPRO_HOSTILE_REPS=5 \
-		$(PYTHON) -m repro.experiments run hostile --output results/hostile-a
-	REPRO_HOSTILE_REPS=5 \
-		$(PYTHON) -m repro.experiments run hostile --output results/hostile-b
-	diff -r results/hostile-a results/hostile-b
-	@echo "check-hostile: two capped hostile sweeps byte-identical"
-
-# Prediction-engine determinism: calibrate + validate (the predict
-# experiment sweeps a ~2000-cell off-anchor grid against the simulator)
-# run twice must produce byte-identical artifacts — the closed-form fit
-# has no wall-clock or randomness in it (DET004 lints exactly that).
-check-predict:
-	rm -rf results/predict-a results/predict-b
-	$(PYTHON) -m repro.experiments run predict --output results/predict-a
-	$(PYTHON) -m repro.experiments run predict --output results/predict-b
-	diff -r results/predict-a results/predict-b
-	@echo "check-predict: two predictor validations byte-identical"
-
-# Large-rank determinism: the scale experiment (fluid Encrypted_Alltoall
-# on the coroutine runtime) run twice must produce byte-identical
-# artifacts.  REPRO_SCALE_MAX_RANKS caps the sweep at 256 ranks so the
-# gate stays fast; the committed results/scale.* are the full 4096 run.
-check-scale:
-	rm -rf results/scale-a results/scale-b
-	REPRO_SCALE_MAX_RANKS=256 \
-		$(PYTHON) -m repro.experiments run scale --output results/scale-a
-	REPRO_SCALE_MAX_RANKS=256 \
-		$(PYTHON) -m repro.experiments run scale --output results/scale-b
-	diff -r results/scale-a results/scale-b
-	@echo "check-scale: two capped scale sweeps byte-identical"
+$(RUN_TWICE_GATES): check-%:
+	rm -rf results/$*-a results/$*-b
+	$(PYTHON) -m repro.experiments run $* --output results/$*-a
+	$(PYTHON) -m repro.experiments run $* --output results/$*-b
+	diff -r results/$*-a results/$*-b
+	@echo "$@: two runs of $* byte-identical"
 
 # Runtime parity: the fast experiment tier and the cryptmpi experiment
 # (chunk pipeline on helper cores) forced onto the thread runtime and

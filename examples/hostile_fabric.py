@@ -45,7 +45,7 @@ def main() -> None:
         pingpong, nranks=2,
         security=api.SecurityConfig(library="boringssl"),
         network=spec,
-        options=api.RunOptions(resilience=policy, stats="reps=20"),
+        resilience=policy, stats="reps=20",
     )
     est = job.stats.estimate
     print(f"   one-way latency: {est.median * 1e6:.1f} us "
@@ -58,7 +58,7 @@ def main() -> None:
         pingpong, nranks=2,
         security=api.SecurityConfig(library="boringssl"),
         network=spec,
-        options=api.RunOptions(resilience=policy, stats="reps=20"),
+        resilience=policy, stats="reps=20",
     )
     print(f"   samples identical: {again.stats.samples == job.stats.samples}\n")
 
@@ -68,7 +68,7 @@ def main() -> None:
         securities=(api.SecurityConfig(library="boringssl"),),
         networks=("ethernet", "wan", spec,
                   api.FabricSpec(base="iot", jitter=0.2, loss=0.02, seed=7)),
-        options=api.RunOptions(resilience=policy, stats="reps=5"),
+        resilience=policy, stats="reps=5",
     )
     for p in points:
         e = p.result.stats.estimate

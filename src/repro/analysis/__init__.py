@@ -39,8 +39,6 @@ from repro.analysis.sanitize import (
     Sanitizer,
     SanitizerError,
     SanitizerReport,
-    default_sanitize,
-    set_default_sanitize,
 )
 
 __all__ = [
@@ -52,12 +50,10 @@ __all__ = [
     "SanitizerReport",
     "VerifyResult",
     "all_rules",
-    "default_sanitize",
     "get_rule",
     "lint_callable",
     "lint_paths",
     "lint_source",
-    "set_default_sanitize",
     "verify_callable",
     "verify_paths",
     "verify_source",

@@ -191,35 +191,33 @@ def check_rank_dependent_collective(mod: ModuleContext):
                          f"{node.lineno})")
 
 
-#: deprecated SecurityConfig keywords folded into CryptoPlan (the PR-6
-#: facade); crypto_mode is the one the shim still accepts
-_DEPRECATED_SECURITY_KWARGS = ("crypto_mode",)
+#: SecurityConfig keywords removed in favour of CryptoPlan fields
+_REMOVED_SECURITY_KWARGS = ("crypto_mode",)
 
 
 @rule(
     "MPI005",
-    "deprecated crypto spelling",
+    "removed crypto spelling",
     severity="error",
-    summary="a SecurityConfig is constructed with the deprecated "
-            "crypto_mode= keyword instead of a typed CryptoPlan — the "
-            "shim keeps old callers alive but new code must not spread "
-            "the loose spelling",
-    hint="pass crypto=CryptoPlan(bytework=..., mode=..., ...) (see "
-         "repro.encmpi.plan; 'real'/'modeled' is now the plan's "
-         "bytework field)",
+    summary="a SecurityConfig is constructed with the removed "
+            "crypto_mode= keyword, which raises TypeError when the "
+            "module runs; the rule reports it before any job starts",
+    hint="pass crypto=CryptoPlan(bytework=...) (see repro.encmpi.plan; "
+         "'real'/'modeled' is the plan's bytework field, read back as "
+         "config.crypto_mode)",
     grounding="the CryptoPlan facade makes the pipelining discipline a "
               "single frozen value that cache keys and campaign "
-              "defaults can reason about; loose keywords bypass it",
+              "defaults can reason about; one spelling per setting",
 )
-def check_deprecated_crypto_mode(mod: ModuleContext):
+def check_removed_crypto_mode(mod: ModuleContext):
     # module-wide walk: configs are typically built at module level
     # (e.g. a _SECURITY constant), not only inside rank programs
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Call) or \
                 call_name(node) != "SecurityConfig":
             continue
-        for kw_name in _DEPRECATED_SECURITY_KWARGS:
+        for kw_name in _REMOVED_SECURITY_KWARGS:
             if keyword_arg(node, kw_name) is not None:
-                yield (node, f"SecurityConfig({kw_name}=...) uses the "
-                             "deprecated loose spelling; build a "
+                yield (node, f"SecurityConfig({kw_name}=...) uses a "
+                             "removed keyword (TypeError); build a "
                              "CryptoPlan instead")

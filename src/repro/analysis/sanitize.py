@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.crypto.errors import NonceReuseError
+from repro.defaults import current_defaults
 from repro.des.engine import DeadlockError
 
 if TYPE_CHECKING:
@@ -297,27 +298,7 @@ def _find_cycle(edges: dict[int, set[int]]) -> list[int]:
     return []
 
 
-# ---------------------------------------------------------------------------
-# process-wide default (how campaign --sanitize reaches fork workers)
-# ---------------------------------------------------------------------------
-
-_DEFAULT_SANITIZE = False
-
-
-def set_default_sanitize(value: bool) -> bool:
-    """Set the process-wide sanitize default; returns the previous
-    value.  The campaign runner sets this in the parent before phase 2
-    so fork workers inherit it."""
-    global _DEFAULT_SANITIZE
-    previous = _DEFAULT_SANITIZE
-    _DEFAULT_SANITIZE = bool(value)
-    return previous
-
-
-def default_sanitize() -> bool:
-    return _DEFAULT_SANITIZE
-
-
 def resolve_sanitize(value: bool | None) -> bool:
-    """None -> the process default; anything else -> bool(value)."""
-    return _DEFAULT_SANITIZE if value is None else bool(value)
+    """None -> the process-wide default (:mod:`repro.defaults`, how
+    campaign ``--sanitize`` reaches fork workers); else bool(value)."""
+    return current_defaults().sanitize if value is None else bool(value)

@@ -18,7 +18,8 @@ keeps stable.
 
 Design rules of the facade:
 
-- every argument beyond the workload itself is **keyword-only**;
+- every argument beyond the workload itself is **keyword-only**, and
+  each job setting has exactly one spelling: its keyword;
 - results are frozen dataclasses, not tuples;
 - a workload is one plain function, run once per rank, receiving a
   :class:`repro.simmpi.world.RankContext`.  When a
@@ -30,15 +31,12 @@ Design rules of the facade:
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.des.options import (
-    EngineOptions,
-    parse_engine_options,
-    resolve_engine_options,
-)
+from repro.defaults import job_defaults
+from repro.des.options import EngineOptions, parse_engine_options
 from repro.encmpi.config import SecurityConfig
 from repro.encmpi.plan import CryptoPlan, parse_crypto_plan
 from repro.experiments.registry import (
@@ -50,7 +48,7 @@ from repro.experiments.stats import JobStats, StatsSpec, parse_stats_spec
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec, parse_cluster_spec
 from repro.models.network import FabricSpec, NetworkModel, parse_network_spec
 from repro.models.predict import Prediction, PredictionModel
-from repro.simmpi.faults import FaultInjector, FaultPlan, parse_fault_plan
+from repro.simmpi.faults import FaultPlan, parse_fault_plan
 from repro.simmpi.resilience import (
     ResiliencePolicy,
     ResilienceReport,
@@ -73,7 +71,6 @@ __all__ = [
     "EngineOptions",
     "Experiment",
     "FabricSpec",
-    "FaultInjector",
     "FaultPlan",
     "JobResult",
     "JobStats",
@@ -82,13 +79,13 @@ __all__ = [
     "PredictionModel",
     "ResiliencePolicy",
     "ResilienceReport",
-    "RunOptions",
     "SecurityConfig",
     "StatsSpec",
     "SweepPoint",
     "TraceMode",
     "calibrate_predictor",
     "get_experiment",
+    "job_defaults",
     "lint_job",
     "list_experiments",
     "parse_cluster_spec",
@@ -106,136 +103,31 @@ __all__ = [
     "verify_job",
 ]
 
-#: a fault argument: the declarative :class:`FaultPlan` (preferred —
-#: resolved into a fresh injector per job/cell), a raw
-#: :class:`FaultInjector` instance (deprecated; single jobs only), or a
-#: zero-argument factory producing a fresh injector per sweep cell
-FaultSpec = Union[FaultPlan, FaultInjector, Callable[[], FaultInjector], None]
 
-#: deprecated spellings already warned about this process (the PR-1
-#: shim style: one DeprecationWarning per name, then silence)
-_warned: set[str] = set()
-
-
-def _warn_once(name: str, message: str) -> None:
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Typed bundle of the cross-cutting ``run_job``/``sweep`` keywords.
-
-    The keyword tail these functions accumulated (``trace``, faults,
-    ``sanitize``, ``resilience``, ``cluster``) folds into one frozen
-    value passed as ``options=``; the individual keywords keep working
-    and are equivalent byte-for-byte (pinned by
-    ``tests/api/test_run_options.py``).  Passing both ``options=`` and
-    an individual keyword raises — except ``cluster``, which predates
-    the bundle as a first-class job-shape keyword and may accompany an
-    ``options=`` bundle that leaves its own ``cluster`` unset.
-
-    ``cluster`` makes the core topology part of the job configuration
-    proper: None means the paper's testbed (:data:`PAPER_CLUSTER`), and
-    the resolved spec feeds the content-addressed campaign cache key
-    (:func:`repro.experiments.campaign.job_config_digest`).
-
-    ``engine`` (an :class:`EngineOptions` or a spec string like
-    ``"coroutines:max_ranks=4096"``) picks the rank runtime — the
-    coroutine scheduler or the thread-per-rank runtime plain functions
-    need —
-    plus the rank ceiling and the handoff checks; None defers to the
-    process-wide default (:func:`repro.des.options.set_default_engine_options`).
-
-    ``stats`` (a :class:`repro.experiments.stats.StatsSpec` or a spec
-    string like ``"reps=20,confidence=95%"``) turns the job into seeded
-    repetitions: the fabric's noise seed is offset per repetition and
-    ``JobResult.stats`` carries the samples plus a bootstrap CI.
-    """
-
-    trace: TraceMode = False
-    faults: FaultSpec = None
-    sanitize: bool | None = None
-    resilience: ResiliencePolicy | None = None
-    cluster: ClusterSpec | None = None
-    engine: EngineOptions | None = None
-    stats: StatsSpec | None = None
-
-    def __post_init__(self) -> None:
-        # normalize the trace mode up front so equality between an
-        # options bundle and the loose-kwargs spelling is structural
-        object.__setattr__(self, "trace", parse_trace_mode(self.trace))
-        if isinstance(self.engine, str):
-            object.__setattr__(self, "engine", parse_engine_options(self.engine))
-        if self.engine is not None and not isinstance(self.engine, EngineOptions):
-            raise TypeError(
-                f"engine must be an EngineOptions, a spec string, or None, "
-                f"got {self.engine!r}"
-            )
-        if self.resilience is not None and not isinstance(
-            self.resilience, ResiliencePolicy
-        ):
-            raise TypeError(
-                f"resilience must be a ResiliencePolicy or None, "
-                f"got {self.resilience!r}"
-            )
-        if self.cluster is not None and not isinstance(
-            self.cluster, ClusterSpec
-        ):
-            raise TypeError(
-                f"cluster must be a ClusterSpec or None, got {self.cluster!r}"
-            )
-        if isinstance(self.stats, str):
-            object.__setattr__(self, "stats", parse_stats_spec(self.stats))
-        if self.stats is not None and not isinstance(self.stats, StatsSpec):
-            raise TypeError(
-                f"stats must be a StatsSpec, a spec string, or None, "
-                f"got {self.stats!r}"
-            )
-
-
-def _resolve_options(
-    options: RunOptions | None,
+def _checked_settings(
     trace: TraceMode,
-    faults: FaultSpec,
-    fault_injector: FaultSpec,
-    sanitize: bool | None,
+    faults: FaultPlan | None,
     resilience: ResiliencePolicy | None,
-    cluster: ClusterSpec | None = None,
-    engine: EngineOptions | str | None = None,
-    runtime: str | None = None,
-    stats: StatsSpec | str | None = None,
-    repetitions: int | None = None,
-) -> RunOptions:
-    """One RunOptions from the loose kwargs and/or the bundle."""
-    if repetitions is not None:
-        _warn_once(
-            "repetitions",
-            "repetitions= is deprecated; pass stats=StatsSpec(reps=...) "
-            "or a spec string like stats='reps=20' (or fold it into "
-            "options=RunOptions(stats=...))",
-        )
-        if stats is not None:
-            raise TypeError("pass stats= or repetitions=, not both")
-        stats = StatsSpec(reps=repetitions)
-    if isinstance(stats, str):
-        stats = parse_stats_spec(stats)
-    if stats is not None and not isinstance(stats, StatsSpec):
+    cluster: ClusterSpec | None,
+    engine: EngineOptions | str | None,
+    stats: StatsSpec | str | None,
+) -> tuple[TraceMode, EngineOptions | None, StatsSpec | None]:
+    """Validate a job's run settings up front; returns the normalized
+    (trace, engine, stats), the three that accept spec strings."""
+    trace = parse_trace_mode(trace)
+    if faults is not None and not isinstance(faults, FaultPlan):
         raise TypeError(
-            f"stats must be a StatsSpec, a spec string, or None, got {stats!r}"
+            f"faults must be a FaultPlan or None, got {faults!r} (custom "
+            "injector policies: repro.simmpi.run_program(fault_injector=...))"
         )
-    if runtime is not None:
-        _warn_once(
-            "runtime",
-            "runtime= is deprecated; pass engine=EngineOptions(runtime=...) "
-            "or a spec string like engine='coroutines' (or fold it into "
-            "options=RunOptions(engine=...))",
+    if resilience is not None and not isinstance(resilience, ResiliencePolicy):
+        raise TypeError(
+            f"resilience must be a ResiliencePolicy or None, got {resilience!r}"
         )
-        if engine is not None:
-            raise TypeError("pass engine= or runtime=, not both")
-        engine = parse_engine_options(runtime)
+    if cluster is not None and not isinstance(cluster, ClusterSpec):
+        raise TypeError(
+            f"cluster must be a ClusterSpec or None, got {cluster!r}"
+        )
     if isinstance(engine, str):
         engine = parse_engine_options(engine)
     if engine is not None and not isinstance(engine, EngineOptions):
@@ -243,72 +135,13 @@ def _resolve_options(
             f"engine must be an EngineOptions, a spec string, or None, "
             f"got {engine!r}"
         )
-    if fault_injector is not None:
-        _warn_once(
-            "fault_injector",
-            "fault_injector= is deprecated; declare a frozen "
-            "FaultPlan and pass it as faults= (or inside "
-            "options=RunOptions(faults=...))",
+    if isinstance(stats, str):
+        stats = parse_stats_spec(stats)
+    if stats is not None and not isinstance(stats, StatsSpec):
+        raise TypeError(
+            f"stats must be a StatsSpec, a spec string, or None, got {stats!r}"
         )
-        if faults is not None:
-            raise TypeError("pass faults= or fault_injector=, not both")
-        faults = fault_injector
-    if faults is not None and not isinstance(faults, FaultPlan):
-        _warn_once(
-            "raw-fault-injector",
-            "raw FaultInjector instances/factories are deprecated; "
-            "declare a frozen FaultPlan (rates, seed, filters) instead",
-        )
-    if options is not None:
-        if not isinstance(options, RunOptions):
-            raise TypeError(f"options must be a RunOptions, got {options!r}")
-        if (
-            trace is not False
-            or faults is not None
-            or sanitize is not None
-            or resilience is not None
-            or stats is not None
-        ):
-            raise TypeError(
-                "pass the run options either individually (trace=, "
-                "faults=, sanitize=, resilience=, cluster=, engine=, "
-                "stats=) or bundled via options=RunOptions(...), not both"
-            )
-        if engine is not None:
-            if options.engine is not None:
-                raise TypeError(
-                    "engine specified twice: as the engine= keyword and "
-                    "inside options=RunOptions(engine=...)"
-                )
-            options = replace(options, engine=engine)
-        # cluster predates RunOptions as a first-class job-shape kwarg
-        # (like nranks/network), so the loose spelling stays welcome
-        # next to an options bundle — only a double specification is
-        # ambiguous.
-        if cluster is not None:
-            if options.cluster is not None:
-                raise TypeError(
-                    "cluster specified twice: as the cluster= keyword "
-                    "and inside options=RunOptions(cluster=...)"
-                )
-            if not isinstance(cluster, ClusterSpec):
-                raise TypeError(
-                    f"cluster must be a ClusterSpec or None, got {cluster!r}"
-                )
-            return replace(options, cluster=cluster)
-        return options
-    return RunOptions(trace=trace, faults=faults, sanitize=sanitize,
-                      resilience=resilience, cluster=cluster, engine=engine,
-                      stats=stats)
-
-
-def _fresh_injector(faults: FaultSpec) -> FaultInjector | None:
-    """Resolve a fault spec into the injector for one job/cell."""
-    if faults is None or isinstance(faults, FaultInjector):
-        return faults
-    if isinstance(faults, FaultPlan):
-        return faults.build()
-    return faults()
+    return trace, engine, stats
 
 
 @dataclass(frozen=True)
@@ -377,15 +210,11 @@ def run_job(
     cluster: ClusterSpec | None = None,
     placement: str = "block",
     trace: TraceMode = False,
-    faults: FaultSpec = None,
-    fault_injector: FaultSpec = None,
+    faults: FaultPlan | None = None,
     sanitize: bool | None = None,
     resilience: ResiliencePolicy | None = None,
-    options: RunOptions | None = None,
     engine: EngineOptions | str | None = None,
-    runtime: str | None = None,
     stats: StatsSpec | str | None = None,
-    repetitions: int | None = None,
 ) -> JobResult:
     """Run *workload* on *nranks* simulated ranks; the facade's mpiexec.
 
@@ -393,7 +222,7 @@ def run_job(
     :class:`EncryptedComm` configured per the paper's Algorithm 1 — and
     the workload chooses per call whether to speak plain (``ctx.comm``)
     or encrypted (``ctx.enc``) MPI.  All arguments except the workload
-    are keyword-only.
+    are keyword-only, and each setting has exactly this one spelling.
 
     *trace* selects the observability level (:data:`TraceMode`).
     ``False`` (default) costs nothing; ``True`` aggregates per-route
@@ -410,33 +239,35 @@ def run_job(
     checking on every AEAD seal.  The report rides on
     ``JobResult.sanitizer``; virtual timing is unaffected.
 
-    *faults* takes a declarative :class:`FaultPlan` (preferred; a fresh
-    seeded injector is built per job) or — deprecated, with a one-shot
-    ``DeprecationWarning`` — a raw :class:`FaultInjector`.  The old
-    *fault_injector* keyword keeps working the same way.  *resilience*
+    *faults* takes a declarative :class:`FaultPlan`; a fresh seeded
+    injector is built from it per job (per repetition under *stats*).
+    A custom injector policy goes one layer down, to
+    :func:`repro.simmpi.run_program`'s ``fault_injector``.  *resilience*
     arms the reliable-delivery layer
     (:class:`repro.simmpi.resilience.ResiliencePolicy`): retransmission
     timers, NACK + fresh-nonce retransmission of auth failures, and
     policy-driven escalation; the job-wide
     :class:`~repro.simmpi.resilience.ResilienceReport` rides on
-    ``JobResult.resilience``.  *options* bundles trace/faults/sanitize/
-    resilience/cluster as one :class:`RunOptions` (equivalent
-    byte-for-byte).  *cluster* defaults to the paper's testbed
-    (:data:`PAPER_CLUSTER`).
+    ``JobResult.resilience``.  *cluster* defaults to the paper's testbed
+    (:data:`PAPER_CLUSTER`); the resolved spec feeds the campaign cache
+    key (:func:`repro.experiments.campaign.job_config_digest`).
+
+    *engine* (an :class:`EngineOptions` or a spec string like
+    ``"coroutines:max_ranks=4096"``) picks the rank runtime, the rank
+    ceiling and the handoff checks.  *sanitize* and *engine* left at
+    None defer to the process-wide defaults (:func:`job_defaults`).
 
     *network* accepts a bare fabric name (``"ethernet"``), a fabric
     spec string (``"wan:jitter=10%,loss=2%,seed=7"``), a
     :class:`FabricSpec`, or a prebuilt model.  *stats* (a
     :class:`StatsSpec` or ``"reps=20,confidence=95%"``) runs the job as
     seeded repetitions — each offsets the fabric's noise seed — and
-    attaches the samples + bootstrap CI as ``JobResult.stats``; the
-    deprecated ``repetitions=N`` keyword maps to ``StatsSpec(reps=N)``.
+    attaches the samples + bootstrap CI as ``JobResult.stats``.
     """
-    opts = _resolve_options(options, trace, faults, fault_injector,
-                            sanitize, resilience, cluster, engine, runtime,
-                            stats=stats, repetitions=repetitions)
-    trace = opts.trace
-    cluster = opts.cluster if opts.cluster is not None else PAPER_CLUSTER
+    trace, engine, stats = _checked_settings(
+        trace, faults, resilience, cluster, engine, stats)
+    if cluster is None:
+        cluster = PAPER_CLUSTER
     if security is None:
         program = workload
     elif inspect.isgeneratorfunction(workload):
@@ -463,10 +294,10 @@ def run_job(
             cluster=cluster,
             placement=placement,
             trace=trace,
-            fault_injector=_fresh_injector(opts.faults),
-            sanitize=opts.sanitize,
-            resilience=opts.resilience,
-            engine=opts.engine,
+            fault_injector=faults.build() if faults is not None else None,
+            sanitize=sanitize,
+            resilience=resilience,
+            engine=engine,
         )
         return JobResult(
             results=sim.results,
@@ -479,20 +310,19 @@ def run_job(
             resilience=sim.resilience,
         )
 
-    stats_spec = opts.stats
-    if stats_spec is None:
+    if stats is None:
         return _execute(network)
-    if isinstance(trace, TraceRecorder) and stats_spec.reps > 1:
+    if isinstance(trace, TraceRecorder) and stats.reps > 1:
         raise RuntimeError(
             "one TraceRecorder cannot be shared across repetitions; use "
             "trace='events' so each repetition records its own stream"
         )
     from repro.experiments.stats import job_stats, rep_networks
 
-    runs = [_execute(net) for net in rep_networks(network, stats_spec)]
+    runs = [_execute(net) for net in rep_networks(network, stats)]
     return replace(
         runs[0],
-        stats=job_stats(tuple(r.duration for r in runs), stats_spec),
+        stats=job_stats(tuple(r.duration for r in runs), stats),
     )
 
 
@@ -505,32 +335,23 @@ def sweep(
     cluster: ClusterSpec | None = None,
     placement: str = "block",
     trace: TraceMode = False,
-    faults: FaultSpec = None,
-    fault_injector: FaultSpec = None,
+    faults: FaultPlan | None = None,
     parallel: int = 1,
     sanitize: bool | None = None,
     resilience: ResiliencePolicy | None = None,
-    options: RunOptions | None = None,
     engine: EngineOptions | str | None = None,
-    runtime: str | None = None,
     stats: StatsSpec | str | None = None,
-    repetitions: int | None = None,
 ) -> list[SweepPoint]:
     """Run *workload* across the (network × security) grid.
 
     The grid order is deterministic: networks outermost, securities in
-    the order given.  Each cell is an independent :func:`run_job`.
-    *trace* is forwarded to every cell (see :func:`run_job`); note that
-    passing one TraceRecorder instance across cells raises — each job
-    needs its own recorder, so use ``trace="events"`` for sweeps.
-
-    *faults* follows a per-cell rule: a :class:`FaultPlan` (preferred)
-    is resolved into a fresh seeded injector for every cell; a single
-    raw :class:`FaultInjector` instance (deprecated) is only accepted
-    for a one-cell grid (its policy state and ledger are per-job); for
-    larger grids pass a plan or a zero-argument factory — e.g.
-    ``lambda: FaultInjector(corrupt_every_nth(2))`` — invoked once per
-    cell.  *resilience* and *options* work as in :func:`run_job`.
+    the order given.  Each cell is an independent :func:`run_job`, and
+    every other keyword is forwarded to it unchanged — so a
+    :class:`FaultPlan` gives each cell a fresh seeded injector.  The
+    settings are validated before any cell runs.  *trace* is forwarded
+    to every cell; passing one TraceRecorder instance across cells
+    raises — each job needs its own recorder, so use
+    ``trace="events"`` for sweeps.
 
     *parallel* > 1 routes the grid cells through the campaign
     executor's fork pool (:func:`repro.experiments.campaign.run_tasks`):
@@ -542,68 +363,23 @@ def sweep(
     :class:`FabricSpec` values (see :func:`run_job`); cell labels use
     the canonical token.  *stats* arms seeded repetitions per cell.
     """
-    opts = _resolve_options(options, trace, faults, fault_injector,
-                            sanitize, resilience, cluster, engine, runtime,
-                            stats=stats, repetitions=repetitions)
-    trace = opts.trace
-    faults = opts.faults
-    cluster = opts.cluster
+    trace, engine, stats = _checked_settings(
+        trace, faults, resilience, cluster, engine, stats)
     securities = tuple(securities)
-    networks = tuple(networks)
-    ncells = len(networks) * len(securities)
-    if isinstance(trace, TraceRecorder) and ncells > 1:
+    cells = [(net, sec) for net in networks for sec in securities]
+    if isinstance(trace, TraceRecorder) and len(cells) > 1:
         raise RuntimeError(
             "one TraceRecorder cannot be shared across sweep cells; "
             "use a fresh recorder per run (trace='events' gives each "
             "cell its own)"
         )
-    if isinstance(faults, FaultInjector) and ncells > 1:
-        raise ValueError(
-            "one FaultInjector instance cannot be shared across sweep "
-            "cells (its policy state and ledger are per-job); pass a "
-            "FaultPlan, or a zero-argument factory, e.g. "
-            "fault_injector=lambda: FaultInjector(policy)"
-        )
-    if (
-        faults is not None
-        and not isinstance(faults, (FaultPlan, FaultInjector))
-        and not callable(faults)
-    ):
-        raise TypeError(
-            "faults/fault_injector must be a FaultPlan, a FaultInjector, "
-            f"a zero-argument factory, or None, got {faults!r}"
-        )
-
-    def make_task(net, sec):
-        def task() -> JobResult:
-            # A FaultPlan passes through intact so a stats-armed cell
-            # can rebuild a fresh injector per repetition; other fault
-            # specs resolve to one injector per cell, as before.
-            cell_faults = (
-                faults if isinstance(faults, FaultPlan)
-                else _fresh_injector(faults)
-            )
-            return run_job(
-                workload,
-                nranks=nranks,
-                security=sec,
-                network=net,
-                placement=placement,
-                options=RunOptions(
-                    trace=trace,
-                    faults=cell_faults,
-                    sanitize=opts.sanitize,
-                    resilience=opts.resilience,
-                    cluster=cluster,
-                    engine=opts.engine,
-                    stats=opts.stats,
-                ),
-            )
-
-        return task
-
-    cells = [(net, sec) for net in networks for sec in securities]
-    tasks = [make_task(net, sec) for net, sec in cells]
+    tasks = [
+        partial(run_job, workload, nranks=nranks, security=sec, network=net,
+                cluster=cluster, placement=placement, trace=trace,
+                faults=faults, sanitize=sanitize, resilience=resilience,
+                engine=engine, stats=stats)
+        for net, sec in cells
+    ]
     if parallel == 1:
         results = [task() for task in tasks]
     else:
@@ -735,15 +511,16 @@ def run_campaign(
     Cache hits skip runners and therefore the sanitizer — combine with
     ``cache=False`` for a full sanitized sweep.
 
-    *crypto* sets the process-wide default :class:`CryptoPlan` for the
-    campaign (fork-pool workers inherit it): every
+    *sanitize*, *crypto* and *engine* are entered as the process-wide
+    :func:`job_defaults` while cells execute, so fork-pool workers
+    inherit them.  *crypto* is a :class:`CryptoPlan`: every
     :class:`SecurityConfig` built without an explicit plan adopts its
     pipeline geometry (mode/chunk/helper cores), and the plan's token
     salts every cell's cache key so serial and cryptmpi results never
     collide.
 
-    *engine* sets the process-wide default :class:`EngineOptions` (or a
-    spec string like ``"coroutines"``) the same way: every simulated
+    *engine* is an :class:`EngineOptions` (or a spec string like
+    ``"coroutines"``): every simulated
     job in every cell executes on that rank runtime, and the options'
     token salts the cache keys — ``make check-runtime-parity`` runs the
     fast tier under both runtimes and byte-compares the artifacts.

@@ -8,16 +8,11 @@ test suite asserts so — which is what lets the simulator use whichever
 is available without changing behaviour.
 
 Backends register themselves into :func:`repro.crypto.aead.get_aead`,
-which is the **only** supported constructor: it resolves the backend
-name and caches instances per key.  The historical class-per-backend
-entry points (``PureAEAD``, ``ChaChaAEAD``, ``OpenSSLAEAD``) remain
-importable as thin deprecation shims — each emits a single
-``DeprecationWarning`` on first access and resolves to the real class.
+which is the only constructor: it resolves the backend name and
+caches instances per key.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.crypto.aead import AEAD, register_backend
 from repro.crypto.errors import AuthenticationError
@@ -103,35 +98,3 @@ if HAVE_OPENSSL:
                 ) from exc
 
     register_backend("openssl", _OpenSSLAEAD)
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims for the pre-registry class entry points.
-# ---------------------------------------------------------------------------
-
-_DEPRECATED = {
-    "PureAEAD": ("pure", lambda: _PureAEAD),
-    "ChaChaAEAD": ("chacha", lambda: _ChaChaAEAD),
-    "OpenSSLAEAD": ("openssl", lambda: _OpenSSLAEAD if HAVE_OPENSSL else None),
-}
-_warned: set[str] = set()
-
-
-def __getattr__(name: str):
-    """Resolve deprecated backend-class names, warning once per name."""
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    backend, resolve = entry
-    cls = resolve()
-    if cls is None:  # OpenSSLAEAD without the cryptography package
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in _warned:
-        _warned.add(name)
-        warnings.warn(
-            f"repro.crypto.backends.{name} is deprecated; use "
-            f"repro.crypto.aead.get_aead(key, backend={backend!r}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return cls

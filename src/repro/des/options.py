@@ -21,15 +21,16 @@ one frozen value instead of loose keywords, exactly like
 ``parse_engine_options("coroutines:max_ranks=4096")`` is the CLI string
 form, joining the ``parse_*`` spec family
 (:func:`repro.encmpi.plan.parse_crypto_plan`,
-:func:`repro.simmpi.faults.parse_fault_plan`, …), and
-:func:`set_default_engine_options` is the process-wide default hook the
-campaign/CLI use — fork-pool workers inherit it like the crypto plan.
+:func:`repro.simmpi.faults.parse_fault_plan`, …).  A job that passes
+no options uses the process-wide default of :mod:`repro.defaults`,
+which the campaign and CLI set for the jobs they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.defaults import current_defaults
 from repro.des.process import RUNTIMES
 
 #: ceiling the scale experiment needs; anything above it is almost
@@ -121,34 +122,17 @@ def parse_engine_options(spec: str) -> EngineOptions:
     return EngineOptions(**kwargs)
 
 
-#: process-wide default, settable by hosts (CLI --runtime, campaigns)
-_DEFAULT_OPTIONS: EngineOptions | None = None
-
-
-def set_default_engine_options(
-    options: EngineOptions | None,
-) -> EngineOptions | None:
-    """Set the process-wide default engine options; returns the previous
-    value so callers can restore it (the campaign does)."""
-    global _DEFAULT_OPTIONS
-    if options is not None and not isinstance(options, EngineOptions):
-        raise TypeError(f"options must be EngineOptions, got {options!r}")
-    previous = _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-    return previous
-
-
-def default_engine_options() -> EngineOptions:
-    """The options a job uses when none are passed explicitly."""
-    return _DEFAULT_OPTIONS if _DEFAULT_OPTIONS is not None else EngineOptions()
-
-
 def resolve_engine_options(
     value: "EngineOptions | str | None",
 ) -> EngineOptions:
-    """Coerce an API argument (options, spec string, or None) to options."""
+    """Coerce an API argument (options, spec string, or None) to options.
+
+    None means the process-wide default (:mod:`repro.defaults`, set by
+    the CLI ``--runtime`` flag and campaigns), else ``EngineOptions()``.
+    """
     if value is None:
-        return default_engine_options()
+        default = current_defaults().engine
+        return default if default is not None else EngineOptions()
     if isinstance(value, str):
         return parse_engine_options(value)
     if isinstance(value, EngineOptions):

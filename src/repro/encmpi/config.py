@@ -5,20 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.crypto.keys import HARDCODED_KEY_128, HARDCODED_KEY_256
-from repro.encmpi.plan import CryptoPlan, apply_default_plan, warn_once
+from repro.encmpi.plan import CryptoPlan, apply_default_plan
 from repro.models.cryptolib import PROFILED_LIBRARIES
-
-#: How payload bytes are processed (the resolved, read-only
-#: ``SecurityConfig.crypto_mode`` attribute; new code sets it through
-#: ``CryptoPlan.bytework``).
-#: - "real": every message is genuinely sealed/opened with AES-GCM
-#:   (tamper detection included) by the fastest available backend —
-#:   wall-clock cost proportional to traffic;
-#: - "modeled": only virtual time is charged (the calibrated profile);
-#:   payloads travel as-is inside the simulator.  Benchmarks use this so
-#:   multi-gigabyte sweeps stay fast; correctness of the crypto path is
-#:   covered by "real"-mode tests.
-CRYPTO_MODES = ("real", "modeled")
 
 NONCE_STRATEGIES = ("random", "counter")
 
@@ -34,18 +22,12 @@ class SecurityConfig:
     How traffic is sealed is a :class:`~repro.encmpi.plan.CryptoPlan`
     passed as ``crypto=``; after construction ``config.crypto`` is
     always a resolved plan and ``config.library``/``config.crypto_mode``
-    mirror its ``library``/``bytework`` fields, so existing readers keep
-    working.  Constructing with the old loose ``crypto_mode=`` keyword
-    still works behind a one-shot :class:`DeprecationWarning` and yields
-    a config equal to the ``CryptoPlan(bytework=...)`` spelling.
+    read its ``library``/``bytework`` fields.
     """
 
     library: str = "boringssl"
     key_bits: int = 256
     nonce_strategy: str = "random"
-    #: deprecated constructor keyword; reads as the resolved plan's
-    #: bytework ("real"/"modeled"), never None, after construction
-    crypto_mode: str | None = None
     key: bytes = b""
     #: authenticate the (source, tag) header as AAD — an extension over
     #: the paper, which authenticates only the payload
@@ -78,7 +60,6 @@ class SecurityConfig:
             raise ValueError(f"unknown nonce strategy {self.nonce_strategy!r}")
         object.__setattr__(self, "crypto", self._resolve_plan())
         object.__setattr__(self, "library", self.crypto.library)
-        object.__setattr__(self, "crypto_mode", self.crypto.bytework)
         if not self.key:
             default = (
                 HARDCODED_KEY_256 if self.key_bits == 256 else HARDCODED_KEY_128
@@ -97,34 +78,20 @@ class SecurityConfig:
                 "(random nonces carry no sequence counter)"
             )
 
+    @property
+    def crypto_mode(self) -> str:
+        """How payload bytes are processed: the plan's bytework."""
+        return self.crypto.bytework
+
     def _resolve_plan(self) -> CryptoPlan:
-        """One CryptoPlan from the crypto=/crypto_mode=/library= trio."""
+        """One CryptoPlan from the crypto=/library= pair."""
         plan = self.crypto
         if plan is not None and not isinstance(plan, CryptoPlan):
             raise TypeError(
                 f"crypto must be a CryptoPlan or None, got {plan!r}"
             )
-        if self.crypto_mode is not None:
-            if self.crypto_mode not in CRYPTO_MODES:
-                raise ValueError(f"crypto_mode must be one of {CRYPTO_MODES}")
-            warn_once(
-                "security-crypto-mode",
-                "SecurityConfig(crypto_mode=...) is deprecated; pass "
-                "crypto=CryptoPlan(bytework=...) instead",
-            )
-            if plan is not None and plan.bytework != self.crypto_mode:
-                raise ValueError(
-                    f"conflicting byte-work modes: crypto_mode="
-                    f"{self.crypto_mode!r} but crypto plan says "
-                    f"{plan.bytework!r}; drop the deprecated crypto_mode="
-                )
         if plan is None:
-            return apply_default_plan(
-                CryptoPlan(
-                    library=self.library,
-                    bytework=self.crypto_mode or "real",
-                )
-            )
+            return apply_default_plan(CryptoPlan(library=self.library))
         # Reconcile the two library spellings.  The plan wins when the
         # config-level field was left at its default; a config-level
         # override fills in a plan that left library at its default;

@@ -16,7 +16,7 @@ over :class:`~repro.encmpi.config.SecurityConfig`:
 - ``chunk_bytes`` / ``helper_cores`` — the cryptmpi pipeline geometry
   (``helper_cores=None`` uses every idle helper on the node);
 - ``bytework`` — ``"real"`` performs the AEAD byte work, ``"modeled"``
-  charges only virtual time (the old ``crypto_mode`` field).
+  charges only virtual time (``SecurityConfig.crypto_mode`` reads it).
 
 ``parse_crypto_plan("cryptmpi:chunk=256k,cores=3")`` is the CLI string
 form, mirroring :func:`repro.simmpi.faults.parse_fault_plan` and
@@ -25,9 +25,9 @@ form, mirroring :func:`repro.simmpi.faults.parse_fault_plan` and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
+from repro.defaults import current_defaults
 from repro.models.cryptolib import PROFILED_LIBRARIES
 
 #: CryptMPI's default pipeline unit (64 KiB in the paper's code for
@@ -37,7 +37,15 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 
 CRYPTO_PLAN_MODES = ("serial", "cryptmpi")
 
-#: how payload bytes are processed (the old SecurityConfig.crypto_mode)
+#: How payload bytes are processed (read back as
+#: ``SecurityConfig.crypto_mode``):
+#: - "real": every message is genuinely sealed/opened with AES-GCM
+#:   (tamper detection included) by the fastest available backend —
+#:   wall-clock cost proportional to traffic;
+#: - "modeled": only virtual time is charged (the calibrated profile);
+#:   payloads travel as-is inside the simulator.  Benchmarks use this so
+#:   multi-gigabyte sweeps stay fast; correctness of the crypto path is
+#:   covered by "real"-mode tests.
 BYTEWORK_MODES = ("real", "modeled")
 
 
@@ -142,38 +150,16 @@ def parse_crypto_plan(spec: str) -> CryptoPlan:
     return CryptoPlan(**kwargs)
 
 
-# -- process-wide default (campaign/run --crypto) ---------------------------
-
-#: the pipelining discipline applied to SecurityConfigs that do not
-#: carry an explicit plan; set by ``--crypto`` on the run/campaign CLI
-#: (inherited by fork-pool workers) and restored afterwards
-_DEFAULT_PLAN: CryptoPlan | None = None
-
-
-def set_default_crypto_plan(plan: CryptoPlan | None) -> CryptoPlan | None:
-    """Set the process-wide default pipelining discipline; returns the
-    previous value so callers can restore it.
-
-    Only the *pipeline geometry* (mode, chunk_bytes, helper_cores) of
-    the default applies — each config keeps its own library and
-    bytework, which are calibration choices of the workload, not of the
-    campaign invocation.
-    """
-    global _DEFAULT_PLAN
-    if plan is not None and not isinstance(plan, CryptoPlan):
-        raise TypeError(f"plan must be a CryptoPlan or None, got {plan!r}")
-    previous = _DEFAULT_PLAN
-    _DEFAULT_PLAN = plan
-    return previous
-
-
-def get_default_crypto_plan() -> CryptoPlan | None:
-    return _DEFAULT_PLAN
-
-
 def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:
-    """Overlay the process-wide default's pipeline geometry onto *plan*."""
-    default = _DEFAULT_PLAN
+    """Overlay the process-wide default's pipeline geometry onto *plan*.
+
+    The default (:mod:`repro.defaults`, set by ``--crypto`` on the
+    run/campaign CLI) contributes only mode, chunk_bytes and
+    helper_cores — each config keeps its own library and bytework,
+    which are calibration choices of the workload, not of the campaign
+    invocation.
+    """
+    default = current_defaults().crypto
     if default is None:
         return plan
     return replace(
@@ -182,17 +168,3 @@ def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:
         chunk_bytes=default.chunk_bytes,
         helper_cores=default.helper_cores,
     )
-
-
-# -- one-shot deprecation ledger --------------------------------------------
-
-#: deprecated spellings already warned about this process (the PR-1 shim
-#: style shared with repro.api: one DeprecationWarning per name)
-_warned: set[str] = set()
-
-
-def warn_once(name: str, message: str) -> None:
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(message, DeprecationWarning, stacklevel=4)

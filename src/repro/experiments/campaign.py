@@ -43,6 +43,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Callable, Sequence
 
+from repro.defaults import JobDefaults, job_defaults
 from repro.experiments.registry import Experiment, get_experiment, select
 from repro.experiments.report import artifact_dict, write_artifact_files
 
@@ -390,42 +391,32 @@ def run_campaign(
     cells finish (completion order — with ``jobs=1`` that is selection
     order).  Failures never raise; they surface as ``failed`` cells.
 
-    *sanitize* sets the process-wide sanitize default
-    (:func:`repro.analysis.sanitize.set_default_sanitize`) for the
-    duration of the executing phase, so every simulated job inside
-    every runner — including fork-pool workers, which inherit the flag
-    — runs with the runtime sanitizer armed.  Sanitizer failures
+    *sanitize*, *crypto* and *engine* are entered as the process-wide
+    :func:`repro.defaults.job_defaults` for the executing phase, so
+    every simulated job inside every runner — including fork-pool
+    workers, which inherit them — uses them.  With *sanitize*, every
+    job runs with the runtime sanitizer armed; sanitizer failures
     surface as failed cells like any other runner exception.  Note
     that cache hits skip runners entirely and therefore skip the
     sanitizer; pass ``cache=False`` for a full sanitized sweep.
 
-    *crypto* (a :class:`repro.encmpi.plan.CryptoPlan`) sets the
-    process-wide default plan for the executing phase — fork-pool
-    workers inherit it, exactly like the sanitize flag — and salts
+    *crypto* (a :class:`repro.encmpi.plan.CryptoPlan`) overlays its
+    pipeline geometry on every config built without a plan, and salts
     every cell's cache key with the plan's token.
 
     *engine* (an :class:`repro.des.options.EngineOptions`, or its spec
-    string, e.g. ``"coroutines"``) sets the process-wide default engine
-    options the same way — every simulated job in every runner executes
-    on that runtime — and salts every cell's cache key with the
+    string, e.g. ``"coroutines"``) picks the runtime every simulated
+    job executes on, and salts every cell's cache key with the
     options' token (``make check-runtime-parity`` relies on the two
     runtimes occupying distinct cache entries).
     """
     t0 = time.perf_counter()
-    if crypto is not None:
-        from repro.encmpi.plan import CryptoPlan
+    if isinstance(engine, str):
+        from repro.des.options import parse_engine_options
 
-        if not isinstance(crypto, CryptoPlan):
-            raise TypeError(f"crypto must be a CryptoPlan, got {crypto!r}")
-    if engine is not None:
-        from repro.des.options import EngineOptions, parse_engine_options
-
-        if isinstance(engine, str):
-            engine = parse_engine_options(engine)
-        elif not isinstance(engine, EngineOptions):
-            raise TypeError(
-                f"engine must be EngineOptions or a spec string, got {engine!r}"
-            )
+        engine = parse_engine_options(engine)
+    # type-checks the three before their tokens salt the cache keys
+    JobDefaults(sanitize=sanitize, crypto=crypto, engine=engine)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     requested = list(selection)
@@ -571,18 +562,10 @@ def run_campaign(
 
     # -- phase 2: execute the rest -----------------------------------------
     if pending:
-        from repro.analysis.sanitize import set_default_sanitize
-        from repro.des.options import set_default_engine_options
-        from repro.encmpi.plan import set_default_crypto_plan
-
-        # Set before any worker forks so children inherit the flag;
-        # restored afterwards so the flag never leaks past the campaign.
-        prev_sanitize = set_default_sanitize(sanitize)
-        prev_crypto = set_default_crypto_plan(crypto) if crypto is not None \
-            else None
-        prev_engine = set_default_engine_options(engine) if engine is not None \
-            else None
-        try:
+        # entered before any worker forks, so children inherit the
+        # defaults; restored afterwards so they never leak past the
+        # campaign
+        with job_defaults(sanitize=sanitize, crypto=crypto, engine=engine):
             if jobs == 1 or len(pending) == 1:
                 for i, exp in pending:
                     if on_start is not None:
@@ -607,12 +590,6 @@ def run_campaign(
                         for fut in done:
                             record(outcome_from_execution(
                                 futures[fut], fut.result()))
-        finally:
-            set_default_sanitize(prev_sanitize)
-            if crypto is not None:
-                set_default_crypto_plan(prev_crypto)
-            if engine is not None:
-                set_default_engine_options(prev_engine)
 
     manifest_doc["finished"] = time.time()
     if manifest_path:

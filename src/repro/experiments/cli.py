@@ -250,6 +250,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_nas(args) -> int:
+    from repro.defaults import job_defaults
     from repro.simmpi.faults import parse_fault_plan
     from repro.simmpi.resilience import parse_resilience_policy
     from repro.util.stats import overhead_percent
@@ -272,16 +273,12 @@ def _cmd_nas(args) -> int:
     fabric = _parse_network_arg(args)
     if fabric is _BAD_SPEC:
         return 2
-    from repro.des.options import set_default_engine_options
-
     net_label = fabric.token()
     perturbed = dict(faults=faults, resilience=policy, crypto=crypto)
     names = NAS_BENCHMARKS() if args.benchmark == "all" else [args.benchmark]
     # --runtime applies to every job of the command (baseline and
     # encrypted alike), exactly like the campaign's engine default
-    prev_engine = set_default_engine_options(engine) if engine is not None \
-        else None
-    try:
+    with job_defaults(engine=engine):
         for name in names:
             # the baseline column stays the calibrated clean-fabric number;
             # faults/resilience perturb the runs under comparison
@@ -302,9 +299,6 @@ def _cmd_nas(args) -> int:
                 )
             line += f"  [comm {base.comm_seconds:.2f}s, compute {base.compute_seconds:.2f}s]"
             print(line)
-    finally:
-        if engine is not None:
-            set_default_engine_options(prev_engine)
     return 0
 
 

@@ -85,7 +85,7 @@ def _pingpong(ctx):
 def _run_cell(plan: FaultPlan, policy: ResiliencePolicy):
     # imported lazily: repro.api itself imports the experiment registry,
     # which imports this module
-    from repro.api import RunOptions, run_job
+    from repro.api import run_job
 
     return run_job(
         _pingpong,
@@ -93,7 +93,9 @@ def _run_cell(plan: FaultPlan, policy: ResiliencePolicy):
         security=_SECURITY,
         network="ethernet",
         cluster=RESILIENCE_CLUSTER,
-        options=RunOptions(faults=plan, resilience=policy, sanitize=True),
+        faults=plan,
+        resilience=policy,
+        sanitize=True,
     )
 
 

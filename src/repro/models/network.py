@@ -38,6 +38,7 @@ escalated exactly like injected faults.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -316,8 +317,10 @@ class FabricSpec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{knob} must be a fraction, got {value!r}")
             object.__setattr__(self, knob, float(value))
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be a fraction >= 0, got {self.jitter!r}")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(
+                f"jitter must be a finite fraction >= 0, got {self.jitter!r}"
+            )
         if not 0.0 <= self.wobble < 1.0:
             raise ValueError(f"wobble must be a fraction in [0, 1), got {self.wobble!r}")
         if not 0.0 <= self.loss < 1.0:

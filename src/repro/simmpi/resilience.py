@@ -33,6 +33,7 @@ byte-identically to before (golden-trace digests unchanged).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -74,8 +75,10 @@ class ResiliencePolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(
+                f"timeout must be a finite number > 0, got {self.timeout}"
+            )
         if self.backoff not in BACKOFF_MODES:
             raise ValueError(
                 f"backoff must be one of {BACKOFF_MODES}, got {self.backoff!r}"
@@ -85,9 +88,11 @@ class ResiliencePolicy:
                 f"escalation must be one of {ESCALATIONS}, "
                 f"got {self.escalation!r}"
             )
-        if self.backoff_factor < 1.0:
+        if not (math.isfinite(self.backoff_factor)
+                and self.backoff_factor >= 1.0):
             raise ValueError(
-                f"backoff_factor must be >= 1.0, got {self.backoff_factor}"
+                f"backoff_factor must be a finite number >= 1.0, "
+                f"got {self.backoff_factor}"
             )
 
     def retry_delay(self, attempt: int) -> float:

@@ -132,7 +132,8 @@ def run_program(
     leaked requests fail the job
     (:class:`~repro.analysis.sanitize.SanitizerError`), and AEAD nonce
     reuse raises regardless of backend.  ``None`` (the default) defers
-    to the process-wide default set by campaign ``--sanitize``.
+    to the process-wide default (:func:`repro.defaults.job_defaults`,
+    which campaign ``--sanitize`` enters).
     Sanitizing never changes virtual timing or results.
 
     ``resilience`` (a :class:`repro.simmpi.resilience.ResiliencePolicy`)
@@ -143,7 +144,8 @@ def run_program(
 
     ``engine`` (an :class:`repro.des.options.EngineOptions`, a spec
     string for :func:`repro.des.options.parse_engine_options`, or None
-    for the process default) picks the rank runtime: under
+    for the process default of :mod:`repro.defaults`) picks the rank
+    runtime: under
     ``"coroutines"`` generator programs are stepped directly in the
     engine context (no thread handoffs — this is what lets the scale
     experiment reach 4096 ranks); ``"threads"`` runs every rank on

@@ -9,6 +9,7 @@ convention: sizes are binary, rates are decimal.
 
 from __future__ import annotations
 
+import math
 import re
 
 #: Binary size units (message sizes in the benchmark sweeps).
@@ -60,9 +61,12 @@ def parse_size(text: str | int) -> int:
     m = _SIZE_RE.match(text)
     if not m:
         raise ValueError(f"unparsable size: {text!r}")
-    value = float(m.group(1))
+    number = m.group(1)
     unit = m.group(2).lower() if m.group(2) else None
-    result = value * _SIZE_MULTIPLIERS[unit]
+    if number.isdigit():
+        # exact for any size; a float would round past 2**53
+        return int(number) * _SIZE_MULTIPLIERS[unit]
+    result = float(number) * _SIZE_MULTIPLIERS[unit]
     if abs(result - round(result)) > 1e-9:
         raise ValueError(f"size {text!r} is not a whole number of bytes")
     return int(round(result))
@@ -145,11 +149,14 @@ def format_fraction(value: float) -> str:
     '0.123456'
     """
     pct = value * 100.0
-    whole = round(pct)
     # 0.1 * 100 is 10.000000000000002; the authoritative test is that
-    # the printed form re-parses to the exact same float.
-    if abs(pct - whole) < 1e-9 and whole / 100.0 == value:
-        return f"{int(whole)}%"
+    # the printed form re-parses to the exact same float.  A value
+    # within a factor 100 of the float range overflows to inf here and
+    # takes the repr branch.
+    if math.isfinite(pct):
+        whole = round(pct)
+        if abs(pct - whole) < 1e-9 and whole / 100.0 == value:
+            return f"{whole}%"
     return repr(value)
 
 

@@ -7,14 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import api
-from repro.analysis.sanitize import (
-    DeadlockDiagnosis,
-    SanitizerError,
-    default_sanitize,
-    set_default_sanitize,
-)
+from repro.analysis.sanitize import DeadlockDiagnosis, SanitizerError
 from repro.crypto.errors import NonceReuseError
 from repro.crypto.nonces import make_nonce_source
+from repro.defaults import current_defaults, job_defaults
 from repro.des.engine import DeadlockError
 from repro.des.process import ProcessFailed
 
@@ -206,25 +202,19 @@ def test_distinct_streams_pass():
 # ------------------------------------------------- process-wide default
 
 def test_default_sanitize_flag_round_trips():
-    assert default_sanitize() is False
-    prev = set_default_sanitize(True)
-    try:
-        assert prev is False
-        assert default_sanitize() is True
+    assert current_defaults().sanitize is False
+    with job_defaults(sanitize=True) as defaults:
+        assert defaults.sanitize is True
+        assert current_defaults().sanitize is True
         # run_job(sanitize=None) defers to the default
         assert api.run_job(pingpong, nranks=2).sanitizer is not None
-    finally:
-        set_default_sanitize(prev)
-    assert default_sanitize() is False
+    assert current_defaults().sanitize is False
 
 
 def test_explicit_false_overrides_default():
-    prev = set_default_sanitize(True)
-    try:
+    with job_defaults(sanitize=True):
         assert api.run_job(pingpong, nranks=2,
                            sanitize=False).sanitizer is None
-    finally:
-        set_default_sanitize(prev)
 
 
 def test_campaign_sets_and_restores_default(monkeypatch):
@@ -233,7 +223,7 @@ def test_campaign_sets_and_restores_default(monkeypatch):
     observed = []
 
     def fake_execute(exp_id):
-        observed.append(default_sanitize())
+        observed.append(current_defaults().sanitize)
         return {"ok": True, "artifact": {}, "text": "", "seconds": 0.0,
                 "pid": 0}
 
@@ -244,7 +234,7 @@ def test_campaign_sets_and_restores_default(monkeypatch):
         write_artifacts=False, write_manifest=False, sanitize=True,
     )
     assert observed == [True, True]
-    assert default_sanitize() is False
+    assert current_defaults().sanitize is False
     assert not result.failed
 
 

@@ -11,7 +11,7 @@ programmatically."""
 import pytest
 
 import repro.api as api
-from repro.encmpi.plan import CRYPTO_PLAN_MODES, parse_crypto_plan
+from repro.encmpi.plan import CRYPTO_PLAN_MODES, CryptoPlan, parse_crypto_plan
 from repro.models.cryptolib import PROFILED_LIBRARIES
 from repro.simmpi.faults import parse_fault_plan
 from repro.simmpi.resilience import parse_resilience_policy
@@ -29,6 +29,9 @@ def test_crypto_plan_round_trip():
     plan = parse_crypto_plan("cryptmpi:chunk=256k,cores=3,library=openssl")
     assert (plan.mode, plan.chunk_bytes, plan.helper_cores, plan.library) \
         == ("cryptmpi", 256 * 1024, 3, "openssl")
+    # a digit-only size parses exactly, past float precision too
+    huge = CryptoPlan(mode="cryptmpi", chunk_bytes=2**53 + 1)
+    assert parse_crypto_plan(huge.token()) == huge
 
 
 def test_crypto_plan_unknown_mode_names_valid_modes():
@@ -106,6 +109,12 @@ def test_resilience_round_trip():
 def test_resilience_malformed_option():
     with pytest.raises(ValueError, match="need key=value"):
         parse_resilience_policy("retries")
+    # non-finite values parse as floats but name the field they break
+    for spec, field in (("timeout=nan", "timeout"), ("timeout=inf", "timeout"),
+                        ("factor=nan", "backoff_factor"),
+                        ("factor=inf", "backoff_factor")):
+        with pytest.raises(ValueError, match=field):
+            parse_resilience_policy(spec)
 
 
 def test_resilience_alias_conflict():

@@ -1,9 +1,10 @@
-"""The typed RunOptions / FaultPlan facade.
+"""The facade's run settings: one keyword each, checked up front.
 
-The redesign's contract: ``options=RunOptions(...)`` is byte-for-byte
-equivalent to the loose keyword tail it replaces, mixing the two forms
-is an error, and the deprecated raw-injector spellings keep working
-behind a one-shot DeprecationWarning.
+``run_job`` and ``sweep`` take every run setting as exactly one
+keyword; a mistyped value raises before any rank runs, and the removed
+spellings (``options=``, ``fault_injector=``, ``runtime=``,
+``repetitions=``) are plain ``TypeError``s.  Custom fault policies live
+one layer down, on ``run_program(fault_injector=...)``.
 """
 
 import warnings
@@ -40,52 +41,6 @@ def _exchange_many(ctx):
     return ctx.now
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_ledger():
-    """Each test sees the one-shot deprecation warnings anew."""
-    api._warned.clear()
-    yield
-    api._warned.clear()
-
-
-def test_run_options_is_frozen_and_normalizes_trace():
-    opts = api.RunOptions(trace="events", faults=PLAN, resilience=POLICY)
-    with pytest.raises(AttributeError):
-        opts.trace = False
-    bad = pytest.raises(ValueError, api.RunOptions, trace="evnts")
-    assert "trace" in str(bad.value)
-    with pytest.raises(TypeError, match="resilience"):
-        api.RunOptions(resilience="retries=3")
-
-
-def test_options_equivalent_to_loose_kwargs():
-    loose = api.run_job(
-        _exchange_many, nranks=2, cluster=CLUSTER,
-        trace=True, faults=PLAN, resilience=POLICY,
-    )
-    bundled = api.run_job(
-        _exchange_many, nranks=2, cluster=CLUSTER,
-        options=api.RunOptions(trace=True, faults=PLAN, resilience=POLICY),
-    )
-    assert loose.results == bundled.results
-    assert loose.duration == bundled.duration
-    assert loose.spans == bundled.spans
-    assert loose.resilience == bundled.resilience
-
-
-def test_options_conflicts_with_loose_kwargs():
-    with pytest.raises(TypeError, match="not both"):
-        api.run_job(
-            _workload, nranks=2, cluster=CLUSTER,
-            trace=True, options=api.RunOptions(trace=True),
-        )
-    with pytest.raises(TypeError, match="not both"):
-        api.run_job(
-            _workload, nranks=2, cluster=CLUSTER,
-            resilience=POLICY, options=api.RunOptions(),
-        )
-
-
 def test_fault_plan_accepted_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -96,44 +51,40 @@ def test_fault_plan_accepted_without_warning():
     assert job.resilience.gave_up == 0
 
 
-def test_raw_injector_warns_once():
-    inj = FaultInjector(target_route(2, 3, FaultAction.DROP))
-    with pytest.warns(DeprecationWarning, match="FaultPlan"):
-        api.run_job(_workload, nranks=2, cluster=CLUSTER, faults=inj)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second use: shim stays silent
-        api.run_job(_workload, nranks=2, cluster=CLUSTER, faults=inj)
+@pytest.mark.parametrize("keyword, value", [
+    ("options", None),
+    ("fault_injector", FaultInjector(target_route(0, 1, FaultAction.DROP))),
+    ("runtime", "coroutines"),
+    ("repetitions", 3),
+])
+def test_removed_keywords_are_type_errors(keyword, value):
+    for entry in (api.run_job, api.sweep):
+        with pytest.raises(TypeError, match=keyword):
+            entry(_workload, nranks=2, cluster=CLUSTER, **{keyword: value})
+    assert not hasattr(api, "RunOptions")
+    assert not hasattr(api, "FaultInjector")
 
 
-def test_fault_injector_kwarg_warns_and_aliases_faults():
-    inj = FaultInjector(target_route(2, 3, FaultAction.DROP))
-    with pytest.warns(DeprecationWarning, match="fault_injector"):
-        job = api.run_job(
-            _workload, nranks=2, cluster=CLUSTER, fault_injector=inj
-        )
-    clean = api.run_job(_workload, nranks=2, cluster=CLUSTER)
-    assert job.duration == clean.duration  # drop filter matched nothing
-    with pytest.raises(TypeError, match="fault_injector"):
-        api.run_job(
-            _workload, nranks=2, cluster=CLUSTER,
-            faults=PLAN, fault_injector=inj,
-        )
+def test_mistyped_settings_raise_before_any_rank_runs():
+    ran = []
 
+    def spy(ctx):
+        ran.append(ctx.rank)
 
-def test_raw_injector_shim_equivalent_to_plan():
-    # The deprecated spelling must produce the exact run the plan does.
-    with pytest.warns(DeprecationWarning):
-        shimmed = api.run_job(
-            _exchange_many, nranks=2, cluster=CLUSTER,
-            fault_injector=PLAN.build(), resilience=POLICY,
-        )
-    direct = api.run_job(
-        _exchange_many, nranks=2, cluster=CLUSTER,
-        faults=PLAN, resilience=POLICY,
-    )
-    assert shimmed.duration == direct.duration
-    assert shimmed.results == direct.results
-    assert shimmed.resilience == direct.resilience
+    injector = FaultInjector(target_route(0, 1, FaultAction.DROP))
+    for kwargs, error, match in (
+        (dict(faults=injector), TypeError, "run_program"),
+        (dict(faults="drop=0.1"), TypeError, "FaultPlan"),
+        (dict(resilience="retries=3"), TypeError, "resilience"),
+        (dict(cluster="2x8"), TypeError, "ClusterSpec"),
+        (dict(engine=8), TypeError, "engine"),
+        (dict(stats=3), TypeError, "stats"),
+        (dict(trace="evnts"), ValueError, "trace"),
+    ):
+        for entry in (api.run_job, api.sweep):
+            with pytest.raises(error, match=match):
+                entry(spy, nranks=2, **{"cluster": CLUSTER, **kwargs})
+    assert ran == []
 
 
 def test_sweep_builds_fresh_injector_per_cell():
@@ -152,75 +103,15 @@ def test_sweep_builds_fresh_injector_per_cell():
     assert retx[0] == retx[1] > 0
 
 
-def test_sweep_accepts_options_bundle():
-    loose = api.sweep(
-        _exchange_many, nranks=2, networks=("ethernet",), cluster=CLUSTER,
-        faults=PLAN, resilience=POLICY,
-    )
-    bundled = api.sweep(
-        _exchange_many, nranks=2, networks=("ethernet",), cluster=CLUSTER,
-        options=api.RunOptions(faults=PLAN, resilience=POLICY),
-    )
-    assert loose[0].result.duration == bundled[0].result.duration
-    assert loose[0].result.resilience == bundled[0].result.resilience
-
-
-def test_cluster_options_form_equivalent_to_loose_kwarg():
-    spec = ClusterSpec(nodes=2, cores_per_node=2)
-    loose = api.run_job(_exchange_many, nranks=2, cluster=spec, trace=True)
-    bundled = api.run_job(
-        _exchange_many, nranks=2,
-        options=api.RunOptions(trace=True, cluster=spec),
-    )
-    assert loose.results == bundled.results
-    assert loose.duration == bundled.duration
-    assert loose.spans == bundled.spans
-
-
-def test_cluster_kwarg_may_accompany_an_options_bundle():
-    """cluster predates RunOptions as a job-shape kwarg, so the loose
-    spelling stays legal next to a bundle that leaves cluster unset."""
-    spec = ClusterSpec(nodes=2, cores_per_node=2)
-    mixed = api.run_job(
-        _exchange_many, nranks=2, cluster=spec,
-        options=api.RunOptions(trace=True),
-    )
-    bundled = api.run_job(
-        _exchange_many, nranks=2,
-        options=api.RunOptions(trace=True, cluster=spec),
-    )
-    assert mixed.duration == bundled.duration
-    assert mixed.results == bundled.results
-
-
-def test_cluster_specified_twice_is_an_error():
-    spec = ClusterSpec(nodes=2, cores_per_node=2)
-    with pytest.raises(TypeError, match="cluster specified twice"):
-        api.run_job(
-            _workload, nranks=2, cluster=spec,
-            options=api.RunOptions(cluster=CLUSTER),
-        )
-
-
-def test_cluster_typechecks_in_both_spellings():
-    with pytest.raises(TypeError, match="ClusterSpec"):
-        api.RunOptions(cluster="2x8")
-    with pytest.raises(TypeError, match="ClusterSpec"):
-        api.run_job(_workload, nranks=2, cluster="2x8",
-                    options=api.RunOptions())
-
-
 def test_cluster_shape_changes_the_simulation():
     """The spec is load-bearing: intra-node vs cross-node placement of
     the same two ranks must produce different timings."""
     one_node = api.run_job(
         _exchange_many, nranks=2,
-        options=api.RunOptions(cluster=ClusterSpec(nodes=1,
-                                                   cores_per_node=2)),
+        cluster=ClusterSpec(nodes=1, cores_per_node=2),
     )
     two_nodes = api.run_job(
         _exchange_many, nranks=2,
-        options=api.RunOptions(cluster=ClusterSpec(nodes=2,
-                                                   cores_per_node=2)),
+        cluster=ClusterSpec(nodes=2, cores_per_node=2),
     )
     assert one_node.duration != two_nodes.duration

@@ -1,7 +1,5 @@
-"""StatsSpec through the facade: repetition determinism, the
-repetitions= shim, and the loose-kwarg/options= exclusivity rule."""
-
-import warnings
+"""StatsSpec through the facade: samples and CIs, spec strings,
+repetition determinism, and sweep/parallel replay."""
 
 import pytest
 
@@ -28,13 +26,6 @@ def _exchange_many(ctx):
             ctx.comm.recv(0, TAG_EXCHANGE)
             ctx.comm.send(bytes([i]) * 128, 0, tag=TAG_EXCHANGE)
     return ctx.now
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_ledger():
-    api._warned.clear()
-    yield
-    api._warned.clear()
 
 
 def _noisy_job(**kwargs):
@@ -80,40 +71,6 @@ def test_clean_fabric_reps_are_identical_samples():
     )
     assert len(set(job.stats.samples)) == 1
     assert job.stats.estimate.halfwidth == 0.0
-
-
-def test_repetitions_kwarg_shim_warns_once_and_matches_stats():
-    with pytest.warns(DeprecationWarning, match="repetitions"):
-        shimmed = _noisy_job(repetitions=3)
-    direct = _noisy_job(stats=StatsSpec(reps=3))
-    assert shimmed.stats == direct.stats
-    assert shimmed.duration == direct.duration
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second use: shim stays silent
-        _noisy_job(repetitions=2)
-
-
-def test_repetitions_and_stats_together_is_an_error():
-    with pytest.raises(TypeError, match="not both"), \
-            pytest.warns(DeprecationWarning):
-        _noisy_job(stats=StatsSpec(reps=3), repetitions=3)
-
-
-def test_stats_kwarg_conflicts_with_options_bundle():
-    with pytest.raises(TypeError, match="not both"):
-        api.run_job(
-            _exchange_many, nranks=2, cluster=CLUSTER,
-            stats=StatsSpec(reps=2), options=api.RunOptions(),
-        )
-
-
-def test_options_bundle_carries_stats():
-    bundled = api.run_job(
-        _exchange_many, nranks=2, cluster=CLUSTER, network=NOISY,
-        options=api.RunOptions(stats=StatsSpec(reps=3), resilience=POLICY),
-    )
-    loose = _noisy_job(stats=StatsSpec(reps=3))
-    assert bundled.stats == loose.stats
 
 
 def test_shared_trace_recorder_rejected_across_reps():

@@ -1,10 +1,9 @@
 """sweep() fault injection and parallel-grid semantics.
 
-PR 1's sweep silently accepted no fault injector at all (the keyword
-existed only on run_job); these tests pin the repaired surface: the
-keyword is forwarded per cell, one injector instance is never shared
-across cells (mirroring the TraceRecorder rule), and a factory form
-gives each cell a fresh adversary.
+A sweep forwards ``faults=`` to every cell, and a :class:`FaultPlan`
+gives each cell a fresh seeded injector; a stateful injector instance
+is never shared across cells (mirroring the TraceRecorder rule) — it
+is not a ``faults=`` value at all.
 """
 
 import pytest
@@ -15,7 +14,11 @@ from repro.models.cpu import ClusterSpec
 from repro.simmpi.faults import FaultAction, FaultInjector, target_route
 
 CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
-SECURITY = api.SecurityConfig(nonce_strategy="counter", crypto_mode="real")
+SECURITY = api.SecurityConfig(nonce_strategy="counter",
+                              crypto=api.CryptoPlan(bytework="real"))
+#: corrupt every message on the 0 -> 1 route: ``rng.random() < 1.0``
+#: always fires
+CORRUPT_ROUTE = api.FaultPlan(corrupt=1.0, src=0, dst=1, corrupt_bit=300)
 
 
 def _enc_exchange(ctx):
@@ -29,11 +32,6 @@ def _enc_exchange(ctx):
         return "rejected"
 
 
-def _corrupting_factory():
-    return FaultInjector(target_route(0, 1, FaultAction.CORRUPT),
-                         corrupt_bit=300)
-
-
 def test_sweep_cell_records_auth_fail_events():
     """The regression the satellite names: a sweep cell under fault
     injection must actually reject the tampered message and record the
@@ -45,7 +43,7 @@ def test_sweep_cell_records_auth_fail_events():
         securities=(SECURITY,),
         cluster=CLUSTER,
         trace="events",
-        fault_injector=_corrupting_factory,
+        faults=CORRUPT_ROUTE,
     )
     assert len(points) == 2
     for point in points:
@@ -55,52 +53,22 @@ def test_sweep_cell_records_auth_fail_events():
 
 
 def test_sweep_rejects_one_injector_instance_across_cells():
-    with pytest.raises(ValueError, match="factory"):
+    injector = FaultInjector(target_route(0, 1, FaultAction.CORRUPT))
+    with pytest.raises(TypeError, match="FaultPlan"):
         api.sweep(
             _enc_exchange,
             nranks=2,
             networks=("ethernet", "infiniband"),
             securities=(SECURITY,),
             cluster=CLUSTER,
-            fault_injector=_corrupting_factory(),
+            faults=injector,
         )
 
 
-def test_sweep_accepts_one_injector_instance_for_one_cell():
-    injector = _corrupting_factory()
-    points = api.sweep(
-        _enc_exchange,
-        nranks=2,
-        securities=(SECURITY,),
-        cluster=CLUSTER,
-        fault_injector=injector,
-    )
-    assert points[0].result.results == ["sent", "rejected"]
-    assert injector.injected[FaultAction.CORRUPT] == 1  # ledger usable
-
-
-def test_sweep_factory_is_invoked_once_per_cell():
-    made = []
-
-    def counting_factory():
-        made.append(1)
-        return _corrupting_factory()
-
-    api.sweep(
-        _enc_exchange,
-        nranks=2,
-        networks=("ethernet", "infiniband"),
-        securities=(SECURITY,),
-        cluster=CLUSTER,
-        fault_injector=counting_factory,
-    )
-    assert len(made) == 2
-
-
 def test_sweep_rejects_non_injector_non_factory():
-    with pytest.raises(TypeError, match="fault_injector"):
+    with pytest.raises(TypeError, match="faults"):
         api.sweep(_enc_exchange, nranks=2, securities=(SECURITY,),
-                  cluster=CLUSTER, fault_injector="corrupt-everything")
+                  cluster=CLUSTER, faults="corrupt-everything")
 
 
 def test_parallel_sweep_matches_serial_byte_for_byte():
@@ -141,6 +109,6 @@ def test_parallel_sweep_with_faults_uses_fresh_injector_per_cell():
         securities=(SECURITY,),
         cluster=CLUSTER,
         parallel=2,
-        fault_injector=_corrupting_factory,
+        faults=CORRUPT_ROUTE,
     )
     assert [p.result.results for p in points] == [["sent", "rejected"]] * 2

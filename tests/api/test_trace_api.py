@@ -16,7 +16,8 @@ def _enc_workload(ctx):
     return len(got)
 
 
-SECURITY = api.SecurityConfig(nonce_strategy="counter", crypto_mode="real")
+SECURITY = api.SecurityConfig(nonce_strategy="counter",
+                              crypto=api.CryptoPlan(bytework="real"))
 
 
 def test_run_job_trace_events_covers_every_layer():

@@ -1,7 +1,5 @@
-"""The unified get_aead() call path, its instance cache, and the
-deprecation shims covering the pre-registry class entry points."""
-
-import warnings
+"""The unified get_aead() call path and its instance cache; get_aead
+is the only AEAD constructor the backends module exposes."""
 
 import pytest
 
@@ -13,28 +11,13 @@ KEY = bytes(range(32))
 NONCE = bytes(range(12))
 
 
-def test_shim_warns_exactly_once_and_resolves():
-    backends._warned.discard("ChaChaAEAD")  # independent of import order
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls_first = getattr(backends, "ChaChaAEAD")
-        cls_second = getattr(backends, "ChaChaAEAD")
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, "shim must warn exactly once per name"
-    assert "get_aead" in str(deprecations[0].message)
-    assert cls_first is cls_second is backends._ChaChaAEAD
-
-
-def test_shimmed_class_builds_working_aead():
-    backends._warned.add("PureAEAD")  # silence; behaviour is what's under test
-    aead = backends.PureAEAD(KEY)
-    framed = aead.seal(NONCE, b"payload", b"aad")
-    assert get_aead(KEY, "pure").open(NONCE, framed, b"aad") == b"payload"
-
-
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         backends.NotABackend
+    # the pre-registry class names are gone: get_aead is the constructor
+    for name in ("PureAEAD", "ChaChaAEAD", "OpenSSLAEAD"):
+        with pytest.raises(AttributeError):
+            getattr(backends, name)
 
 
 def test_get_aead_caches_instances_per_key_and_backend():

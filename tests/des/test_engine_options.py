@@ -10,13 +10,12 @@ alternatives, and the whole surface is re-exported from
 import pytest
 
 import repro.api as api
+from repro.defaults import current_defaults, job_defaults
 from repro.des.options import (
     DEFAULT_MAX_RANKS,
     EngineOptions,
-    default_engine_options,
     parse_engine_options,
     resolve_engine_options,
-    set_default_engine_options,
 )
 from repro.des.process import RUNTIMES
 
@@ -101,13 +100,11 @@ def test_parse_bad_int_and_bad_bool():
 
 def test_default_engine_options_set_and_restore():
     ours = EngineOptions(runtime="coroutines")
-    prev = set_default_engine_options(ours)
-    try:
-        assert default_engine_options() is ours
+    with job_defaults(engine=ours):
+        assert current_defaults().engine is ours
         assert resolve_engine_options(None) is ours
-    finally:
-        set_default_engine_options(prev)
-    assert default_engine_options() == EngineOptions()
+    assert current_defaults().engine is None
+    assert resolve_engine_options(None) == EngineOptions()
 
 
 def test_resolve_coerces_strings_and_rejects_junk():
@@ -120,32 +117,23 @@ def test_resolve_coerces_strings_and_rejects_junk():
 
 def test_set_default_rejects_non_options():
     with pytest.raises(TypeError):
-        set_default_engine_options("coroutines")
+        with job_defaults(engine="coroutines"):
+            pass
 
 
-# ------------------------------------------------------- RunOptions folding
+# ------------------------------------------------------ engine= on run_job
 
 def test_run_options_coerces_engine_spec_string():
-    opts = api.RunOptions(engine="coroutines:max_ranks=64")
-    assert opts.engine == EngineOptions(runtime="coroutines", max_ranks=64)
+    # the spec string is parsed and applied: its rank ceiling bites
+    with pytest.raises(ValueError, match="max_ranks=1"):
+        api.run_job(_two_rank_noop, nranks=2, engine="coroutines:max_ranks=1")
+    ok = api.run_job(_two_rank_noop, nranks=2, engine="coroutines:max_ranks=2")
+    assert ok.duration >= 0.0
 
 
 def test_run_options_rejects_non_engine_values():
-    with pytest.raises(TypeError):
-        api.RunOptions(engine=8)
-
-
-def test_loose_runtime_kwarg_warns_once_and_folds():
-    import warnings
-
-    from repro.api import _warned
-
-    _warned.discard("runtime")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = api.run_job(_two_rank_noop, nranks=2, runtime="coroutines")
-    assert result.duration >= 0.0
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+    with pytest.raises(TypeError, match="engine"):
+        api.run_job(_two_rank_noop, nranks=2, engine=8)
 
 
 def _two_rank_noop(ctx):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des.process import ProcessFailed
-from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.simmpi import run_program
 from repro.util.units import KiB, MiB
@@ -36,7 +36,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SecurityConfig(nonce_strategy="hope")
     with pytest.raises(ValueError):
-        SecurityConfig(crypto_mode="imaginary")
+        SecurityConfig(crypto=CryptoPlan(bytework="imaginary"))
     with pytest.raises(ValueError):
         SecurityConfig(key=b"short")
 
@@ -55,7 +55,7 @@ def test_send_recv_roundtrip(mode):
     payload = b"secret hpc data" * 10
 
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
         if ctx.rank == 0:
             enc.send(payload, 1, tag=4)
         else:
@@ -99,7 +99,8 @@ def test_ciphertext_differs_from_plaintext_on_the_wire():
 
 def test_modeled_mode_ships_placeholder_frame():
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        cfg = SecurityConfig(crypto=CryptoPlan(bytework="modeled"))
+        enc = EncryptedComm(ctx, cfg)
         if ctx.rank == 0:
             enc.send(b"B" * 64, 1)
         else:
@@ -165,7 +166,8 @@ def test_encryption_charges_time():
 
     def make(libname):
         def prog(ctx):
-            cfg = SecurityConfig(library=libname, crypto_mode="modeled")
+            cfg = SecurityConfig(library=libname,
+                                 crypto=CryptoPlan(bytework="modeled"))
             enc = EncryptedComm(ctx, cfg)
             if ctx.rank == 0:
                 t0 = ctx.now
@@ -242,7 +244,7 @@ def test_encrypted_bcast(mode, size):
     payload = bytes(i % 256 for i in range(size))
 
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
         data = payload if ctx.rank == 0 else None
         return enc.bcast(data, 0, nbytes=size)
 
@@ -253,7 +255,7 @@ def test_encrypted_bcast(mode, size):
 @pytest.mark.parametrize("mode", ["real", "modeled"])
 def test_encrypted_allgather(mode):
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
         return enc.allgather(f"blk{ctx.rank}".encode())
 
     results = _run(4, prog, cluster=CLUSTER4)
@@ -264,7 +266,7 @@ def test_encrypted_allgather(mode):
 @pytest.mark.parametrize("mode", ["real", "modeled"])
 def test_encrypted_alltoall(mode):
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+        enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
         chunks = [f"{ctx.rank}->{d}".encode() for d in range(ctx.size)]
         return enc.alltoall(chunks)
 

@@ -18,8 +18,8 @@ The invariants pinned here:
 import pytest
 
 from repro import api
+from repro.defaults import job_defaults
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi import plan as plan_mod
 from repro.models.cpu import ClusterSpec
 from repro.simmpi import run_program
 from repro.simmpi.faults import FaultPlan
@@ -32,13 +32,6 @@ TAG_BULK = 11
 CHUNK = 4 * 1024
 
 REAL_PLAN = CryptoPlan(mode="cryptmpi", chunk_bytes=CHUNK, bytework="real")
-
-
-@pytest.fixture(autouse=True)
-def _no_default_plan():
-    prev = plan_mod.set_default_crypto_plan(None)
-    yield
-    plan_mod.set_default_crypto_plan(prev)
 
 
 def _payload(n: int) -> bytes:
@@ -186,11 +179,9 @@ def test_chunked_delivery_survives_corruption_with_resilience():
 
     result = api.run_job(
         program, nranks=2,
-        options=api.RunOptions(
-            cluster=TWO_NODES,
-            faults=FaultPlan(corrupt=0.2, seed=13),
-            resilience=ResiliencePolicy(max_retries=8, timeout=1e-3),
-        ),
+        cluster=TWO_NODES,
+        faults=FaultPlan(corrupt=0.2, seed=13),
+        resilience=ResiliencePolicy(max_retries=8, timeout=1e-3),
     )
     assert result.results[1] == payload
 
@@ -207,8 +198,6 @@ def test_goldens_ignore_an_armed_cryptmpi_default():
                            "goldens", "golden_traces.json")
     with open(fixture) as fh:
         committed = json.load(fh)["runs"]["enc_multipair"]["digest"]
-    plan_mod.set_default_crypto_plan(
-        CryptoPlan(mode="cryptmpi", chunk_bytes=CHUNK)
-    )
-    rec = goldens.run_golden("enc_multipair")
+    with job_defaults(crypto=CryptoPlan(mode="cryptmpi", chunk_bytes=CHUNK)):
+        rec = goldens.run_golden("enc_multipair")
     assert rec.digest() == committed

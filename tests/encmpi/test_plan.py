@@ -1,28 +1,16 @@
 """The CryptoPlan facade: validation, the CLI string form, the
-process-wide default, and the SecurityConfig migration shims.
+process-wide default, and how SecurityConfig reads the plan.
 
-The redesign's contract mirrors the RunOptions one: the frozen typed
-plan is equivalent to the loose ``crypto_mode=`` spelling it replaces,
-the deprecated spelling warns exactly once per process, and conflicting
-combinations are errors, not silent precedence.
+The frozen typed plan is the one spelling of the crypto discipline:
+``SecurityConfig.crypto_mode`` reads the plan's bytework, the old
+``crypto_mode=`` keyword is gone, and conflicting combinations are
+errors, not silent precedence.
 """
-
-import warnings
 
 import pytest
 
+from repro.defaults import current_defaults, job_defaults
 from repro.encmpi import CryptoPlan, SecurityConfig, parse_crypto_plan
-from repro.encmpi import plan as plan_mod
-
-
-@pytest.fixture(autouse=True)
-def _fresh_plan_state():
-    """Each test sees the one-shot warnings anew and no default plan."""
-    plan_mod._warned.clear()
-    prev = plan_mod.set_default_crypto_plan(None)
-    yield
-    plan_mod._warned.clear()
-    plan_mod.set_default_crypto_plan(prev)
 
 
 def test_default_plan_is_the_papers_serial_discipline():
@@ -86,53 +74,48 @@ def test_parse_errors_name_the_valid_forms(spec, match):
 
 
 def test_default_plan_overlays_geometry_only():
-    plan_mod.set_default_crypto_plan(
-        parse_crypto_plan("cryptmpi:chunk=128k,cores=2,library=openssl")
-    )
-    cfg = SecurityConfig(library="cryptopp", crypto=None)
+    default = parse_crypto_plan("cryptmpi:chunk=128k,cores=2,library=openssl")
+    with job_defaults(crypto=default):
+        cfg = SecurityConfig(library="cryptopp", crypto=None)
+        # an explicit plan bypasses the process-wide default entirely
+        pinned = SecurityConfig(crypto=CryptoPlan())
     # geometry follows the default; library/bytework stay the config's
     assert cfg.crypto.mode == "cryptmpi"
     assert cfg.crypto.chunk_bytes == 128 * 1024
     assert cfg.crypto.helper_cores == 2
     assert cfg.crypto.library == "cryptopp"
     assert cfg.crypto.bytework == "real"
-    # an explicit plan bypasses the process-wide default entirely
-    pinned = SecurityConfig(crypto=CryptoPlan())
     assert pinned.crypto == CryptoPlan()
 
 
 def test_set_default_plan_returns_previous_and_typechecks():
     first = parse_crypto_plan("cryptmpi")
-    assert plan_mod.set_default_crypto_plan(first) is None
-    assert plan_mod.set_default_crypto_plan(None) == first
+    with job_defaults(crypto=first) as outer:
+        assert current_defaults().crypto == first
+        with job_defaults(sanitize=True) as inner:
+            assert inner.crypto == first  # unset keywords keep the outer value
+        assert current_defaults() is outer
+    assert current_defaults().crypto is None
     with pytest.raises(TypeError, match="CryptoPlan"):
-        plan_mod.set_default_crypto_plan("cryptmpi")
+        with job_defaults(crypto="cryptmpi"):
+            pass
+    assert current_defaults().crypto is None
 
 
-def test_deprecated_crypto_mode_equals_new_spelling():
-    with pytest.warns(DeprecationWarning, match="crypto_mode"):
-        old = SecurityConfig(library="openssl", crypto_mode="modeled")
-    new = SecurityConfig(
-        crypto=CryptoPlan(library="openssl", bytework="modeled")
-    )
-    assert old == new
-    assert old.crypto_mode == "modeled"  # the read-only mirror survives
-
-
-def test_deprecated_crypto_mode_warns_exactly_once():
-    with pytest.warns(DeprecationWarning):
-        SecurityConfig(crypto_mode="real")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SecurityConfig(crypto_mode="real")  # ledger already holds it
+def test_crypto_mode_reads_the_plans_bytework():
+    cfg = SecurityConfig(crypto=CryptoPlan(library="openssl",
+                                           bytework="modeled"))
+    assert cfg.crypto_mode == "modeled"
+    assert SecurityConfig().crypto_mode == "real"
+    with pytest.raises(AttributeError):
+        cfg.crypto_mode = "real"
 
 
 def test_conflicting_bytework_spellings_are_an_error():
-    with pytest.raises(ValueError, match="conflicting byte-work"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            SecurityConfig(crypto_mode="real",
-                           crypto=CryptoPlan(bytework="modeled"))
+    # one spelling only: the removed keyword is rejected outright
+    with pytest.raises(TypeError, match="crypto_mode"):
+        SecurityConfig(crypto_mode="real",
+                       crypto=CryptoPlan(bytework="modeled"))
 
 
 def test_conflicting_libraries_are_an_error():

@@ -3,7 +3,7 @@ must hold through the full simulator stack (not just the models)."""
 
 import pytest
 
-from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
 from repro.simmpi import run_program
 from repro.util.units import KiB, MiB
@@ -69,7 +69,7 @@ def test_real_crypto_mode_matches_modeled_timing():
     encrypted (mode changes wall-clock cost only)."""
     def make(mode):
         def prog(ctx):
-            enc = EncryptedComm(ctx, SecurityConfig(crypto_mode=mode))
+            enc = EncryptedComm(ctx, SecurityConfig(crypto=CryptoPlan(bytework=mode)))
             if ctx.rank == 0:
                 enc.send(b"q" * 32 * 1024, 1)
                 return ctx.now
@@ -86,7 +86,8 @@ def test_real_crypto_mode_matches_modeled_timing():
 def test_determinism_across_runs():
     """Two identical simulations produce identical virtual timings."""
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        cfg = SecurityConfig(crypto=CryptoPlan(bytework="modeled"))
+        enc = EncryptedComm(ctx, cfg)
         chunks = [b"d" * 2048 for _ in range(ctx.size)]
         enc.alltoall(chunks)
         ctx.comm.barrier()

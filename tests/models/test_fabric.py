@@ -75,6 +75,9 @@ def test_malformed_options_name_valid_keys():
 def test_knob_validation():
     with pytest.raises(ValueError, match="jitter"):
         FabricSpec(base="wan", jitter=-0.1)
+    for spec in ("ethernet:jitter=nan", "wan:jitter=inf"):
+        with pytest.raises(ValueError, match="jitter"):
+            parse_network_spec(spec)
     with pytest.raises(ValueError, match="loss"):
         FabricSpec(base="wan", loss=1.0)
     with pytest.raises(ValueError, match="wobble"):

@@ -4,7 +4,7 @@ failures, and escalation."""
 
 import pytest
 
-from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
 from repro.simmpi import run_program
 from repro.simmpi.faults import FaultAction, FaultInjector, FaultPlan, target_route
@@ -182,7 +182,7 @@ def test_fifo_order_survives_retransmission():
 
 ENC_CONFIG = SecurityConfig(
     library="boringssl",
-    crypto_mode="real",
+    crypto=CryptoPlan(bytework="real"),
     nonce_strategy="counter",
     replay_window=32,
 )

@@ -14,7 +14,8 @@ import pytest
 
 import repro.api as api
 from repro.crypto.aead import NONCE_SIZE
-from repro.des.options import EngineOptions, set_default_engine_options
+from repro.defaults import job_defaults
+from repro.des.options import EngineOptions
 from repro.encmpi.pipeline import HEADER_SIZE
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
@@ -27,11 +28,8 @@ CLUSTER = parse_cluster_spec("2x4")
 @pytest.fixture(params=["threads", "coroutines"])
 def runtime(request):
     """Run the test body once per runtime via the process-wide default."""
-    prev = set_default_engine_options(EngineOptions(runtime=request.param))
-    try:
+    with job_defaults(engine=EngineOptions(runtime=request.param)):
         yield request.param
-    finally:
-        set_default_engine_options(prev)
 
 
 def _force(runtime_name: str):
@@ -43,16 +41,10 @@ def _force(runtime_name: str):
 @pytest.mark.parametrize("name", sorted(goldens.GOLDEN_RUNS))
 def test_golden_digests_identical_across_runtimes(name):
     """The strongest parity check: full structured event streams."""
-    prev = set_default_engine_options(_force("threads"))
-    try:
+    with job_defaults(engine=_force("threads")):
         threads = goldens.run_golden(name)
-    finally:
-        set_default_engine_options(prev)
-    prev = set_default_engine_options(_force("coroutines"))
-    try:
+    with job_defaults(engine=_force("coroutines")):
         coros = goldens.run_golden(name)
-    finally:
-        set_default_engine_options(prev)
     assert threads.canonical_lines() == coros.canonical_lines()
     assert threads.digest() == coros.digest()
 
@@ -104,7 +96,7 @@ def test_encrypted_job_identical_on_both_runtimes(runtime):
     result = api.run_job(
         _co_enc_exchange, nranks=2,
         security=api.SecurityConfig(library="boringssl"),
-        options=api.RunOptions(cluster=CLUSTER),
+        cluster=CLUSTER,
     )
     # virtual time must not depend on the runtime: compare against the
     # values the other runtime parameter of this fixture produces
@@ -184,11 +176,9 @@ def _run_cryptmpi(runtime_name: str):
     return api.run_job(
         _co_cryptmpi_exchange, nranks=2,
         security=api.SecurityConfig(library="boringssl", crypto=CRYPTMPI),
-        options=api.RunOptions(
-            cluster=parse_cluster_spec("2x8"), trace="events",
-            faults=faults,
-            resilience=api.ResiliencePolicy(max_retries=8, timeout=1e-3),
-        ),
+        cluster=parse_cluster_spec("2x8"), trace="events",
+        faults=faults,
+        resilience=api.ResiliencePolicy(max_retries=8, timeout=1e-3),
         engine=_force(runtime_name),
     )
 
@@ -220,13 +210,10 @@ def test_collective_latency_identical_on_both_runtimes(op, monkeypatch):
     monkeypatch.setattr(osu_collectives, "run_program", traced_run_program)
     latency = {}
     for name in ("threads", "coroutines"):
-        prev = set_default_engine_options(_force(name))
-        try:
+        with job_defaults(engine=_force(name)):
             latency[name] = osu_collectives.collective_latency(
                 op, 512, nranks=8, cluster=CLUSTER, library="boringssl",
                 iters=1)
-        finally:
-            set_default_engine_options(prev)
     threads, coros = jobs
     assert latency["threads"] == latency["coroutines"] > 0
     assert threads.duration == coros.duration

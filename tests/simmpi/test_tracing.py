@@ -36,10 +36,11 @@ def test_p2p_traffic_recorded():
 
 
 def test_wire_overhead_fraction_tracks_encryption():
-    from repro.encmpi import EncryptedComm, SecurityConfig
+    from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 
     def prog(ctx):
-        enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="modeled"))
+        cfg = SecurityConfig(crypto=CryptoPlan(bytework="modeled"))
+        enc = EncryptedComm(ctx, cfg)
         if ctx.rank == 0:
             enc.send(b"z" * 1000, 1)
         else:
