@@ -6,7 +6,8 @@ integrity (§III-A).  This module implements the full construction over
 the from-scratch AES in :mod:`repro.crypto.aes`:
 
 - GHASH over GF(2^128) with the polynomial x^128 + x^7 + x^2 + x + 1,
-- the 32-bit inc function and CTR keystream generation,
+- the 32-bit inc function and CTR keystream generation (one batched
+  AES call per message),
 - 12-byte nonces (the paper's choice), 16-byte tags,
 - associated data support (the paper's prototypes do not use AAD, but
   the standard — and the OpenSSL API — includes it, and our encrypted
@@ -14,11 +15,14 @@ the from-scratch AES in :mod:`repro.crypto.aes`:
 
 Performance: GHASH uses Shoup-style 8-bit tables — 16 per-key tables of
 256 precomputed multiples of H, one per byte position — so absorbing a
-block is 16 lookups and xors instead of a 128-iteration shift-and-add
-loop.  The tables are built once per key (and AEAD instances are cached
-per key by :func:`repro.crypto.aead.get_aead`), which is what makes
-per-message seal/open stop re-deriving key material.  CTR keystream is
-generated in one pass and applied with a single big-integer XOR.
+block is 16 lookups and xors (unrolled over the bytes of Y ^ X_i, about
+1 µs per block) instead of a 128-iteration shift-and-add loop.  The
+tables are built once per key (and AEAD instances are cached per key by
+:func:`repro.crypto.aead.get_aead`).  The CTR keystream and E_K(J0),
+which masks the tag, come out of one :meth:`AES.encrypt_blocks` batch
+over J0, inc32(J0), … and are applied with a single big-integer XOR.
+A seal plus open with 12 bytes of AAD takes about 0.21 ms at 64 B,
+0.7 ms at 1 KiB and 8 ms at 16 KiB (CPython 3.11, 2-vCPU Xeon host).
 
 Validated against NIST SP 800-38D test vectors and cross-checked against
 the OpenSSL implementation in the test suite.
@@ -26,7 +30,10 @@ the OpenSSL implementation in the test suite.
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+import hmac
+import struct
+
+from repro.crypto.aes import AES, BLOCK_SIZE, counter_blocks
 from repro.crypto.errors import AuthenticationError, CryptoError
 
 NONCE_SIZE = 12
@@ -120,31 +127,31 @@ class _GHash:
 
     def update(self, data: bytes) -> None:
         """Absorb *data*, zero-padded on the right to a block multiple."""
-        tables = self._tables
+        if len(data) % BLOCK_SIZE:
+            data = bytes(data) + bytes(-len(data) % BLOCK_SIZE)
+        (t0, t1, t2, t3, t4, t5, t6, t7,
+         t8, t9, t10, t11, t12, t13, t14, t15) = self._tables
         y = self._y
-        n = len(data)
-        for off in range(0, n, BLOCK_SIZE):
-            block = data[off : off + BLOCK_SIZE]
-            if len(block) < BLOCK_SIZE:
-                block = block + b"\x00" * (BLOCK_SIZE - len(block))
-            w = y ^ int.from_bytes(block, "big")
-            acc = 0
-            for i in range(16):
-                acc ^= tables[i][(w >> ((15 - i) << 3)) & 0xFF]
-            y = acc
+        for hi, lo in struct.iter_unpack(">QQ", data):
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = (
+                y ^ (hi << 64 | lo)).to_bytes(BLOCK_SIZE, "big")
+            y = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3] ^ t4[b4] ^ t5[b5]
+                 ^ t6[b6] ^ t7[b7] ^ t8[b8] ^ t9[b9] ^ t10[b10] ^ t11[b11]
+                 ^ t12[b12] ^ t13[b13] ^ t14[b14] ^ t15[b15])
         self._y = y
 
     def digest_with_lengths(self, aad_bits: int, ct_bits: int) -> bytes:
-        tables = self._tables
-        w = self._y ^ ((aad_bits << 64) | ct_bits)
-        acc = 0
-        for i in range(16):
-            acc ^= tables[i][(w >> ((15 - i) << 3)) & 0xFF]
-        return acc.to_bytes(BLOCK_SIZE, "big")
+        self.update(struct.pack(">QQ", aad_bits, ct_bits))
+        return self._y.to_bytes(BLOCK_SIZE, "big")
 
 
 def _inc32(block: bytes) -> bytes:
-    """Increment the low 32 bits of a 16-byte counter block (inc_32)."""
+    """Increment the low 32 bits of a 16-byte counter block (inc_32).
+
+    The specification's one-step form; :func:`counter_blocks` produces
+    the same sequence for a whole message at once.
+    """
     prefix, ctr = block[:12], int.from_bytes(block[12:], "big")
     return prefix + ((ctr + 1) & 0xFFFFFFFF).to_bytes(4, "big")
 
@@ -175,31 +182,23 @@ class AESGCM:
         gh.update(nonce)
         return gh.digest_with_lengths(0, len(nonce) * 8)
 
-    def _ctr(self, j0: bytes, data: bytes) -> bytes:
-        """CTR keystream over sequential counters, applied in one XOR."""
-        n = len(data)
-        if n == 0:
-            return b""
-        encrypt_block = self._aes.encrypt_block
-        prefix = j0[:12]
-        ctr = int.from_bytes(j0[12:], "big")
-        nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        keystream = b"".join(
-            encrypt_block(prefix + ((ctr + i) & 0xFFFFFFFF).to_bytes(4, "big"))
-            for i in range(1, nblocks + 1)
-        )
-        x = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
-        return x.to_bytes(n, "big")
+    def _keystream(self, nonce: bytes, nbytes: int) -> bytes:
+        """E_K(J0) || E_K(inc32(J0)) || … covering *nbytes* of payload.
 
-    def _tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+        One :meth:`AES.encrypt_blocks` batch: the first block masks the
+        tag, the rest are the CTR keystream.
+        """
+        j0 = self._j0(nonce)
+        blocks = 1 + -(-nbytes // BLOCK_SIZE)
+        return self._aes.encrypt_blocks(
+            counter_blocks(j0[:12], int.from_bytes(j0[12:], "big"), blocks))
+
+    def _tag(self, ek_j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         gh = _GHash(self._tables)
         gh.update(aad)
         gh.update(ciphertext)
-        s = gh.digest_with_lengths(len(aad) * 8, len(ciphertext) * 8)
-        ek_j0 = self._aes.encrypt_block(j0)
-        return (
-            int.from_bytes(s, "big") ^ int.from_bytes(ek_j0, "big")
-        ).to_bytes(BLOCK_SIZE, "big")
+        return _xor(gh.digest_with_lengths(len(aad) * 8, len(ciphertext) * 8),
+                    ek_j0)
 
     # -- public API ----------------------------------------------------------
 
@@ -207,26 +206,23 @@ class AESGCM:
         """Return ciphertext || 16-byte tag (the layout the paper sends)."""
         if len(nonce) == 0:
             raise CryptoError("empty nonce")
-        j0 = self._j0(nonce)
-        ciphertext = self._ctr(j0, plaintext)
-        return ciphertext + self._tag(j0, aad, ciphertext)
+        ks = self._keystream(nonce, len(plaintext))
+        ciphertext = _xor(plaintext, ks[BLOCK_SIZE:])
+        return ciphertext + self._tag(ks[:BLOCK_SIZE], aad, ciphertext)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and return the plaintext; raise on any tampering."""
         if len(data) < TAG_SIZE:
             raise AuthenticationError("ciphertext shorter than the GCM tag")
         ciphertext, tag = data[:-TAG_SIZE], data[-TAG_SIZE:]
-        j0 = self._j0(nonce)
-        expected = self._tag(j0, aad, ciphertext)
-        if not _constant_time_eq(expected, tag):
+        ks = self._keystream(nonce, len(ciphertext))
+        if not hmac.compare_digest(self._tag(ks[:BLOCK_SIZE], aad, ciphertext), tag):
             raise AuthenticationError("GCM tag mismatch: message tampered or wrong key/nonce")
-        return self._ctr(j0, ciphertext)
+        return _xor(ciphertext, ks[BLOCK_SIZE:])
 
 
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """*data* XOR the first ``len(data)`` bytes of *keystream*."""
+    n = len(data)
+    x = int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
+    return x.to_bytes(n, "big")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import AES, BLOCK_SIZE, counter_blocks
 from repro.crypto.errors import CryptoError
 
 
@@ -52,11 +52,7 @@ class ECB:
         self._aes = AES(key)
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        data = pkcs7_pad(plaintext)
-        return b"".join(
-            self._aes.encrypt_block(data[i : i + BLOCK_SIZE])
-            for i in range(0, len(data), BLOCK_SIZE)
-        )
+        return self._aes.encrypt_blocks(pkcs7_pad(plaintext))
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) % BLOCK_SIZE:
@@ -114,26 +110,22 @@ class CTR:
     def __init__(self, key: bytes):
         self._aes = AES(key)
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
+    def _crypt(self, nonce: bytes, data: bytes) -> bytes:
+        """*data* XOR the keystream E_K(nonce || 0), E_K(nonce || 1), …"""
         if len(nonce) != 8:
             raise CryptoError("CTR nonce must be 8 bytes")
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            block = nonce + counter.to_bytes(8, "big")
-            out += self._aes.encrypt_block(block)
-            counter += 1
-        return bytes(out[:length])
+        n = len(data)
+        blocks = counter_blocks(nonce, 0, -(-n // BLOCK_SIZE))
+        ks = self._aes.encrypt_blocks(blocks)[:n]
+        x = int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")
+        return x.to_bytes(n, "big")
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
         """Returns nonce || ciphertext (no padding needed)."""
         nonce = os.urandom(8) if nonce is None else nonce
-        ks = self._keystream(nonce, len(plaintext))
-        return nonce + bytes(a ^ b for a, b in zip(plaintext, ks))
+        return nonce + self._crypt(nonce, plaintext)
 
     def decrypt(self, data: bytes) -> bytes:
         if len(data) < 8:
             raise CryptoError("CTR data shorter than nonce")
-        nonce, ciphertext = data[:8], data[8:]
-        ks = self._keystream(nonce, len(ciphertext))
-        return bytes(a ^ b for a, b in zip(ciphertext, ks))
+        return self._crypt(data[:8], data[8:])

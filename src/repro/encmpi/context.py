@@ -81,9 +81,14 @@ class EncryptedRequest:
             if status is not None and owner.config.bind_header:
                 aad = owner._aad_for_peer(status.source, status.tag)
             try:
+                counter = None
                 if status is not None:
-                    owner._replay_check(status.source, value)
+                    nonce = value.prefix if isinstance(value, OpaquePayload) \
+                        else bytes(value[:NONCE_SIZE])
+                    counter = owner._replay_screen(status.source, nonce)
                 self._result = yield from owner._co_decrypt_charged(value, aad)
+                if counter is not None:
+                    owner._replay_commit(status.source, counter)
                 return self._result
             except (AuthenticationError, ReplayError) as exc:
                 mgr = owner._resilience
@@ -244,29 +249,26 @@ class EncryptedComm:
             rec.emit("aead", "auth_fail", self.rank, bytes=plain_len)
             rec.rank_counters(self.rank).auth_failures += 1
 
-    def _replay_check(self, source: int, wire) -> None:
-        """Sliding-window anti-replay check for a point-to-point message.
+    def _replay_screen(self, source: int, nonce: bytes) -> int | None:
+        """Sliding-window anti-replay check, run before any decrypt work.
 
         Reads the sequence counter out of the (counter-strategy) nonce
-        and runs it through the per-source :class:`ReplayGuard`.  A
-        rejected message surfaces as :class:`ReplayError` from ``wait``
-        and as a ``replay_drop`` trace event.  No-op unless
-        ``config.replay_window > 0``.
+        and screens it against the per-source :class:`ReplayGuard`.  A
+        rejected message surfaces as :class:`ReplayError` and as a
+        ``replay_drop`` trace event.  Returns the counter, which the
+        caller hands to :meth:`_replay_commit` once the frame's tag has
+        verified; None (nothing to commit) unless
+        ``config.replay_window > 0``, or when the frame is too short to
+        carry a nonce (decryption then fails authentication).
         """
-        nonce = wire.prefix if isinstance(wire, OpaquePayload) else bytes(wire[:NONCE_SIZE])
-        self._replay_check_nonce(source, nonce)
-
-    def _replay_check_nonce(self, source: int, nonce: bytes) -> None:
-        """Replay check on an already-extracted nonce (the chunked
-        cryptmpi frames carry theirs past an 8-byte header)."""
-        if self.config.replay_window <= 0:
-            return
+        if self.config.replay_window <= 0 or len(nonce) < NONCE_SIZE:
+            return None
         counter = counter_of_nonce(nonce[:NONCE_SIZE])
         guard = self._replay_guards.get(source)
         if guard is None:
             guard = self._replay_guards[source] = ReplayGuard(self.config.replay_window)
         try:
-            guard.check(counter)
+            guard.screen(counter)
         except ReplayError:
             self.replay_drops += 1
             rec = self.ctx.recorder
@@ -275,6 +277,11 @@ class EncryptedComm:
                          counter=counter)
                 rec.rank_counters(self.rank).replay_drops += 1
             raise
+        return counter
+
+    def _replay_commit(self, source: int, counter: int) -> None:
+        """Accept a screened counter whose frame authenticated."""
+        self._replay_guards[source].commit(counter)
 
     def _make_reseal(self, plaintext: bytes, aad: bytes):
         """Closure the reliability layer calls to re-frame a message.

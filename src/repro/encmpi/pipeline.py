@@ -429,7 +429,7 @@ class ChunkPipeline:
                 )
             nonce = wire.prefix[HEADER_SIZE:] if isinstance(wire, OpaquePayload) \
                 else bytes(wire[HEADER_SIZE:HEADER_SIZE + 12])
-            enc._replay_check_nonce(src, nonce)
+            counter = enc._replay_screen(src, nonce)
             if isinstance(wire, OpaquePayload):
                 plain = wire.base
             elif self.plan.bytework == "real":
@@ -443,6 +443,8 @@ class ChunkPipeline:
         except AuthenticationError:
             enc._record_auth_fail(plain_len)
             raise
+        if counter is not None:
+            enc._replay_commit(src, counter)
         enc.bytes_decrypted += plain_len
         rec = enc.ctx.recorder
         if rec is not None:

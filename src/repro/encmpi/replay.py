@@ -10,7 +10,8 @@ the paper's prototypes.
 (TLS/DTLS, IPsec): the sender uses strictly increasing counter nonces
 per (sender, receiver) channel, and the receiver tracks the highest
 counter seen plus a sliding acceptance window for reordered messages.
-A duplicate or too-old counter raises :class:`ReplayError`.
+A duplicate or too-old counter raises :class:`ReplayError`; a counter
+joins the window only after its frame authenticates.
 """
 
 from __future__ import annotations
@@ -33,21 +34,20 @@ class ReplayGuard:
         self._highest = -1
         self._seen_mask = 0  # bit i => (highest - i) accepted
 
-    def check(self, counter: int) -> None:
-        """Accept *counter* or raise :class:`ReplayError`.
+    def screen(self, counter: int) -> None:
+        """Raise :class:`ReplayError` unless *counter* is acceptable.
 
         Counters may arrive out of order within ``window`` of the
         highest accepted counter; anything older, or any duplicate, is
-        rejected.
+        rejected.  Nothing is recorded: a receiver screens a frame
+        before decrypting it and passes the counter to :meth:`commit`
+        only once the frame's tag has verified (RFC 4303 §3.4.3), so a
+        forged or corrupted frame can neither burn a counter nor move
+        the window.
         """
         if counter < 0:
             raise ReplayError(f"negative sequence counter {counter}")
         if counter > self._highest:
-            shift = counter - self._highest
-            self._seen_mask = ((self._seen_mask << shift) | 1) & (
-                (1 << self.window) - 1
-            )
-            self._highest = counter
             return
         offset = self._highest - counter
         if offset >= self.window:
@@ -55,10 +55,24 @@ class ReplayGuard:
                 f"counter {counter} older than the window "
                 f"(highest={self._highest}, window={self.window})"
             )
-        bit = 1 << offset
-        if self._seen_mask & bit:
+        if self._seen_mask & (1 << offset):
             raise ReplayError(f"replayed counter {counter}")
-        self._seen_mask |= bit
+
+    def commit(self, counter: int) -> None:
+        """Record a screened *counter* as accepted."""
+        if counter > self._highest:
+            shift = counter - self._highest
+            self._seen_mask = 1 if shift >= self.window else (
+                ((self._seen_mask << shift) | 1) & ((1 << self.window) - 1)
+            )
+            self._highest = counter
+        else:
+            self._seen_mask |= 1 << (self._highest - counter)
+
+    def check(self, counter: int) -> None:
+        """Screen *counter* and, if acceptable, record it at once."""
+        self.screen(counter)
+        self.commit(counter)
 
     @property
     def highest(self) -> int:

@@ -2,15 +2,15 @@
 
 The simulator is deterministic, so the *virtual* results never move —
 what can regress is the wall-clock cost of producing them.  This module
-times the hot paths the reproduction leans on (pure-Python AES-GCM,
-the event engine, process handoff, the simulated transport, and one
+times the hot paths the reproduction leans on (pure-Python AES-GCM and
+ChaCha20-Poly1305, the event engine, process handoff, the simulated transport, and one
 end-to-end experiment) and writes the numbers to ``BENCH_core.json``
 so a checked-in baseline travels with the code.
 
 Two modes:
 
 - ``full`` — the committed baseline: paper-scale payloads and event
-  counts (64 KiB GCM, 200k events, the slow fig6 experiment);
+  counts (64 KiB AEAD messages, 200k events, the slow fig6 experiment);
 - ``smoke`` — seconds-not-minutes variant for ``make bench`` and CI;
   never meant to overwrite the committed baseline.
 
@@ -53,38 +53,46 @@ def _timed(fn: Callable[[], Any]) -> float:
 # crypto hot path
 
 
-def _gcm_sizes(mode: str) -> tuple[int, int]:
-    """(payload bytes, repetitions) for the GCM benches."""
-    return (65536, 3) if mode == "full" else (4096, 2)
-
-
-@_bench("gcm_seal", "pure-Python AES-GCM seal (T-tables + GHASH tables)")
-def _bench_gcm_seal(mode: str) -> dict:
+def _aead_bench(backend: str, op: str, mode: str) -> dict:
+    """Time one pure-Python seal or open: 64 KiB full, 4 KiB smoke."""
     from repro.crypto.aead import get_aead
 
-    size, reps = _gcm_sizes(mode)
-    # Fixed key and single-use nonce: this times one seal, it never
+    size, reps = (65536, 3) if mode == "full" else (4096, 2)
+    # Fixed key and single-use nonce: this times one message, it never
     # encrypts a second message under the pair.
-    aead = get_aead(bytes(range(32)), "pure")  # lint-ok: CRY003
+    aead = get_aead(bytes(range(32)), backend)  # lint-ok: CRY003
     payload = bytes((7 * i + 13) & 0xFF for i in range(size))
     nonce = bytes(12)  # lint-ok: CRY001
-    aead.seal(nonce, payload)  # warm the per-key table caches
-    seconds = min(_timed(lambda: aead.seal(nonce, payload)) for _ in range(reps))
+    framed = aead.seal(nonce, payload)  # also warms the per-key tables
+    if op == "seal":
+        seconds = min(_timed(lambda: aead.seal(nonce, payload)) for _ in range(reps))
+    else:
+        seconds = min(_timed(lambda: aead.open(nonce, framed)) for _ in range(reps))
     return {"seconds": seconds, "bytes": size, "reps": reps}
 
 
-@_bench("gcm_open", "pure-Python AES-GCM open (decrypt + tag verify)")
+@_bench("gcm_seal",
+        "pure-Python AES-GCM seal (byte-sliced AES-CTR batch + GHASH tables)")
+def _bench_gcm_seal(mode: str) -> dict:
+    return _aead_bench("pure", "seal", mode)
+
+
+@_bench("gcm_open",
+        "pure-Python AES-GCM open (tag verify + byte-sliced AES-CTR batch)")
 def _bench_gcm_open(mode: str) -> dict:
-    from repro.crypto.aead import get_aead
+    return _aead_bench("pure", "open", mode)
 
-    size, reps = _gcm_sizes(mode)
-    # Fixed key/nonce as in the seal bench: one message per pair.
-    aead = get_aead(bytes(range(32)), "pure")  # lint-ok: CRY003
-    payload = bytes((7 * i + 13) & 0xFF for i in range(size))
-    nonce = bytes(12)  # lint-ok: CRY001
-    framed = aead.seal(nonce, payload)
-    seconds = min(_timed(lambda: aead.open(nonce, framed)) for _ in range(reps))
-    return {"seconds": seconds, "bytes": size, "reps": reps}
+
+@_bench("chacha_seal",
+        "pure-Python ChaCha20-Poly1305 seal (lane-parallel ChaCha20 + Poly1305)")
+def _bench_chacha_seal(mode: str) -> dict:
+    return _aead_bench("chacha", "seal", mode)
+
+
+@_bench("chacha_open",
+        "pure-Python ChaCha20-Poly1305 open (Poly1305 verify + lane-parallel ChaCha20)")
+def _bench_chacha_open(mode: str) -> dict:
+    return _aead_bench("chacha", "open", mode)
 
 
 # --------------------------------------------------------------------------

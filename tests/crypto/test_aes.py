@@ -1,5 +1,7 @@
 """AES block cipher tests: FIPS-197 vectors, structure, and properties."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,3 +123,21 @@ def test_cross_check_against_openssl_ecb_single_block():
         enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
         theirs = enc.update(block) + enc.finalize()
         assert ours == theirs
+
+
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+@pytest.mark.parametrize("blocks", [*range(1, 10), 63, 64, 65, 1025])
+def test_encrypt_blocks_equals_the_encrypt_block_loop(key_len, blocks):
+    """The byte-sliced batch kernel is the single-block primitive applied
+    to every block, at block counts around each slicing boundary."""
+    aes = AES(bytes(range(key_len)))
+    data = random.Random(blocks).randbytes(16 * blocks)
+    expected = b"".join(
+        aes.encrypt_block(data[i : i + 16]) for i in range(0, len(data), 16)
+    )
+    assert aes.encrypt_blocks(data) == expected
+
+
+def test_encrypt_blocks_rejects_a_partial_block():
+    with pytest.raises(ValueError):
+        AES(bytes(16)).encrypt_blocks(bytes(17))

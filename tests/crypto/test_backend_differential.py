@@ -10,6 +10,8 @@ inputs — a backend that silently accepted a forged message would turn a
 host-configuration difference into a security hole.
 """
 
+import random
+
 import pytest
 
 from repro.crypto.aead import NONCE_SIZE, TAG_SIZE, available_backends, get_aead
@@ -17,6 +19,12 @@ from repro.crypto.errors import AuthenticationError
 
 KEY = bytes(range(32))
 NONCE = bytes(range(NONCE_SIZE))
+
+#: payload sizes around every block and lane boundary a whole-message
+#: kernel slices at (16-byte AES blocks, 64-byte ChaCha20 blocks), up
+#: to 64 KiB
+SIZES = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025,
+         16383, 16384, 16385, 64 * 1024)
 
 #: (label, plaintext, aad) vectors spanning the interesting shapes
 VECTORS = [
@@ -27,6 +35,11 @@ VECTORS = [
     ("odd-length", bytes(range(256)) * 3 + b"xyz", b""),
     ("with-aad", b"payload", b"header-aad"),
     ("aad-only", b"", b"just-aad"),
+] + [
+    pytest.param(f"{n}B", random.Random(n).randbytes(n), aad,
+                 id=f"{n}B{'-aad' if aad else ''}")
+    for n in SIZES
+    for aad in (b"", b"src=0,tag=7")
 ]
 
 BACKENDS = available_backends()
@@ -60,6 +73,16 @@ def test_aes_backends_interoperate(sealer, opener):
     assert get_aead(KEY, opener).open(NONCE, ct, b"aad") == b"cross-impl"
 
 
+@pytest.mark.parametrize("label,plaintext,aad", VECTORS)
+def test_chacha_matches_cryptography(label, plaintext, aad):
+    """The from-scratch ChaCha20-Poly1305 equals OpenSSL's byte for byte."""
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
+    expected = ChaCha20Poly1305(KEY).encrypt(NONCE, plaintext, aad or None)
+    assert get_aead(KEY, "chacha").seal(NONCE, plaintext, aad) == expected
+
+
 def test_chacha_output_differs_from_aes():
     """chacha is a different cipher — same frame shape, different bytes;
     an AES backend must reject its ciphertext outright."""
@@ -76,6 +99,16 @@ def test_all_backends_reject_tampered_ciphertext(backend):
     aead = get_aead(KEY, backend)
     ct = bytearray(aead.seal(NONCE, b"integrity matters", b""))
     ct[3] ^= 0x40
+    with pytest.raises(AuthenticationError):
+        aead.open(NONCE, bytes(ct))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("index", [0, 16 * 1024 - 1])
+def test_all_backends_reject_a_flip_at_either_end_of_16kib(backend, index):
+    aead = get_aead(KEY, backend)
+    ct = bytearray(aead.seal(NONCE, random.Random(7).randbytes(16 * 1024)))
+    ct[index] ^= 0x80
     with pytest.raises(AuthenticationError):
         aead.open(NONCE, bytes(ct))
 

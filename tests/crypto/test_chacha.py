@@ -99,6 +99,17 @@ def test_validation():
         poly1305_mac(bytes(16), b"msg")
 
 
+def test_xor_rejects_a_block_counter_past_2_32():
+    """The 32-bit block counter never wraps: 64 bytes from counter
+    2**32 - 1 use its last value, one byte more needs 2**32."""
+    key, nonce = bytes(32), bytes(12)
+    assert len(chacha20_xor(key, 2**32 - 1, nonce, bytes(64))) == 64
+    with pytest.raises(CryptoError):
+        chacha20_xor(key, 2**32 - 1, nonce, bytes(65))
+    with pytest.raises(CryptoError):
+        chacha20_xor(key, 2**32 - 4, nonce, bytes(5 * 64))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     key=st.binary(min_size=32, max_size=32),

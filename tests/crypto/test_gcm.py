@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.errors import AuthenticationError
-from repro.crypto.gcm import AESGCM, _gf128_mul, _inc32
+from repro.crypto.aes import AES
+from repro.crypto.gcm import AESGCM, _GHash, _gf128_mul, _inc32
 
 # NIST SP 800-38D AES-256 test vectors (cases 13, 14, 16 of the GCM spec
 # appendix as commonly numbered).
@@ -97,6 +98,45 @@ def test_non_96_bit_nonce_supported():
     nonce = bytes(range(8))
     out = gcm.encrypt(nonce, b"hello")
     assert gcm.decrypt(nonce, out) == b"hello"
+
+
+@pytest.mark.parametrize("nonce_len", [8, 13, 16, 31, 64, 128])
+def test_non_96_bit_nonces_match_openssl(nonce_len):
+    """Nonces other than 96 bits derive J0 through GHASH (SP 800-38D
+    §7.1); ``cryptography`` accepts 8 to 128 bytes."""
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM as Ossl
+
+    nonce = bytes(range(nonce_len))
+    for n in (0, 1, 17, 1025):
+        pt = bytes(range(256)) * (n // 256) + bytes(n % 256)
+        out = AESGCM(NIST_KEY).encrypt(nonce, pt, NIST_AAD)
+        assert out == Ossl(NIST_KEY).encrypt(nonce, pt, NIST_AAD)
+        assert AESGCM(NIST_KEY).decrypt(nonce, out, NIST_AAD) == pt
+
+
+def test_counter_blocks_wrap_the_low_word_like_inc32(monkeypatch):
+    """A J0 whose low word is 0xFFFFFFFE: the CTR blocks after it wrap
+    to 0 in the low 32 bits only, exactly as repeated inc_32 does, and
+    the tag is masked with E_K(J0) itself."""
+    j0 = bytes(range(12)) + b"\xff\xff\xff\xfe"
+    monkeypatch.setattr(AESGCM, "_j0", lambda self, nonce: j0)
+    gcm = AESGCM(NIST_KEY)
+    pt = bytes(range(5 * 16 + 3))
+    out = gcm.encrypt(NIST_IV, pt)
+    ct, tag = out[:-16], out[-16:]
+    aes = AES(NIST_KEY)
+    block, keystream = j0, b""
+    for _ in range(6):
+        block = _inc32(block)
+        keystream += aes.encrypt_block(block)
+    assert block == bytes(range(12)) + b"\x00\x00\x00\x04"  # wrapped
+    assert ct == bytes(a ^ b for a, b in zip(pt, keystream))
+    gh = _GHash(gcm._tables)
+    gh.update(ct)
+    s = gh.digest_with_lengths(0, len(ct) * 8)
+    assert tag == bytes(a ^ b for a, b in zip(s, aes.encrypt_block(j0)))
+    assert gcm.decrypt(NIST_IV, out) == pt
 
 
 def test_gf128_identity_and_absorbing():

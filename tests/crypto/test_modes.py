@@ -61,6 +61,16 @@ def test_ecb_leaks_equal_blocks():
     assert ct[0:16] != ct[16:32]
 
 
+def test_ecb_matches_openssl():
+    """A round-trip cannot catch a wrong block order or key schedule."""
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    pt = bytes(range(256)) * 4 + b"tail"
+    enc = Cipher(algorithms.AES(KEY), modes.ECB()).encryptor()
+    assert ECB(KEY).encrypt(pt) == enc.update(pkcs7_pad(pt)) + enc.finalize()
+
+
 def test_ecb_rejects_partial_block():
     with pytest.raises(CryptoError):
         ECB(KEY).decrypt(b"x" * 17)
@@ -116,6 +126,18 @@ def test_cbc_has_no_integrity():
 def test_ctr_roundtrip(data):
     ctr = CTR(KEY)
     assert ctr.decrypt(ctr.encrypt(data)) == data
+
+
+def test_ctr_matches_openssl():
+    """A wrong keystream would still round-trip; OpenSSL's CTR over the
+    16-byte block ``nonce || 0^64`` pins the bytes themselves."""
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    nonce = bytes(range(8))
+    pt = bytes(range(256)) * 4 + b"tail"
+    enc = Cipher(algorithms.AES(KEY), modes.CTR(nonce + bytes(8))).encryptor()
+    assert CTR(KEY).encrypt(pt, nonce) == nonce + enc.update(pt) + enc.finalize()
 
 
 def test_ctr_no_padding_overhead():

@@ -7,8 +7,10 @@ must surface as an ``auth_fail`` event and a duplicated one as a
 
 import pytest
 
+from repro.crypto.aead import get_aead
 from repro.crypto.errors import AuthenticationError
-from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
+from repro.encmpi.pipeline import _chunk_header
 from repro.encmpi.replay import ReplayError
 from repro.models.cpu import ClusterSpec
 from repro.simmpi import run_program
@@ -114,3 +116,77 @@ def test_duplicate_clone_preserves_payload_bytes():
     original, clone = injector.apply(env)
     assert clone.payload_bytes == original.payload_bytes == 100
     assert clone.wire_bytes == 100
+
+
+def _sealed_frame(config, counter: int, payload: bytes,
+                  header: bytes = b"") -> bytes:
+    """A frame as rank 0 would seal it: header || counter nonce || ct."""
+    nonce = (0).to_bytes(4, "big") + counter.to_bytes(8, "big")
+    aead = get_aead(config.key, config.backend)
+    return header + nonce + aead.seal(nonce, payload, header)
+
+
+@pytest.mark.parametrize("mode", ["serial", "cryptmpi"])
+def test_failed_authentication_never_moves_the_replay_window(mode):
+    """A counter joins the replay window only once its frame's tag
+    verifies (RFC 4303 §3.4.3).  A corrupted copy must not burn the
+    counter of the intact resend that follows it, and a forged frame
+    with a far-future counter must not push legitimate traffic out of
+    the window; a true duplicate is still dropped before the AEAD."""
+    config = SecurityConfig(nonce_strategy="counter", replay_window=64,
+                            crypto=CryptoPlan(mode=mode, bytework="real"))
+
+    def header(seq: int) -> bytes:
+        return _chunk_header(seq, 1, 0) if mode == "cryptmpi" else b""
+
+    intact = _sealed_frame(config, 0, b"message zero", header(0))
+    corrupted = bytearray(intact)
+    corrupted[-1] ^= 0x01
+    # a cleartext nonce with counter 10**6, then 28 bytes of garbage
+    forged = header(1) + (0).to_bytes(4, "big") + (10**6).to_bytes(8, "big") \
+        + bytes(28)
+    frames = [bytes(corrupted), intact, intact, forged,
+              _sealed_frame(config, 1, b"message one", header(2))]
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            for frame in frames:  # raw frames on the plain communicator
+                ctx.comm.send(frame, 1, tag=0)
+            return None
+        enc = EncryptedComm(ctx, config)
+        outcomes = []
+        for _ in frames:
+            try:
+                outcomes.append(enc.recv(0, 0)[0])
+            except ReplayError:
+                outcomes.append("replay")
+            except AuthenticationError:
+                outcomes.append("auth_fail")
+        return outcomes, enc.auth_failures, enc.replay_drops
+
+    res = run_program(2, prog, cluster=CLUSTER)
+    outcomes, auth_failures, replay_drops = res.results[1]
+    assert outcomes == ["auth_fail", b"message zero", "replay", "auth_fail",
+                        b"message one"]
+    assert (auth_failures, replay_drops) == (2, 1)
+
+
+def test_frame_too_short_for_a_nonce_fails_authentication():
+    """With a replay window armed, a frame too short to carry a nonce is
+    an authentication failure, not a nonce-parsing error."""
+    config = SecurityConfig(nonce_strategy="counter", replay_window=64,
+                            crypto=CryptoPlan(bytework="real"))
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.comm.send(b"short", 1, tag=0)
+            return None
+        enc = EncryptedComm(ctx, config)
+        try:
+            enc.recv(0, 0)
+        except AuthenticationError:
+            return "auth_fail"
+        return "accepted"
+
+    res = run_program(2, prog, cluster=CLUSTER)
+    assert res.results[1] == "auth_fail"
