@@ -120,27 +120,13 @@ def _checked_settings(
             f"faults must be a FaultPlan or None, got {faults!r} (custom "
             "injector policies: repro.simmpi.run_program(fault_injector=...))"
         )
-    if resilience is not None and not isinstance(resilience, ResiliencePolicy):
-        raise TypeError(
-            f"resilience must be a ResiliencePolicy or None, got {resilience!r}"
-        )
-    if cluster is not None and not isinstance(cluster, ClusterSpec):
-        raise TypeError(
-            f"cluster must be a ClusterSpec or None, got {cluster!r}"
-        )
-    if isinstance(engine, str):
-        engine = parse_engine_options(engine)
-    if engine is not None and not isinstance(engine, EngineOptions):
-        raise TypeError(
-            f"engine must be an EngineOptions, a spec string, or None, "
-            f"got {engine!r}"
-        )
-    if isinstance(stats, str):
-        stats = parse_stats_spec(stats)
-    if stats is not None and not isinstance(stats, StatsSpec):
-        raise TypeError(
-            f"stats must be a StatsSpec, a spec string, or None, got {stats!r}"
-        )
+    for name, value, cls in (("resilience", resilience, ResiliencePolicy),
+                             ("cluster", cluster, ClusterSpec)):
+        if value is not None and not isinstance(value, cls):
+            raise TypeError(
+                f"{name} must be a {cls.__name__} or None, got {value!r}")
+    engine = None if engine is None else EngineOptions.coerce(engine)
+    stats = None if stats is None else StatsSpec.coerce(stats)
     return trace, engine, stats
 
 

@@ -186,59 +186,81 @@ class EncryptedComm:
     # framing
     # ------------------------------------------------------------------
 
-    def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
-        """Charge virtual encryption time and frame the message."""
-        dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
-        yield from self.ctx.co_compute(dur)
-        self.bytes_encrypted += len(plaintext)
+    def _seal(self, plaintext: bytes, prefix: bytes, aad: bytes, dur: float,
+              chunk: int | None = None):
+        """Frame one message as ``prefix || nonce || ct`` under a fresh
+        nonce, the clear *prefix* (a chunk header, or empty) authenticated
+        ahead of *aad*; the caller charges the seal time *dur*.  Every
+        seal — serial, chunk, or reliability-layer reseal — comes here."""
         nonce = self._nonces.next()
         if self._san is not None:
             self._san.check_nonce(self._aead.key, nonce, self.rank)
+        self.bytes_encrypted += len(plaintext)
         rec = self.ctx.recorder
         if rec is not None:
+            where = {} if chunk is None else {"chunk": chunk}
             rec.emit("aead", "seal", self.rank, backend=self._aead.name,
-                     bytes=len(plaintext), dur=dur)
+                     bytes=len(plaintext), dur=dur, **where)
             c = rec.rank_counters(self.rank)
             c.aead_seals += 1
             c.bytes_sealed += len(plaintext)
             c.nonces_consumed += 1
+            if chunk is not None:
+                c.chunk_seals += 1
         if self.config.crypto_mode == "real":
-            return nonce + self._aead.seal(nonce, plaintext, aad)
+            return prefix + nonce + self._aead.seal(nonce, plaintext,
+                                                    prefix + aad)
         # Modeled: time already charged; ship the plaintext inside a
         # zero-copy frame whose length accounting is the real ℓ+28 (see
         # OpaquePayload — this keeps p² fan-outs from materializing p²
         # ciphertext buffers in the single simulator process).
-        return OpaquePayload(nonce, plaintext, bytes(16))
+        return OpaquePayload(prefix + nonce, plaintext, bytes(16))
+
+    def _open(self, wire, prefix: bytes, aad: bytes, dur: float,
+              chunk: int | None = None) -> bytes:
+        """Open a ``prefix || nonce || ct`` frame sealed by :meth:`_seal`;
+        the caller has checked the prefix and charged the open time."""
+        start = len(prefix) + NONCE_SIZE
+        plain_len = max(0, len(wire) - len(prefix) - WIRE_OVERHEAD)
+        try:
+            if len(wire) < len(prefix) + WIRE_OVERHEAD:
+                raise AuthenticationError("message shorter than nonce + tag")
+            if isinstance(wire, OpaquePayload):
+                # Zero-copy modeled frame: the plaintext rides inside.
+                plain = wire.base
+            elif self.config.crypto_mode == "real":
+                plain = self._aead.open(wire[len(prefix):start], wire[start:],
+                                        prefix + aad)
+            else:
+                plain = wire[start:-16]
+        except AuthenticationError:
+            self._record_auth_fail(plain_len)
+            raise
+        self.bytes_decrypted += plain_len
+        rec = self.ctx.recorder
+        if rec is not None:
+            where = {} if chunk is None else {"chunk": chunk}
+            rec.emit("aead", "open", self.rank, backend=self._aead.name,
+                     bytes=plain_len, dur=dur, **where)
+            c = rec.rank_counters(self.rank)
+            c.aead_opens += 1
+            c.bytes_opened += plain_len
+            if chunk is not None:
+                c.chunk_opens += 1
+        return plain
+
+    def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
+        """Charge virtual encryption time and frame the message."""
+        dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
+        yield from self.ctx.co_compute(dur)
+        return self._seal(plaintext, b"", aad, dur)
 
     def _co_decrypt_charged(self, wire, aad: bytes = b""):
         """Charge virtual decryption time and open the frame."""
         plain_len = self._plaintext_len(wire)
         dur = self.profile.decrypt_time(plain_len, self.crypto_slowdown)
         yield from self.ctx.co_compute(dur)
-        self.bytes_decrypted += plain_len
-        try:
-            if len(wire) < WIRE_OVERHEAD:
-                raise AuthenticationError("message shorter than nonce + tag")
-            if isinstance(wire, OpaquePayload):
-                # Zero-copy modeled frame: the plaintext rides inside.
-                plain = wire.base
-            else:
-                nonce, body = wire[:NONCE_SIZE], wire[NONCE_SIZE:]
-                if self.config.crypto_mode == "real":
-                    plain = self._aead.open(nonce, body, aad)
-                else:
-                    plain = body[:-16]
-        except AuthenticationError:
-            self._record_auth_fail(plain_len)
-            raise
-        rec = self.ctx.recorder
-        if rec is not None:
-            rec.emit("aead", "open", self.rank, backend=self._aead.name,
-                     bytes=plain_len, dur=dur)
-            c = rec.rank_counters(self.rank)
-            c.aead_opens += 1
-            c.bytes_opened += plain_len
-        return plain
+        return self._open(wire, b"", aad, dur)
 
     _decrypt_charged = blocking(_co_decrypt_charged)
 
@@ -297,21 +319,7 @@ class EncryptedComm:
 
         def reseal():
             dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
-            self.bytes_encrypted += len(plaintext)
-            nonce = self._nonces.next()
-            if self._san is not None:
-                self._san.check_nonce(self._aead.key, nonce, self.rank)
-            rec = self.ctx.recorder
-            if rec is not None:
-                rec.emit("aead", "seal", self.rank, backend=self._aead.name,
-                         bytes=len(plaintext), dur=dur)
-                c = rec.rank_counters(self.rank)
-                c.aead_seals += 1
-                c.bytes_sealed += len(plaintext)
-                c.nonces_consumed += 1
-            if self.config.crypto_mode == "real":
-                return nonce + self._aead.seal(nonce, plaintext, aad), dur
-            return OpaquePayload(nonce, plaintext, bytes(16)), dur
+            return self._seal(plaintext, b"", aad, dur), dur
 
         return reseal
 

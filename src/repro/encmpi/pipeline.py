@@ -286,25 +286,8 @@ class ChunkPipeline:
     def _seal_chunk(self, seq: int, index: int, total: int, chunk: bytes,
                     aad_tail: bytes, dur: float):
         """Frame one chunk (byte work only — time already charged)."""
-        enc = self.enc
-        header = _chunk_header(seq, total, index)
-        nonce = enc._nonces.next()
-        if enc._san is not None:
-            enc._san.check_nonce(enc._aead.key, nonce, enc.rank)
-        enc.bytes_encrypted += len(chunk)
-        rec = enc.ctx.recorder
-        if rec is not None:
-            rec.emit("aead", "seal", enc.rank, backend=enc._aead.name,
-                     bytes=len(chunk), dur=dur, chunk=index)
-            c = rec.rank_counters(enc.rank)
-            c.aead_seals += 1
-            c.bytes_sealed += len(chunk)
-            c.nonces_consumed += 1
-            c.chunk_seals += 1
-        if self.plan.bytework == "real":
-            return header + nonce + enc._aead.seal(nonce, chunk,
-                                                   header + aad_tail)
-        return OpaquePayload(header + nonce, chunk, bytes(16))
+        return self.enc._seal(chunk, _chunk_header(seq, total, index),
+                              aad_tail, dur, index)
 
     def _make_chunk_reseal(self, seq: int, index: int, total: int,
                            chunk: bytes, aad_tail: bytes):
@@ -418,40 +401,20 @@ class ChunkPipeline:
         """Byte-open one chunk frame (time must already be charged)."""
         enc = self.enc
         got_seq, got_total, got_index = _parse_chunk_header(wire)
-        plain_len = max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD)
-        try:
-            if (got_total != total or got_index != index
-                    or got_seq != seq & 0xFFFFFFFF):
-                raise AuthenticationError(
-                    f"chunk framing mismatch: expected {index}/{total} of "
-                    f"message {seq}, got {got_index}/{got_total} of "
-                    f"message {got_seq}"
-                )
-            nonce = wire.prefix[HEADER_SIZE:] if isinstance(wire, OpaquePayload) \
-                else bytes(wire[HEADER_SIZE:HEADER_SIZE + 12])
-            counter = enc._replay_screen(src, nonce)
-            if isinstance(wire, OpaquePayload):
-                plain = wire.base
-            elif self.plan.bytework == "real":
-                header = _chunk_header(got_seq, got_total, got_index)
-                plain = enc._aead.open(
-                    nonce, wire[HEADER_SIZE + 12:],
-                    header + enc._aad_for_peer(src, tag),
-                )
-            else:
-                plain = wire[HEADER_SIZE + 12:-16]
-        except AuthenticationError:
-            enc._record_auth_fail(plain_len)
-            raise
+        if (got_total != total or got_index != index
+                or got_seq != seq & 0xFFFFFFFF):
+            enc._record_auth_fail(
+                max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD))
+            raise AuthenticationError(
+                f"chunk framing mismatch: expected {index}/{total} of "
+                f"message {seq}, got {got_index}/{got_total} of "
+                f"message {got_seq}"
+            )
+        nonce = wire.prefix[HEADER_SIZE:] if isinstance(wire, OpaquePayload) \
+            else bytes(wire[HEADER_SIZE:HEADER_SIZE + 12])
+        counter = enc._replay_screen(src, nonce)
+        plain = enc._open(wire, _chunk_header(seq, total, index),
+                          enc._aad_for_peer(src, tag), dur, index)
         if counter is not None:
             enc._replay_commit(src, counter)
-        enc.bytes_decrypted += plain_len
-        rec = enc.ctx.recorder
-        if rec is not None:
-            rec.emit("aead", "open", enc.rank, backend=enc._aead.name,
-                     bytes=plain_len, dur=dur, chunk=index)
-            c = rec.rank_counters(enc.rank)
-            c.aead_opens += 1
-            c.bytes_opened += plain_len
-            c.chunk_opens += 1
         return plain

@@ -18,9 +18,8 @@ over :class:`~repro.encmpi.config.SecurityConfig`:
 - ``bytework`` — ``"real"`` performs the AEAD byte work, ``"modeled"``
   charges only virtual time (``SecurityConfig.crypto_mode`` reads it).
 
-``parse_crypto_plan("cryptmpi:chunk=256k,cores=3")`` is the CLI string
-form, mirroring :func:`repro.simmpi.faults.parse_fault_plan` and
-:func:`repro.simmpi.resilience.parse_resilience_policy`.
+``parse_crypto_plan("cryptmpi:chunk=256k,cores=3")`` is the string
+form, in the shared spec grammar of :mod:`repro.util.specs`.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from dataclasses import dataclass, replace
 
 from repro.defaults import current_defaults
 from repro.models.cryptolib import PROFILED_LIBRARIES
+from repro.util.specs import INT_OR_AUTO, SIZE, Grammar, Spec, choice
 
 #: CryptMPI's default pipeline unit (64 KiB in the paper's code for
 #: point-to-point; 256 KiB amortizes the per-chunk +28 B and per-call
@@ -50,8 +50,19 @@ BYTEWORK_MODES = ("real", "modeled")
 
 
 @dataclass(frozen=True)
-class CryptoPlan:
+class CryptoPlan(Spec):
     """Frozen description of how an encrypted job seals its traffic."""
+
+    grammar = Grammar(
+        "crypto",
+        head=("crypto plan mode", "mode", choice(CRYPTO_PLAN_MODES)),
+        keys={
+            "chunk": ("chunk_bytes", SIZE),
+            "cores": ("helper_cores", INT_OR_AUTO),
+            "library": ("library", choice(PROFILED_LIBRARIES)),
+            "bytework": ("bytework", choice(BYTEWORK_MODES)),
+        },
+    )
 
     library: str = "boringssl"
     mode: str = "serial"
@@ -86,68 +97,17 @@ class CryptoPlan:
     def pipelined(self) -> bool:
         return self.mode == "cryptmpi"
 
-    def token(self) -> str:
-        """Canonical string form (stable: used in cache keys)."""
-        cores = "auto" if self.helper_cores is None else str(self.helper_cores)
-        return (
-            f"{self.mode}:chunk={self.chunk_bytes},cores={cores},"
-            f"library={self.library},bytework={self.bytework}"
-        )
-
 
 def parse_crypto_plan(spec: str) -> CryptoPlan:
     """Parse ``"MODE[:key=value,...]"`` into a :class:`CryptoPlan`.
 
     ``MODE`` is ``serial`` or ``cryptmpi``; keys are ``chunk`` (a size,
-    e.g. ``256k``), ``cores`` (an int or ``auto``), ``library``, and
-    ``bytework`` (``real``/``modeled``).  Examples::
+    e.g. ``256k``), ``cores`` (an int or ``auto``), ``library`` and
+    ``bytework`` (``real``/``modeled``)::
 
-        parse_crypto_plan("serial")
         parse_crypto_plan("cryptmpi:chunk=256k,cores=3")
-        parse_crypto_plan("cryptmpi:library=openssl,bytework=modeled")
-
-    Unknown modes or keys raise :class:`ValueError` naming the valid
-    ones, like :func:`~repro.simmpi.faults.parse_fault_plan`; a key
-    given twice raises instead of silently keeping the last value.
     """
-    from repro.util.units import parse_size
-
-    mode, _sep, rest = spec.strip().partition(":")
-    mode = mode.strip().lower()
-    if mode not in CRYPTO_PLAN_MODES:
-        raise ValueError(
-            f"unknown crypto plan mode {mode!r}; valid: "
-            + ", ".join(CRYPTO_PLAN_MODES)
-        )
-    kwargs: dict = {"mode": mode}
-    seen: set[str] = set()
-    for part in filter(None, (p.strip() for p in rest.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(
-                f"malformed crypto option {part!r} (need key=value)"
-            )
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ValueError(
-                f"duplicate crypto option {key!r}; each key may appear "
-                "at most once"
-            )
-        seen.add(key)
-        if key == "chunk":
-            kwargs["chunk_bytes"] = parse_size(value)
-        elif key == "cores":
-            kwargs["helper_cores"] = None if value == "auto" else int(value)
-        elif key == "library":
-            kwargs["library"] = value
-        elif key == "bytework":
-            kwargs["bytework"] = value
-        else:
-            raise ValueError(
-                f"unknown crypto option {key!r}; valid: chunk, cores, "
-                "library, bytework"
-            )
-    return CryptoPlan(**kwargs)
+    return CryptoPlan.parse(spec)
 
 
 def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:

@@ -411,10 +411,10 @@ def run_campaign(
     runtimes occupying distinct cache entries).
     """
     t0 = time.perf_counter()
-    if isinstance(engine, str):
-        from repro.des.options import parse_engine_options
+    if engine is not None:
+        from repro.des.options import EngineOptions
 
-        engine = parse_engine_options(engine)
+        engine = EngineOptions.coerce(engine)
     # type-checks the three before their tokens salt the cache keys
     JobDefaults(sanitize=sanitize, crypto=crypto, engine=engine)
     if jobs < 1:

@@ -28,54 +28,32 @@ import sys
 from repro.experiments.registry import get_experiment, list_experiments, select
 
 
-#: sentinel distinguishing "no --crypto flag" from "flag failed to parse"
-_BAD_SPEC = object()
-
-
-def _parse_crypto_arg(args):
-    """Parse ``--crypto PLAN`` into a CryptoPlan (None when absent)."""
-    spec = getattr(args, "crypto", None)
-    if not spec:
-        return None
-    from repro.encmpi.plan import parse_crypto_plan
-
-    try:
-        return parse_crypto_plan(spec)
-    except ValueError as exc:
-        print(f"bad --crypto spec: {exc}", file=sys.stderr)
-        return _BAD_SPEC
-
-
-def _parse_network_arg(args):
-    """Parse ``--network NAME-or-SPEC`` into a FabricSpec.
-
-    Accepts anything :func:`repro.models.network.parse_network_spec`
-    does — bare presets and noisy specs like ``wan:jitter=10%,loss=2%``
-    alike (KeyError/ValueError both name the valid fabrics/keys).
+def _spec_flags(args, *flags: str):
+    """Parse the spec-valued *flags* of *args*, in order (an absent flag
+    gives None).  Returns the values, or None after printing ``bad
+    --FLAG spec: ...`` for the first malformed one (the command exits 2).
     """
-    from repro.models.network import parse_network_spec
+    from repro import api
 
-    try:
-        return parse_network_spec(args.network)
-    except (KeyError, ValueError) as exc:
-        # KeyError reprs its message; unwrap to keep it readable
-        msg = exc.args[0] if exc.args else exc
-        print(f"bad --network spec: {msg}", file=sys.stderr)
-        return _BAD_SPEC
-
-
-def _parse_runtime_arg(args):
-    """Parse ``--runtime SPEC`` into EngineOptions (None when absent)."""
-    spec = getattr(args, "runtime", None)
-    if not spec:
-        return None
-    from repro.des.options import parse_engine_options
-
-    try:
-        return parse_engine_options(spec)
-    except ValueError as exc:
-        print(f"bad --runtime spec: {exc}", file=sys.stderr)
-        return _BAD_SPEC
+    parsers = {
+        "crypto": api.parse_crypto_plan,
+        "runtime": api.parse_engine_options,
+        "network": api.parse_network_spec,
+        "faults": api.parse_fault_plan,
+        "resilience": api.parse_resilience_policy,
+    }
+    values = []
+    for flag in flags:
+        text = getattr(args, flag)
+        try:
+            values.append(None if text is None else parsers[flag](text))
+        except (KeyError, ValueError) as exc:
+            label = ("faults/--resilience" if flag in ("faults", "resilience")
+                     else flag)
+            # args[0]: a KeyError's str() would quote its message
+            print(f"bad --{label} spec: {exc.args[0]}", file=sys.stderr)
+            return None
+    return values
 
 
 _RUNTIME_HELP = (
@@ -101,12 +79,10 @@ def _cmd_run(args) -> int:
     if not exps:
         print("no experiments selected", file=sys.stderr)
         return 2
-    crypto = _parse_crypto_arg(args)
-    if crypto is _BAD_SPEC:
+    specs = _spec_flags(args, "crypto", "runtime")
+    if specs is None:
         return 2
-    engine = _parse_runtime_arg(args)
-    if engine is _BAD_SPEC:
-        return 2
+    crypto, engine = specs
     out_dir = getattr(args, "output", None)
     as_json = getattr(args, "json", False)
     json_docs: list[dict] = []
@@ -159,12 +135,10 @@ def _cmd_campaign(args) -> int:
     if not exps:
         print("no experiments selected", file=sys.stderr)
         return 2
-    crypto = _parse_crypto_arg(args)
-    if crypto is _BAD_SPEC:
+    specs = _spec_flags(args, "crypto", "runtime")
+    if specs is None:
         return 2
-    engine = _parse_runtime_arg(args)
-    if engine is _BAD_SPEC:
-        return 2
+    crypto, engine = specs
     cache = not args.no_cache
     print(
         f"--- campaign: {len(exps)} cells, {args.jobs} worker(s), "
@@ -251,28 +225,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_nas(args) -> int:
     from repro.defaults import job_defaults
-    from repro.simmpi.faults import parse_fault_plan
-    from repro.simmpi.resilience import parse_resilience_policy
     from repro.util.stats import overhead_percent
     from repro.workloads.nas import NAS_BENCHMARKS, run_nas
 
-    try:
-        faults = parse_fault_plan(args.faults) if args.faults else None
-        policy = (
-            parse_resilience_policy(args.resilience) if args.resilience else None
-        )
-    except ValueError as exc:
-        print(f"bad --faults/--resilience spec: {exc}", file=sys.stderr)
+    specs = _spec_flags(args, "faults", "resilience", "crypto", "runtime",
+                        "network")
+    if specs is None:
         return 2
-    crypto = _parse_crypto_arg(args)
-    if crypto is _BAD_SPEC:
-        return 2
-    engine = _parse_runtime_arg(args)
-    if engine is _BAD_SPEC:
-        return 2
-    fabric = _parse_network_arg(args)
-    if fabric is _BAD_SPEC:
-        return 2
+    faults, policy, crypto, engine, fabric = specs
     net_label = fabric.token()
     perturbed = dict(faults=faults, resilience=policy, crypto=crypto)
     names = NAS_BENCHMARKS() if args.benchmark == "all" else [args.benchmark]
@@ -306,9 +266,10 @@ def _cmd_analyze(args) -> int:
     from repro.experiments.analysis import crossover_size, explain_pingpong
     from repro.util.units import format_bytes, parse_size
 
-    fabric = _parse_network_arg(args)
-    if fabric is _BAD_SPEC:
+    specs = _spec_flags(args, "network")
+    if specs is None:
         return 2
+    fabric = specs[0]
     # The decomposition is closed-form over the calibrated constants, so
     # only the base preset matters (noise options parse but don't bite).
     size = parse_size(args.size)
@@ -362,8 +323,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_predict(args) -> int:
     from repro.models import predict as engine
-    from repro.simmpi.faults import parse_fault_plan
-    from repro.simmpi.resilience import parse_resilience_policy
     from repro.util.units import format_rate, parse_size
 
     if args.write_golden is not None:
@@ -382,17 +341,10 @@ def _cmd_predict(args) -> int:
     except ValueError as exc:
         print(f"bad size: {exc}", file=sys.stderr)
         return 2
-    crypto = _parse_crypto_arg(args)
-    if crypto is _BAD_SPEC:
+    specs = _spec_flags(args, "crypto", "faults", "resilience")
+    if specs is None:
         return 2
-    try:
-        faults = parse_fault_plan(args.faults) if args.faults else None
-        policy = (
-            parse_resilience_policy(args.resilience) if args.resilience else None
-        )
-    except ValueError as exc:
-        print(f"bad --faults/--resilience spec: {exc}", file=sys.stderr)
-        return 2
+    crypto, faults, policy = specs
     model = engine.calibrate(cache_dir=args.cache_dir)
     try:
         pred = model.predict(

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.util.units import format_fraction, parse_fraction
+from repro.util.specs import FRACTION, INT, Grammar, Spec
 
 #: ISSUE/acceptance floor: every hostile cell reports a CI from at
 #: least this many seeded repetitions.
@@ -36,17 +36,19 @@ DEFAULT_CONFIDENCE = 0.95
 #: on 20-50 reps, small enough to stay cheap in the per-cell loop.
 BOOTSTRAP_RESAMPLES = 400
 
-_STATS_KEYS = ("reps", "confidence", "seed")
-
 
 @dataclass(frozen=True)
-class StatsSpec:
+class StatsSpec(Spec):
     """How a job's statistics are collected, in canonical form.
 
     ``reps`` seeded repetitions; two-sided ``confidence`` percentile-
     bootstrap intervals; ``seed`` is the master seed offsetting every
     repetition's fabric seed (and seeding the bootstrap resampler).
     """
+
+    grammar = Grammar("stats", keys={"reps": ("reps", INT),
+                                     "confidence": ("confidence", FRACTION),
+                                     "seed": ("seed", INT)})
 
     reps: int = DEFAULT_REPS
     confidence: float = DEFAULT_CONFIDENCE
@@ -66,61 +68,15 @@ class StatsSpec:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
 
-    def token(self) -> str:
-        """Canonical spec string; ``parse_stats_spec(token()) == self``."""
-        return (
-            f"reps={self.reps},confidence={format_fraction(self.confidence)},"
-            f"seed={self.seed}"
-        )
-
 
 def parse_stats_spec(spec: str | StatsSpec) -> StatsSpec:
-    """Parse ``"reps=20,confidence=95%,seed=7"`` into a StatsSpec.
-
-    Same family as the cluster/crypto/fault/fabric parsers: unknown or
-    duplicate keys raise ValueError naming the valid ones.
+    """Parse ``"reps=20,confidence=95%,seed=7"`` into a StatsSpec (a
+    StatsSpec passes through).
 
     >>> parse_stats_spec("reps=30,confidence=99%")
     StatsSpec(reps=30, confidence=0.99, seed=0)
     """
-    if isinstance(spec, StatsSpec):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(f"stats spec must be a string or StatsSpec, got {spec!r}")
-    fields: dict[str, object] = {}
-    for item in spec.split(","):
-        if not item.strip():
-            continue
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise ValueError(
-                f"malformed stats option {item!r} in {spec!r}; expected "
-                f"key=value with keys: {', '.join(_STATS_KEYS)}"
-            )
-        if key not in _STATS_KEYS:
-            raise ValueError(
-                f"unknown stats option {key!r} in {spec!r}; valid keys: "
-                f"{', '.join(_STATS_KEYS)}"
-            )
-        if key in fields:
-            raise ValueError(f"duplicate stats option {key!r} in {spec!r}")
-        if key in ("reps", "seed"):
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"stats option {key} must be an integer, got {value!r}"
-                ) from None
-        else:
-            try:
-                fields[key] = parse_fraction(value)
-            except ValueError:
-                raise ValueError(
-                    f"stats option confidence must be a fraction like "
-                    f"'0.95' or '95%', got {value!r}"
-                ) from None
-    return StatsSpec(**fields)
+    return StatsSpec.coerce(spec)
 
 
 # --------------------------------------------------------------------------
@@ -275,10 +231,10 @@ def rep_networks(network, spec: StatsSpec) -> tuple:
     Prebuilt model instances cannot be re-seeded and repeat unchanged
     (identical reps on a clean model: the CI collapses, correctly).
     """
-    from repro.models.network import FabricSpec, as_fabric_spec
+    from repro.models.network import FabricSpec
 
     if isinstance(network, (str, FabricSpec)):
-        fabric = as_fabric_spec(network)
+        fabric = FabricSpec.coerce(network)
         return tuple(
             replace(fabric, seed=fabric.seed + s) for s in rep_seeds(spec)
         )

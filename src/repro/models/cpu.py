@@ -212,9 +212,9 @@ class CoreAllocator:
 def parse_cluster_spec(spec: str) -> ClusterSpec:
     """Parse ``"NODESxCORES[:fabric]"`` into a :class:`ClusterSpec`.
 
-    The string form of the cluster shape, joining the ``parse_*`` spec
-    family (:func:`repro.encmpi.plan.parse_crypto_plan`,
-    :func:`repro.des.options.parse_engine_options`, …)::
+    The string form of the cluster shape.  It is positional, so it
+    keeps this parser instead of the ``key=value`` grammar of
+    :mod:`repro.util.specs`::
 
         parse_cluster_spec("8x8")       # the paper's testbed
         parse_cluster_spec("2x8:ib")    # two nodes, written for IB

@@ -23,8 +23,8 @@ the paper's baseline rows; encrypted results are predictions.
 
 Hostile fabrics (ROADMAP item 5) are expressed as a frozen
 :class:`FabricSpec` — a base preset (``ethernet``/``infiniband``/
-``wan``/``iot``) plus seeded, deterministic noise knobs — parsed from
-the same kind of spec string the cluster/crypto/fault parsers use::
+``wan``/``iot``) plus seeded, deterministic noise knobs — parsed in
+the shared spec grammar of :mod:`repro.util.specs`::
 
     parse_network_spec("wan:jitter=10%,loss=2%,seed=7")
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.models import calibration
 from repro.models.interp import LogLogCurve
-from repro.util.units import format_fraction, parse_fraction
+from repro.util.specs import FRACTION, INT, Grammar, Spec, Value
 
 
 @dataclass(frozen=True)
@@ -277,12 +277,8 @@ def get_network(name: str) -> NetworkModel:
 # FabricSpec: typed fabric facade (base preset + seeded noise)
 # --------------------------------------------------------------------------
 
-#: Spec keys accepted by :func:`parse_network_spec`, in token order.
-_SPEC_KEYS = ("jitter", "wobble", "loss", "seed")
-
-
 @dataclass(frozen=True)
-class FabricSpec:
+class FabricSpec(Spec):
     """A fabric preset plus deterministic noise, in canonical form.
 
     - ``jitter``: per-message latency jitter as a fraction of the base
@@ -301,8 +297,18 @@ class FabricSpec:
 
     A clean spec (all knobs zero) builds the shared noise-free
     singleton, so ``FabricSpec("ethernet")`` is byte-identical to the
-    historical bare string.
+    historical bare string, and tokens to the bare preset name, which
+    keeps every historical cache key and memo key byte-identical.
     """
+
+    grammar = Grammar(
+        "network",
+        head=("network fabric", "base", Value("a fabric preset",
+                                              canonical_fabric)),
+        keys={"jitter": ("jitter", FRACTION), "wobble": ("wobble", FRACTION),
+              "loss": ("loss", FRACTION), "seed": ("seed", INT)},
+        terse=True,
+    )
 
     base: str = "ethernet"
     jitter: float = 0.0
@@ -332,23 +338,6 @@ class FabricSpec:
     def noisy(self) -> bool:
         return bool(self.jitter or self.wobble or self.loss)
 
-    def token(self) -> str:
-        """Canonical spec string; ``parse_network_spec(token()) == self``.
-
-        A clean spec tokens to the bare preset name, which keeps every
-        historical cache key and memo key byte-identical.
-        """
-        parts = []
-        for key in ("jitter", "wobble", "loss"):
-            value = getattr(self, key)
-            if value:
-                parts.append(f"{key}={format_fraction(value)}")
-        if self.seed:
-            parts.append(f"seed={self.seed}")
-        if not parts:
-            return self.base
-        return f"{self.base}:{','.join(parts)}"
-
     def build(self) -> NetworkModel:
         """The timing model this spec describes.
 
@@ -373,65 +362,17 @@ class FabricSpec:
 
 
 def parse_network_spec(spec: str | FabricSpec) -> FabricSpec:
-    """Parse ``"BASE[:key=value,...]"`` into a :class:`FabricSpec`.
+    """Parse ``"BASE[:key=value,...]"`` into a :class:`FabricSpec`
+    (a FabricSpec passes through).
 
     Keys: ``jitter``/``wobble``/``loss`` (fractions, '%' accepted) and
-    ``seed`` (int).  Unknown bases raise :class:`KeyError` with the
-    :func:`get_network` message; malformed options raise
-    :class:`ValueError` naming the valid keys, like the other spec
-    parsers (cluster/crypto/fault/resilience/engine).
+    ``seed`` (int).  An unknown base raises the :class:`KeyError` of
+    :func:`get_network`.
 
     >>> parse_network_spec("wan:jitter=10%,loss=2%,seed=7")
     FabricSpec(base='wan', jitter=0.1, wobble=0.0, loss=0.02, seed=7)
     """
-    if isinstance(spec, FabricSpec):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"network spec must be a string or FabricSpec, got {spec!r}"
-        )
-    base, _, options = spec.partition(":")
-    base = canonical_fabric(base.strip())
-    fields: dict[str, object] = {}
-    if options.strip():
-        for item in options.split(","):
-            key, sep, value = item.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ValueError(
-                    f"malformed network option {item!r} in {spec!r}; "
-                    f"expected key=value with keys: {', '.join(_SPEC_KEYS)}"
-                )
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"unknown network option {key!r} in {spec!r}; "
-                    f"valid keys: {', '.join(_SPEC_KEYS)}"
-                )
-            if key in fields:
-                raise ValueError(f"duplicate network option {key!r} in {spec!r}")
-            if key == "seed":
-                try:
-                    fields[key] = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"network option seed must be an integer, got {value!r}"
-                    ) from None
-            else:
-                try:
-                    fields[key] = parse_fraction(value)
-                except ValueError:
-                    raise ValueError(
-                        f"network option {key} must be a fraction like "
-                        f"'0.1' or '10%', got {value!r}"
-                    ) from None
-    return FabricSpec(base=base, **fields)
-
-
-def as_fabric_spec(network: str | FabricSpec) -> FabricSpec:
-    """Coerce a bare name, spec string, or FabricSpec to a FabricSpec."""
-    if isinstance(network, FabricSpec):
-        return network
-    return parse_network_spec(network)
+    return FabricSpec.coerce(spec)
 
 
 def resolve_network(network) -> tuple[FabricSpec | None, NetworkModel]:
@@ -442,7 +383,7 @@ def resolve_network(network) -> tuple[FabricSpec | None, NetworkModel]:
     callers that need the loss plan only get one when a spec exists.
     """
     if isinstance(network, (str, FabricSpec)):
-        spec = as_fabric_spec(network)
+        spec = FabricSpec.coerce(network)
         return spec, spec.build()
     return None, network
 

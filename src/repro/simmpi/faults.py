@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.simmpi.message import Envelope, OpaquePayload
+from repro.util.specs import FRACTION, INT, Grammar, Spec
 
 
 class FaultAction(enum.Enum):
@@ -131,7 +132,7 @@ class ChainedInjector:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec):
     """Declarative, seeded fault model — the repeatable way to misbehave.
 
     A plan is a frozen value: rates per fault action, a seed, and
@@ -145,8 +146,18 @@ class FaultPlan:
     Rates are probabilities in ``[0, 1]`` summing to at most 1; the
     remainder delivers untouched.  The RNG is consumed only for
     envelopes that pass the filters, so filtered-out traffic cannot
-    perturb the fault sequence.
+    perturb the fault sequence.  The token leaves out every field at
+    its default, so an unset filter (None) never prints.
     """
+
+    grammar = Grammar(
+        "fault",
+        keys={"drop": ("drop", FRACTION), "corrupt": ("corrupt", FRACTION),
+              "duplicate": ("duplicate", FRACTION), "seed": ("seed", INT),
+              "src": ("src", INT), "dst": ("dst", INT), "tag": ("tag", INT),
+              "corrupt_bit": ("corrupt_bit", INT)},
+        terse=True,
+    )
 
     drop: float = 0.0
     corrupt: float = 0.0
@@ -203,34 +214,13 @@ class FaultPlan:
 
 
 def parse_fault_plan(spec: str) -> FaultPlan:
-    """Parse ``"drop=0.05,corrupt=0.02,seed=7"`` into a FaultPlan.
+    """Parse ``"drop=5%,corrupt=0.02,seed=7"`` into a FaultPlan.
 
-    Keys: ``drop``, ``corrupt``, ``duplicate`` (rates), ``seed``,
-    ``src``, ``dst``, ``tag``, ``corrupt_bit`` (ints).  Unknown keys
-    raise :class:`ValueError` naming the valid ones; a key given twice
-    raises instead of silently keeping the last value.
+    Keys: ``drop``, ``corrupt``, ``duplicate`` (fractions, '%'
+    accepted), ``seed``, ``src``, ``dst``, ``tag`` and ``corrupt_bit``
+    (ints).
     """
-    kwargs: dict = {}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed fault option {part!r} (need key=value)")
-        key = key.strip()
-        if key in kwargs:
-            raise ValueError(
-                f"duplicate fault option {key!r}; each key may appear "
-                "at most once"
-            )
-        if key in ("drop", "corrupt", "duplicate"):
-            kwargs[key] = float(value)
-        elif key in ("seed", "src", "dst", "tag", "corrupt_bit"):
-            kwargs[key] = int(value)
-        else:
-            raise ValueError(
-                f"unknown fault option {key!r}; valid: drop, corrupt, "
-                "duplicate, seed, src, dst, tag, corrupt_bit"
-            )
-    return FaultPlan(**kwargs)
+    return FaultPlan.parse(spec)
 
 
 # -- ready-made policies -------------------------------------------------------

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simmpi.message import Envelope
+from repro.util.specs import FLOAT, INT, Grammar, Spec, choice
 
 if TYPE_CHECKING:
     from repro.des.process import Scheduler
@@ -55,7 +56,7 @@ class ResilienceExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(Spec):
     """Declarative retry discipline for the reliable-delivery layer.
 
     ``timeout`` is the virtual-time wait (seconds) before the first
@@ -65,6 +66,17 @@ class ResiliencePolicy:
     ``max_retries`` bounds retransmissions per message; ``escalation``
     picks what happens when the budget runs out.
     """
+
+    grammar = Grammar(
+        "resilience",
+        keys={"retries": ("max_retries", INT),
+              "max_retries": ("max_retries", INT),
+              "timeout": ("timeout", FLOAT),
+              "backoff": ("backoff", choice(BACKOFF_MODES)),
+              "escalation": ("escalation", choice(ESCALATIONS)),
+              "factor": ("backoff_factor", FLOAT),
+              "backoff_factor": ("backoff_factor", FLOAT)},
+    )
 
     max_retries: int = 3
     timeout: float = 1e-3
@@ -112,36 +124,9 @@ def parse_resilience_policy(spec: str) -> ResiliencePolicy:
     """Parse ``"retries=3,timeout=0.001,backoff=exponential,..."``.
 
     Keys: ``retries`` (or ``max_retries``), ``timeout`` (seconds),
-    ``backoff``, ``escalation``, ``factor`` (or ``backoff_factor``).
-    Unknown keys raise :class:`ValueError` naming the valid ones; a key
-    given twice — directly or through its alias, like ``retries=2,
-    max_retries=3`` — raises instead of silently keeping the last value.
+    ``backoff``, ``escalation`` and ``factor`` (or ``backoff_factor``).
     """
-    kwargs: dict[str, Any] = {}
-    aliases = {"retries": "max_retries", "factor": "backoff_factor"}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed resilience option {part!r} (need key=value)")
-        spelled = key.strip()
-        key = aliases.get(spelled, spelled)
-        if key in kwargs:
-            raise ValueError(
-                f"conflicting resilience option {spelled!r}: {key!r} was "
-                "already given (aliases count as the same key)"
-            )
-        if key in ("max_retries",):
-            kwargs[key] = int(value)
-        elif key in ("timeout", "backoff_factor"):
-            kwargs[key] = float(value)
-        elif key in ("backoff", "escalation"):
-            kwargs[key] = value.strip()
-        else:
-            raise ValueError(
-                f"unknown resilience option {key!r}; valid: retries, "
-                "timeout, backoff, escalation, factor"
-            )
-    return ResiliencePolicy(**kwargs)
+    return ResiliencePolicy.parse(spec)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Callable
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.encmpi.plan import apply_default_plan
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
-from repro.models.network import FabricSpec, as_fabric_spec
+from repro.models.network import FabricSpec
 from repro.simmpi import RankContext, run_program
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
@@ -237,7 +237,7 @@ def run_nas(
     # Canonical fabric spec: bare names coerce cleanly, and the memo
     # keys use the token so noisy fabrics never collide with clean ones
     # (or with differently-seeded variants of themselves).
-    fabric = as_fabric_spec(network)
+    fabric = FabricSpec.coerce(network)
     token = fabric.token()
     # Resolve the effective plan up front (baseline cells carry no
     # crypto at all, so they memoize independently of any plan).

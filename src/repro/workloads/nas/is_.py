@@ -20,7 +20,9 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
     p = comm.size
     comm.allreduce_bytes(BUCKETS * KEY_BYTES)
     per_pair = (TOTAL_KEYS * KEY_BYTES) // (p * p)
-    chunks = [b"\x00" * per_pair for _ in range(p)]
+    # one shared chunk: NAS runs bytework="modeled", so no rank ever
+    # needs p distinct buffers
+    chunks = [b"\x00" * per_pair] * p
     comm.alltoallv(chunks)
 
 

@@ -11,8 +11,11 @@ programmatically."""
 import pytest
 
 import repro.api as api
+from repro.des.options import parse_engine_options
 from repro.encmpi.plan import CRYPTO_PLAN_MODES, CryptoPlan, parse_crypto_plan
+from repro.experiments.stats import parse_stats_spec
 from repro.models.cryptolib import PROFILED_LIBRARIES
+from repro.models.network import parse_network_spec
 from repro.simmpi.faults import parse_fault_plan
 from repro.simmpi.resilience import parse_resilience_policy
 
@@ -143,3 +146,26 @@ def test_resilience_unknown_backoff_names_valid_modes():
         parse_resilience_policy("backoff=cubic")
     assert "exponential" in str(err.value)
     assert "fixed" in str(err.value)
+
+
+# ------------------------------------------------- one error shape, six specs
+
+MALFORMED_VALUES = [
+    (parse_fault_plan, "drop=abc", "fault", "drop"),
+    (parse_fault_plan, "seed=1.5", "fault", "seed"),
+    (parse_resilience_policy, "retries=many", "resilience", "retries"),
+    (parse_crypto_plan, "cryptmpi:cores=many", "crypto", "cores"),
+    (parse_engine_options, "coroutines:max_ranks=many", "engine",
+     "max_ranks"),
+    (parse_stats_spec, "reps=x", "stats", "reps"),
+    (parse_network_spec, "wan:seed=x", "network", "seed"),
+]
+
+
+@pytest.mark.parametrize("parse, spec, kind, key", MALFORMED_VALUES,
+                         ids=[case[1] for case in MALFORMED_VALUES])
+def test_malformed_value_names_the_spec_kind_and_key(parse, spec, kind, key):
+    with pytest.raises(ValueError) as err:
+        parse(spec)
+    assert kind in str(err.value)
+    assert key in str(err.value)

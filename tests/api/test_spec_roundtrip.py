@@ -22,6 +22,13 @@ from repro.experiments.stats import StatsSpec, parse_stats_spec
 from repro.models.cpu import ClusterSpec, parse_cluster_spec
 from repro.models.cryptolib import PROFILED_LIBRARIES
 from repro.models.network import FABRIC_PRESETS, FabricSpec, parse_network_spec
+from repro.simmpi.faults import FaultPlan, parse_fault_plan
+from repro.simmpi.resilience import (
+    BACKOFF_MODES,
+    ESCALATIONS,
+    ResiliencePolicy,
+    parse_resilience_policy,
+)
 
 #: every int, plus extra weight on the positive ones and every float
 #: (inf and nan included), plus extra weight on [0, 1], so that fields
@@ -78,3 +85,35 @@ def test_stats_spec_round_trips(**fields):
 def test_cluster_spec_round_trips(**fields):
     spec = _build(ClusterSpec, **fields)
     assert parse_cluster_spec(spec.token()) == spec
+
+
+#: fault rates sum to at most 1, so three of them need extra weight on
+#: small values to be accepted together often enough
+RATES = FLOATS | st.floats(min_value=0.0, max_value=0.4)
+#: a backoff factor is a finite number >= 1
+FACTORS = FLOATS | st.floats(min_value=1.0, max_value=16.0)
+
+
+@SETTINGS
+@given(drop=RATES, corrupt=RATES, duplicate=RATES, seed=INTS,
+       src=st.none() | INTS, dst=st.none() | INTS, tag=st.none() | INTS,
+       corrupt_bit=INTS)
+def test_fault_plan_round_trips(**fields):
+    plan = _build(FaultPlan, **fields)
+    assert parse_fault_plan(plan.token()) == plan
+
+
+@SETTINGS
+@given(max_retries=INTS, timeout=FLOATS,
+       backoff=st.sampled_from(BACKOFF_MODES),
+       escalation=st.sampled_from(ESCALATIONS), backoff_factor=FACTORS,
+       long_retries=st.booleans(), long_factor=st.booleans())
+def test_resilience_policy_round_trips(long_retries, long_factor, **fields):
+    policy = _build(ResiliencePolicy, **fields)
+    token = policy.token()
+    # each alias spelling parses to the same field
+    if long_retries:
+        token = token.replace("retries=", "max_retries=")
+    if long_factor:
+        token = token.replace("factor=", "backoff_factor=")
+    assert parse_resilience_policy(token) == policy
