@@ -440,7 +440,7 @@ def calibrate_predictor(
 def predict(
     *,
     library: str | None = None,
-    fabric: str = "ethernet",
+    fabric: str | FabricSpec = "ethernet",
     size: int = 1,
     pairs: int = 1,
     plan: CryptoPlan | None = None,

@@ -14,8 +14,21 @@ classic progressive-filling algorithm, which yields the max-min fair
 allocation: all flows grow at the same rate until either their own cap
 or a saturated constraint freezes them.
 
+The unit of the solver is the **bundle**: the active flows that share
+one rate cap and one constraint tuple (in the transport, one ordered
+rank pair's in-flight payloads of one size).  Capacities track the
+bundles that cross them, and dirty tracking, component discovery and
+:func:`_progressive_fill` all run over bundles.  Bundling is exact:
+members of a bundle start every fill at rate 0, receive the same
+increment every round and meet the same freeze test, so the per-flow
+fill gives them one rate to the last bit.  What a bundle must not
+change is a capacity's residual: the per-flow fill subtracts the
+round's increment once per member flow, and ``k * inc`` is a different
+float from ``k`` repeated subtractions, so the bundle fill still
+subtracts ``inc`` once per member, in a loop over the member count.
+
 The solver is **incremental**: a membership change (arrival/departure)
-only re-fills the *connected components* of the flow/capacity sharing
+only re-fills the *connected components* of the bundle/capacity sharing
 graph it touches — flows in untouched components keep their rates,
 their progress anchors, and their completion times, bit for bit.  This
 is exact, not an approximation: the max-min fair allocation of one
@@ -24,7 +37,7 @@ component depends only on that component's members, and
 applies one shared increment, and min over floats is exact), so
 re-filling an unchanged component would reproduce the same rates to
 the last bit.  The "exact" mode (``FlowNetwork(exact=True)``) seeds
-every rebalance with *all* flows — same code path, used by the
+every rebalance with *all* bundles — same code path, used by the
 property tests to pin the equivalence.
 
 Two more engine-load choices matter at scale:
@@ -49,7 +62,7 @@ crypto (per-core) rather than the NIC (shared) is the bottleneck.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.des.engine import EventHandle
 from repro.des.process import Scheduler, SimEvent
@@ -60,17 +73,23 @@ _EPS = 1e-12
 class Capacity:
     """A named capacity constraint in bytes/second (e.g. one NIC direction)."""
 
-    __slots__ = ("name", "limit", "flows")
+    __slots__ = ("name", "limit", "bundles", "_residual", "_count")
 
     def __init__(self, name: str, limit: float):
         if limit <= 0:
             raise ValueError(f"capacity {name!r} must be positive, got {limit}")
         self.name = name
         self.limit = limit
-        self.flows: set["Flow"] = set()
+        #: the live bundles whose flows traverse this capacity
+        self.bundles: set[Bundle] = set()
+        #: scratch of :func:`_progressive_fill`: unallocated bandwidth and
+        #: the number of still-growing member flows in the current call
+        self._residual = 0.0
+        self._count = 0
 
     def __repr__(self) -> str:
-        return f"<Capacity {self.name} {self.limit:.3g}B/s {len(self.flows)} flows>"
+        nflows = sum(len(b.flows) for b in self.bundles)
+        return f"<Capacity {self.name} {self.limit:.3g}B/s {nflows} flows>"
 
 
 class Flow:
@@ -86,6 +105,7 @@ class Flow:
         "_last_update",
         "_completion_time",
         "_index",
+        "_bundle",
     )
 
     def __init__(
@@ -110,6 +130,8 @@ class Flow:
         #: arrival number in the owning network — the deterministic
         #: ordering key for completions at equal times
         self._index = -1
+        #: the bundle this flow belongs to while it is active
+        self._bundle: Bundle | None = None
 
     @property
     def rate(self) -> float:
@@ -119,11 +141,29 @@ class Flow:
         return max(0.0, self._remaining - self._rate * (now - self._last_update))
 
 
+class Bundle:
+    """The active flows sharing one rate cap and one constraint tuple.
+
+    Every member gets the same max-min rate, so the fill computes one
+    rate per bundle; ``flows`` keeps arrival order.
+    """
+
+    __slots__ = ("key", "rate_cap", "constraints", "flows", "_rate")
+
+    def __init__(self, rate_cap: float, constraints: tuple[Capacity, ...]):
+        self.key = (rate_cap, constraints)
+        self.rate_cap = rate_cap
+        self.constraints = constraints
+        self.flows: dict[Flow, None] = {}
+        #: scratch of :func:`_progressive_fill`: the rate being filled
+        self._rate = 0.0
+
+
 class FlowNetwork:
     """Tracks active flows and keeps the max-min fair allocation current.
 
     ``exact=True`` disables the dirty-component tracking: every
-    rebalance re-fills every flow (the historical behavior, same fill
+    rebalance re-fills every bundle (the historical behavior, same fill
     kernel).  The property tests drive an exact and an incremental
     network through identical schedules and assert bit-equal outcomes.
     """
@@ -133,12 +173,15 @@ class FlowNetwork:
         #: insertion-ordered (dict-as-ordered-set): completion ties at
         #: one virtual time resolve in arrival order, deterministically
         self._flows: dict[Flow, None] = {}
+        #: live bundles by (rate cap, constraint tuple); a bundle leaves
+        #: when its last flow completes
+        self._bundles: dict[tuple, Bundle] = {}
         self._rebalance_pending = False
         self._exact = exact
         self._next_index = 0
-        #: flows whose component must be re-filled at the next rebalance
-        self._dirty: set[Flow] = set()
-        #: capacities whose member flows must be re-filled (departure
+        #: bundles whose component must be re-filled at the next rebalance
+        self._dirty: set[Bundle] = set()
+        #: capacities whose member bundles must be re-filled (departure
         #: seeding is per-capacity: O(constraints), not O(neighbors))
         self._dirty_caps: set[Capacity] = set()
         #: the one engine event for the earliest completion
@@ -172,9 +215,15 @@ class FlowNetwork:
         flow._index = self._next_index
         self._next_index += 1
         self._flows[flow] = None
-        for c in flow.constraints:
-            c.flows.add(flow)
-        self._dirty.add(flow)
+        bundle = self._bundles.get((rate_cap, flow.constraints))
+        if bundle is None:
+            bundle = Bundle(rate_cap, flow.constraints)
+            self._bundles[bundle.key] = bundle
+            for c in bundle.constraints:
+                c.bundles.add(bundle)
+        bundle.flows[flow] = None
+        flow._bundle = bundle
+        self._dirty.add(bundle)
         self._schedule_rebalance()
         return flow.done
 
@@ -196,24 +245,26 @@ class FlowNetwork:
         """Re-fill every dirty component; then retarget the completion."""
         now = self._scheduler.now
         if self._exact:
-            flow_seeds: Iterable[Flow] = list(self._flows)
+            bundle_seeds: Iterable[Bundle] = list(self._bundles.values())
             cap_seeds: Iterable[Capacity] = ()
         else:
-            # departures may have seeded flows that finished meanwhile
-            flow_seeds = [f for f in self._dirty if f in self._flows]
-            cap_seeds = [c for c in self._dirty_caps if c.flows]
+            # departures may have emptied bundles seeded meanwhile
+            bundle_seeds = [b for b in self._dirty if b.flows]
+            cap_seeds = [c for c in self._dirty_caps if c.bundles]
         self._dirty.clear()
         self._dirty_caps.clear()
-        seen: set[Flow] = set()
+        seen: set[Bundle] = set()
         cap_seen: set[Capacity] = set()
 
-        def refill(comp: set[Flow]) -> None:
+        def refill(comp: list[Bundle]) -> None:
             rates = _progressive_fill(comp)
             for f, new_rate in rates.items():
                 if new_rate == f._rate:
                     # bit-identical rate: anchor and completion stand
                     continue
-                f._remaining = f.remaining_at(now)
+                # remaining_at(now), inline: one call per flow per refill
+                f._remaining = max(
+                    0.0, f._remaining - f._rate * (now - f._last_update))
                 f._last_update = now
                 f._rate = new_rate
                 if new_rate > _EPS:
@@ -223,43 +274,33 @@ class FlowNetwork:
                     # membership change will re-fill this component
                     f._completion_time = math.inf
 
-        def expand(comp: set[Flow], fstack: list[Flow],
-                   cstack: list[Capacity]) -> None:
-            # Alternating expansion over the flow/capacity bipartite
-            # graph: each capacity's membership set is walked exactly
-            # once (when the capacity is first seen), keeping discovery
-            # linear even when every flow shares one NIC direction.
-            # Discovery order is free: the fill is order-independent.
-            while fstack or cstack:
-                if fstack:
-                    f = fstack.pop()
-                    for c in f.constraints:
-                        if c not in cap_seen:
-                            cap_seen.add(c)
-                            cstack.append(c)
-                else:
-                    c = cstack.pop()
-                    for g in c.flows:
-                        if g not in comp:
-                            comp.add(g)
-                            seen.add(g)
-                            fstack.append(g)
+        def expand(comp: list[Bundle]) -> list[Bundle]:
+            # Breadth-first over the bundle/capacity bipartite graph;
+            # *comp* grows while it is walked.  Each capacity's bundles
+            # are walked exactly once (when the capacity is first seen),
+            # keeping discovery linear even when every bundle shares one
+            # NIC direction.  Discovery order is free: the fill is
+            # order-independent.
+            for b in comp:
+                for c in b.constraints:
+                    if c not in cap_seen:
+                        cap_seen.add(c)
+                        for g in c.bundles:
+                            if g not in seen:
+                                seen.add(g)
+                                comp.append(g)
+            return comp
 
-        for seed in flow_seeds:
-            if seed in seen:
-                continue
-            comp = {seed}
-            seen.add(seed)
-            expand(comp, [seed], [])
-            refill(comp)
+        for seed in bundle_seeds:
+            if seed not in seen:
+                seen.add(seed)
+                refill(expand([seed]))
         for cap in cap_seeds:
-            if cap in cap_seen:
-                continue
-            cap_seen.add(cap)
-            comp: set[Flow] = set()
-            expand(comp, [], [cap])
-            if comp:
-                refill(comp)
+            if cap not in cap_seen:
+                # an unseen capacity's bundles are unseen too
+                cap_seen.add(cap)
+                seen.update(cap.bundles)
+                refill(expand(list(cap.bundles)))
         self._retarget_completion()
 
     def _retarget_completion(self) -> None:
@@ -285,16 +326,21 @@ class FlowNetwork:
 
     def _fire_completions(self) -> None:
         """Finish every flow due now (arrival order), seed their
-        neighbors dirty, and schedule the follow-up rebalance."""
+        capacities dirty, and schedule the follow-up rebalance."""
         self._completion = None
         self._completion_time = math.inf
         now = self._scheduler.now
         ripe = [f for f in self._flows if f._completion_time <= now]
         for f in ripe:
             del self._flows[f]
-            for c in f.constraints:
-                c.flows.discard(f)
-                self._dirty_caps.add(c)
+            bundle = f._bundle
+            del bundle.flows[f]
+            if not bundle.flows:
+                del self._bundles[bundle.key]
+                for c in bundle.constraints:
+                    c.bundles.discard(bundle)
+            self._dirty_caps.update(bundle.constraints)
+            f._bundle = None
             f._remaining = 0.0
             f._last_update = now
             f._rate = 0.0
@@ -303,64 +349,77 @@ class FlowNetwork:
         self._schedule_rebalance()
 
 
-def _progressive_fill(flows: set[Flow]) -> dict[Flow, float]:
-    """Max-min fair rates for *flows* under per-flow caps and shared capacities.
+def _progressive_fill(bundles: Collection[Bundle]) -> dict[Flow, float]:
+    """Max-min fair rates for the flows of *bundles* under per-flow caps
+    and shared capacities.
 
     Per-capacity *active-flow counts* are maintained incrementally (and
-    decremented as flows freeze), so each filling round is O(F·C) in the
-    flows' constraint lists rather than re-scanning every capacity's
-    membership set.
+    decremented as bundles freeze), so each filling round walks the
+    bundles' constraint lists once, plus one float subtraction per
+    growing flow and constraint, rather than re-scanning every
+    capacity's membership set.  Counts and residuals live in the
+    capacities' scratch slots for the length of one call.
 
-    The result is independent of the iteration order of *flows*: each
+    The result is independent of the iteration order of *bundles*: each
     round applies the same shared increment (a min over floats, which
-    is exact) to every active flow, and a capacity's residual is
-    reduced by the identical value once per member — the same
-    subtraction multiset in any order.  The incremental solver's
-    component-at-a-time refills rely on this.
+    is exact) to every active bundle, and a capacity's residual is
+    reduced by the identical value once per member flow — the same
+    subtraction multiset in any order, and the same one the per-flow
+    fill performs.  The incremental solver's component-at-a-time
+    refills rely on this.
     """
-    rates: dict[Flow, float] = dict.fromkeys(flows, 0.0)
-    if not flows:
-        return rates
-    active = set(flows)
-    residual: dict[Capacity, float] = {}
-    counts: dict[Capacity, int] = {}
-    for f in flows:
-        for c in f.constraints:
-            if c in counts:
-                counts[c] += 1
-            else:
-                counts[c] = 1
-                residual[c] = c.limit
+    caps: list[Capacity] = []
+    for b in bundles:
+        b._rate = 0.0
+        for c in b.constraints:
+            c._count = 0
+    for b in bundles:
+        n = len(b.flows)
+        for c in b.constraints:
+            if not c._count:
+                c._residual = c.limit
+                caps.append(c)
+            c._count += n
 
+    active = list(bundles)
     # Guard against pathological float stalls: each iteration freezes at
-    # least one flow, so |flows| iterations always suffice.
-    for _ in range(len(flows) + 1):
+    # least one bundle, so |bundles| iterations always suffice.
+    for _ in range(len(active) + 1):
         if not active:
             break
         # Uniform increment allowed by each constraint and each flow cap.
         inc = math.inf
-        for c, r in residual.items():
-            n = counts[c]
+        for c in caps:
+            n = c._count
             if n:
-                inc = min(inc, r / n)
-        for f in active:
-            inc = min(inc, f.rate_cap - rates[f])
+                share = c._residual / n
+                if share < inc:
+                    inc = share
+        for b in active:
+            headroom = b.rate_cap - b._rate
+            if headroom < inc:
+                inc = headroom
         inc = max(inc, 0.0)
-        for f in active:
-            rates[f] += inc
-            for c in f.constraints:
-                residual[c] -= inc
-        # Freeze flows that hit their cap or sit on a saturated constraint.
-        newly_frozen = [
-            f
-            for f in active
-            if rates[f] >= f.rate_cap - _EPS * f.rate_cap
-            or any(residual[c] <= _EPS * c.limit for c in f.constraints)
-        ]
-        if not newly_frozen:
+        for b in active:
+            b._rate += inc
+        # once per growing member flow: k subtractions, not k * inc
+        for c in caps:
+            residual = c._residual
+            for _ in range(c._count):
+                residual -= inc
+            c._residual = residual
+        # Freeze bundles that hit their cap or sit on a saturated constraint.
+        saturated = {c for c in caps if c._residual <= _EPS * c.limit}
+        growing = []
+        for b in active:
+            if (b._rate >= b.rate_cap - _EPS * b.rate_cap
+                    or not saturated.isdisjoint(b.constraints)):
+                n = len(b.flows)
+                for c in b.constraints:
+                    c._count -= n
+            else:
+                growing.append(b)
+        if len(growing) == len(active):
             break
-        for f in newly_frozen:
-            active.discard(f)
-            for c in f.constraints:
-                counts[c] -= 1
-    return rates
+        active = growing
+    return {f: b._rate for b in bundles for f in b.flows}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.crypto.aead import WIRE_OVERHEAD
+from repro.crypto.aead import NONCE_SIZE, WIRE_OVERHEAD
 from repro.crypto.errors import AuthenticationError
 from repro.des.process import blocking
 from repro.encmpi.replay import ReplayError
@@ -46,7 +46,9 @@ DEFAULT_CHUNK = 256 * 1024
 #: ciphertext.  ``seq`` is a per-sender message sequence number; chunks
 #: past the first travel on the internal tag ``CHUNK_TAG_BASE + seq``
 #: so interleaved multi-chunk messages on one (source, tag) channel
-#: (e.g. a window of isends) can never cross-match.
+#: (e.g. a window of isends) can never cross-match.  Modeled frames
+#: carry no tag, so under ``bytework="modeled"`` the header is trusted
+#: as delivered.
 HEADER_SIZE = 12
 
 #: Internal tag space of sibling chunk frames — far above the
@@ -313,18 +315,22 @@ class ChunkPipeline:
         comm = enc.ctx.comm
         alloc = enc.ctx.node_alloc
         cap = self._helper_cap(alloc)
-        wire0 = yield from req._first.co_wait()
-        status0 = req._first.status
+        first = req._first
+        wire0 = yield from first.co_wait()
+        src, tag = first.status.source, first.status.tag
+        # Frame 0's header sizes and routes every sibling receive, so
+        # it must authenticate before it is read.
+        first, wire0 = yield from self._authentic_first(first, wire0,
+                                                        src, tag)
         seq, total, _ = _parse_chunk_header(wire0)
         if total < 1:
             raise AuthenticationError(f"bad chunk count {total} in frame")
-        src, tag = status0.source, status0.tag
         # Siblings travel on the message's own internal tag (learned
         # from the first frame's header), pinned to the matched source;
         # route FIFO delivers them to these receives in index order.
         sib_tag = CHUNK_TAG_BASE + seq
-        inners = [req._first] + [comm.irecv(src, sib_tag, _internal=True)
-                                 for _ in range(total - 1)]
+        inners = [first] + [comm.irecv(src, sib_tag, _internal=True)
+                            for _ in range(total - 1)]
         open_events: list = []
         wires: list = [None] * total
         plains: list = [None] * total
@@ -358,43 +364,90 @@ class ChunkPipeline:
                             count=sum(len(w) for w in wires))
         return data
 
+    def _authentic_first(self, inner, wire, src: int, tag: int):
+        """Frame 0 and its receive once the frame's tag verifies.
+
+        The check has no side effect when the frame authenticates; the
+        chunk's open later does the counting.  A frame that fails counts
+        one authentication failure and takes chunk 0's NACK + re-post
+        path, or raises without resilience.
+        """
+        attempts = 0
+        while not self._header_authentic(wire, src, tag):
+            self.enc._record_auth_fail(
+                max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD))
+            attempts += 1
+            exc = AuthenticationError(
+                f"chunk frame 0 from rank {src} (tag {tag}) failed "
+                f"authentication; its header was not trusted")
+            inner, wire = yield from self._nack_and_repost(
+                inner, exc, src, tag, 0, attempts)
+        return inner, wire
+
+    def _header_authentic(self, wire, src: int, tag: int) -> bool:
+        """Whether a chunk frame's tag verifies over its clear header.
+
+        Pure: no counter, trace event or replay-window change.  Modeled
+        frames carry no tag, so their header is trusted.
+        """
+        enc = self.enc
+        if isinstance(wire, OpaquePayload) or enc.config.crypto_mode != "real":
+            return True
+        if len(wire) < HEADER_SIZE + WIRE_OVERHEAD:
+            return False
+        start = HEADER_SIZE + NONCE_SIZE
+        try:
+            enc._aead.open(wire[HEADER_SIZE:start], wire[start:],
+                           wire[:HEADER_SIZE] + enc._aad_for_peer(src, tag))
+        except AuthenticationError:
+            return False
+        return True
+
     def _open_chunk_reliable(self, inner, wire, src: int, tag: int,
                              seq: int, index: int, total: int, dur: float):
         """Open one chunk; NACK + pinned re-post on failure (resilience)."""
-        enc = self.enc
+        channel = tag if index == 0 else CHUNK_TAG_BASE + seq
         attempts = 0
         while True:
             try:
                 return self._open_chunk(wire, src, tag, seq, index, total,
                                         dur)
             except (AuthenticationError, ReplayError) as exc:
-                mgr = enc._resilience
-                if mgr is None:
-                    raise
                 attempts += 1
-                env = getattr(inner, "_match_env", None)
-                decision = mgr.on_recv_failure(
-                    env, enc.rank, attempts,
-                    reason="replay" if isinstance(exc, ReplayError)
-                    else "auth_fail",
-                )
-                if decision.outcome == "fail":
-                    from repro.simmpi.resilience import ResilienceExhausted
-
-                    raise ResilienceExhausted(
-                        f"rank {enc.rank}: chunk {index} from {src} still "
-                        f"failing after {attempts} receive attempts "
-                        f"(escalation='fail')"
-                    ) from exc
-                if decision.outcome == "drop":
-                    raise
-                inner = enc.ctx.comm.irecv(
-                    src, tag if index == 0 else CHUNK_TAG_BASE + seq,
-                    _internal=index > 0, _require_id=decision.require_id)
-                wire = yield from inner.co_wait()
+                inner, wire = yield from self._nack_and_repost(
+                    inner, exc, src, channel, index, attempts)
                 # Retry decrypt runs on the rank's core — the helper
                 # schedule for the happy path is already spent.
-                yield from enc.ctx.co_compute(dur)
+                yield from self.enc.ctx.co_compute(dur)
+
+    def _nack_and_repost(self, inner, exc: Exception, src: int,
+                         channel: int, index: int, attempts: int):
+        """NACK chunk *index*'s failed frame and re-post its receive on
+        *channel*, pinned to the retransmission; returns the new
+        ``(receive, frame)``.  Raises *exc* without resilience or when
+        the policy drops the frame."""
+        enc = self.enc
+        mgr = enc._resilience
+        if mgr is None:
+            raise exc
+        decision = mgr.on_recv_failure(
+            getattr(inner, "_match_env", None), enc.rank, attempts,
+            reason="replay" if isinstance(exc, ReplayError) else "auth_fail",
+        )
+        if decision.outcome == "fail":
+            from repro.simmpi.resilience import ResilienceExhausted
+
+            raise ResilienceExhausted(
+                f"rank {enc.rank}: chunk {index} from {src} still "
+                f"failing after {attempts} receive attempts "
+                f"(escalation='fail')"
+            ) from exc
+        if decision.outcome == "drop":
+            raise exc
+        inner = enc.ctx.comm.irecv(src, channel, _internal=index > 0,
+                                   _require_id=decision.require_id)
+        wire = yield from inner.co_wait()
+        return inner, wire
 
     def _open_chunk(self, wire, src: int, tag: int, seq: int, index: int,
                     total: int, dur: float) -> bytes:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from repro.encmpi.plan import CryptoPlan
 from repro.models.cpu import pipeline_waves
 from repro.models.cryptolib import PROFILED_LIBRARIES
-from repro.models.network import get_network
+from repro.models.network import FabricSpec, get_network
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
 
@@ -490,10 +490,28 @@ class PredictionModel:
 
     # -- prediction -----------------------------------------------------------
 
+    def _calibrated_fabric(self, fabric: str | FabricSpec) -> str:
+        """The calibrated preset *fabric* names; a ValueError naming the
+        calibrated domain for a noisy spec (jitter, wobble or loss), an
+        uncalibrated preset, or an unknown name."""
+        domain = ("the model is calibrated for the noise-free fabrics "
+                  + ", ".join(sorted(self.plain)))
+        try:
+            spec = FabricSpec.coerce(fabric)
+        except KeyError:
+            raise ValueError(f"unknown fabric {fabric!r}; {domain}") from None
+        if spec.noisy:
+            raise ValueError(f"fabric {spec.token()!r} has jitter, wobble "
+                             f"or loss; {domain}")
+        if spec.base not in self.plain:
+            raise ValueError(f"model not calibrated for fabric "
+                             f"{spec.base!r}; {domain}")
+        return spec.base
+
     def predict(
         self,
         library: str | None = None,
-        fabric: str = "ethernet",
+        fabric: str | FabricSpec = "ethernet",
         size: int = 1,
         pairs: int = 1,
         plan: CryptoPlan | None = None,
@@ -507,13 +525,10 @@ class PredictionModel:
         (latency = steady-state per-message interval of one pair).
         *plan* selects serial vs cryptmpi sealing; *faults* +
         *resilience* add the expected-retransmission overhead.
+        *fabric* is a preset name or spec; the model answers only inside
+        its calibrated domain, the noise-free calibrated presets.
         """
-        fabric = get_network(fabric).name
-        if fabric not in self.plain:
-            raise ValueError(
-                f"model not calibrated for fabric {fabric!r}; "
-                f"calibrated: {sorted(self.plain)}"
-            )
+        fabric = self._calibrated_fabric(fabric)
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         if not 1 <= pairs <= CORES_PER_NODE:

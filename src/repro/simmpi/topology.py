@@ -83,6 +83,6 @@ class ClusterRuntime:
         if cap is None:
             cap = Capacity(f"pair{src}->{dst}", limit)
             self._pair_caps[key] = cap
-        elif not cap.flows and cap.limit != limit:
+        elif not cap.bundles and cap.limit != limit:
             cap.limit = limit
         return cap

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.flows import Capacity, Flow, FlowNetwork, _progressive_fill
+from repro.des.flows import Bundle, Capacity, Flow, FlowNetwork, _progressive_fill
 from repro.des.process import Scheduler
 
 
@@ -177,15 +177,22 @@ class _FakeEvent:
         self.done = False
 
 
-def _make_flows(caps, specs):
-    flows = set()
-    for cap_limit_names, rate_cap in specs:
-        constraints = tuple(caps[n] for n in cap_limit_names)
-        f = Flow(1.0, rate_cap, constraints, _FakeEvent())  # type: ignore[arg-type]
-        for c in constraints:
-            c.flows.add(f)
-        flows.add(f)
-    return flows
+def _make_bundles(caps, specs):
+    """One bundle per spec: (constraint names, rate cap, member flows)."""
+    bundles = []
+    for cap_limit_names, rate_cap, members in specs:
+        b = Bundle(rate_cap, tuple(caps[n] for n in cap_limit_names))
+        for _ in range(members):
+            f = Flow(1.0, rate_cap, b.constraints, _FakeEvent())  # type: ignore[arg-type]
+            b.flows[f] = None
+        for c in b.constraints:
+            c.bundles.add(b)
+        bundles.append(b)
+    return bundles
+
+
+def _members(c):
+    return [f for b in c.bundles for f in b.flows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,30 +200,34 @@ def _make_flows(caps, specs):
     limits=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=4),
     flow_specs=st.lists(
         st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
-                  st.floats(0.5, 1e4)),
+                  st.floats(0.5, 1e4),
+                  st.integers(1, 4)),
         min_size=1,
         max_size=10,
     ),
 )
 def test_progressive_fill_feasible_and_cap_respecting(limits, flow_specs):
     caps = {i: Capacity(f"c{i}", lim) for i, lim in enumerate(limits)}
-    specs = [([i for i in names if i < len(limits)] or [0], cap) for names, cap in flow_specs]
-    flows = _make_flows(caps, specs)
-    rates = _progressive_fill(flows)
+    specs = [([i for i in names if i < len(limits)] or [0], cap, members)
+             for names, cap, members in flow_specs]
+    bundles = _make_bundles(caps, specs)
+    flows = [f for b in bundles for f in b.flows]
+    rates = _progressive_fill(bundles)
+    assert set(rates) == set(flows)
 
     # 1. No flow exceeds its own cap.
     for f in flows:
         assert rates[f] <= f.rate_cap * (1 + 1e-9)
     # 2. No constraint is oversubscribed.
     for c in caps.values():
-        used = sum(rates[f] for f in c.flows)
+        used = sum(rates[f] for f in _members(c))
         assert used <= c.limit * (1 + 1e-6)
     # 3. Work conservation: every flow is blocked by its cap or by a
     #    saturated constraint (max-min property).
     for f in flows:
         at_cap = rates[f] >= f.rate_cap * (1 - 1e-6)
         saturated = any(
-            sum(rates[g] for g in c.flows) >= c.limit * (1 - 1e-6)
+            sum(rates[g] for g in _members(c)) >= c.limit * (1 - 1e-6)
             for c in f.constraints
         )
         assert at_cap or saturated

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.models.network import FabricSpec
 from repro.models.predict import (
     GOLDEN_FIXTURE,
     PairShareCurve,
@@ -147,3 +148,37 @@ def test_anchor_cells_are_deterministic():
     assert [c.spec() for c in cells] == [c.spec() for c in anchor_cells()]
     # fit cells and holdouts are disjoint roles
     assert {c.role for c in cells} == {"fit", "holdout"}
+
+
+# ------------------------------------------------------- calibrated domain
+
+DOMAIN = "calibrated for the noise-free fabrics ethernet, infiniband"
+
+
+@pytest.mark.parametrize("fabric, base", [
+    ("ethernet", "ethernet"),
+    ("eth", "ethernet"),
+    (FabricSpec(base="ethernet"), "ethernet"),
+    ("infiniband:seed=7", "infiniband"),
+])
+def test_predict_answers_for_clean_calibrated_fabrics(prediction_model,
+                                                      fabric, base):
+    got = prediction_model.predict(library="openssl", fabric=fabric,
+                                   size=64 * 1024)
+    assert got == prediction_model.predict(library="openssl", fabric=base,
+                                           size=64 * 1024)
+
+
+@pytest.mark.parametrize("fabric, reason", [
+    ("ethernet:jitter=20%", "has jitter, wobble or loss"),
+    (FabricSpec(base="infiniband", wobble=0.1), "has jitter, wobble or loss"),
+    ("ethernet:loss=1%", "has jitter, wobble or loss"),
+    ("wan", "model not calibrated for fabric 'wan'"),
+    ("token-ring", "unknown fabric 'token-ring'"),
+])
+def test_predict_refuses_fabrics_outside_the_calibrated_domain(
+        prediction_model, fabric, reason):
+    with pytest.raises(ValueError, match=reason) as info:
+        prediction_model.predict(library="openssl", fabric=fabric,
+                                 size=64 * 1024)
+    assert DOMAIN in str(info.value)
