@@ -9,11 +9,11 @@ the kind of data the paper's overhead analysis is built on.
 Run:  python examples/comm_characterization.py
 """
 
+from repro.crypto.aead import WIRE_OVERHEAD
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import parse_cluster_spec
 from repro.simmpi import run_program
-from repro.workloads.nas.common import NasComm
-from repro.workloads.nas import get_benchmark
+from repro.workloads.nas.common import NasComm, get_benchmark
 
 CLUSTER = parse_cluster_spec("4x4")
 NRANKS = 16
@@ -41,20 +41,30 @@ def characterize(library: str | None):
 def main() -> None:
     print(f"=== FT class C skeleton, one iteration, {NRANKS} ranks ===\n")
     print("-- unencrypted --")
-    base = characterize(None)
+    base = characterize(None).comm
     print(base.render())
 
     print("\n-- encrypted (BoringSSL) --")
-    enc = characterize("boringssl")
+    recorder = characterize("boringssl")
+    enc = recorder.comm
     print(enc.render())
 
+    # Every rank seals all NRANKS blocks of the alltoall transpose, but
+    # its own block never leaves the rank; the checksum allreduce is
+    # plain MPI (see NasComm.allreduce_bytes).
+    seals = sum(c["aead_seals"] for c in recorder.counters_snapshot().values())
+    frames = seals - NRANKS
+    plain = enc.total_messages - frames
     added = enc.total_wire_bytes - base.total_wire_bytes
+    assert added == frames * WIRE_OVERHEAD, (added, frames)
     print(
-        f"\nwire bytes added by encryption: {added} "
-        f"({enc.total_messages} frames x 28 B = "
-        f"{added / base.total_wire_bytes * 100:.5f}% of the traffic) — "
-        "for bandwidth-bound benchmarks the nonce+tag framing is "
-        "negligible; the cost is the encryption *time*, not the bytes."
+        f"\nwire bytes added by encryption: {added} = {frames} frames x "
+        f"{WIRE_OVERHEAD} B ({seals} seals less the {NRANKS} alltoall "
+        f"blocks that stay on their rank; the other {plain} of "
+        f"{enc.total_messages} messages, the checksum allreduce, travel "
+        f"plain) = {added / base.total_wire_bytes * 100:.5f}% of the "
+        "traffic — for bandwidth-bound benchmarks the nonce+tag framing "
+        "is negligible; the cost is the encryption *time*, not the bytes."
     )
     heavy = base.heaviest_routes(1)[0]
     print(

@@ -35,8 +35,7 @@ def __getattr__(name):
     crypto stacks only load when touched).
     """
     if name in ("run_job", "sweep", "run_campaign", "get_experiment",
-                "list_experiments", "JobResult", "SweepPoint", "TraceMode",
-                "parse_trace_mode"):
+                "list_experiments", "JobResult", "SweepPoint"):
         from repro import api
 
         return getattr(api, name)
@@ -69,8 +68,6 @@ __all__ = [
     "list_experiments",
     "JobResult",
     "SweepPoint",
-    "TraceMode",
-    "parse_trace_mode",
     "get_aead",
     # pre-facade conveniences (kept stable)
     "run_program",

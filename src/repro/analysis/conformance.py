@@ -2,8 +2,8 @@
 
 The static verifier claims to predict a program's communication graph.
 This module audits that claim against ground truth: it replays a golden
-run (:mod:`repro.experiments.goldens`) with full event tracing, parses
-the recorded JSONL stream back, and diffs what the transport actually
+run (:mod:`repro.experiments.goldens`) with full event tracing, reads
+the recorded event stream, and diffs what the transport actually
 matched against what :func:`repro.analysis.dataflow.extract_callable`
 predicted.
 
@@ -30,7 +30,6 @@ that.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -151,22 +150,19 @@ def _static_side(graphs: list[InstGraph],
             report.predicted_sends[(op.rank, op.peer, op.tag or 0)] += 1
 
 
-def _dynamic_side(jsonl: str, report: ConformanceReport) -> None:
-    for line in jsonl.splitlines():
-        if not line.strip():
-            continue
-        event = json.loads(line)
-        layer, kind = event.get("layer"), event.get("kind")
+def _dynamic_side(events, report: ConformanceReport) -> None:
+    for event in events:
+        layer, kind = event.layer, event.kind
         if layer == "transport" and kind == "match":
-            tag = event.get("tag", 0)
+            tag = event.data.get("tag", 0)
             if tag >= MAX_USER_TAG:
                 report.internal_matches += 1
             else:
                 report.dynamic_matches[
-                    (event["src"], event["rank"], tag)] += 1
+                    (event.data["src"], event.rank, tag)] += 1
         elif layer == "collective" and kind == "coll_begin":
             report.dynamic_collectives.setdefault(
-                event["rank"], []).append(event.get("op", "?"))
+                event.rank, []).append(event.data.get("op", "?"))
 
 
 def check_golden(name: str, backend: str = "auto") -> ConformanceReport:
@@ -179,7 +175,7 @@ def check_golden(name: str, backend: str = "auto") -> ConformanceReport:
     program = spec.build(spec.size)
     _static_side(extract_callable(program, nranks=spec.nranks), report)
     recorder = run_golden(name, backend=backend)
-    _dynamic_side(recorder.to_jsonl(), report)
+    _dynamic_side(recorder.events, report)
     return report
 
 

@@ -54,12 +54,7 @@ from repro.simmpi.resilience import (
     ResilienceReport,
     parse_resilience_policy,
 )
-from repro.simmpi.tracing import (
-    CommTrace,
-    TraceMode,
-    TraceRecorder,
-    parse_trace_mode,
-)
+from repro.simmpi.tracing import TraceRecorder, check_trace
 from repro.simmpi.world import RankContext, run_program
 
 if TYPE_CHECKING:
@@ -82,7 +77,6 @@ __all__ = [
     "SecurityConfig",
     "StatsSpec",
     "SweepPoint",
-    "TraceMode",
     "calibrate_predictor",
     "get_experiment",
     "job_defaults",
@@ -95,7 +89,6 @@ __all__ = [
     "parse_network_spec",
     "parse_resilience_policy",
     "parse_stats_spec",
-    "parse_trace_mode",
     "predict",
     "run_campaign",
     "run_job",
@@ -105,16 +98,16 @@ __all__ = [
 
 
 def _checked_settings(
-    trace: TraceMode,
+    trace: bool | TraceRecorder | None,
     faults: FaultPlan | None,
     resilience: ResiliencePolicy | None,
     cluster: ClusterSpec | None,
     engine: EngineOptions | str | None,
     stats: StatsSpec | str | None,
-) -> tuple[TraceMode, EngineOptions | None, StatsSpec | None]:
+) -> tuple[EngineOptions | None, StatsSpec | None]:
     """Validate a job's run settings up front; returns the normalized
-    (trace, engine, stats), the three that accept spec strings."""
-    trace = parse_trace_mode(trace)
+    (engine, stats), the two that accept spec strings."""
+    check_trace(trace)
     if faults is not None and not isinstance(faults, FaultPlan):
         raise TypeError(
             f"faults must be a FaultPlan or None, got {faults!r} (custom "
@@ -127,7 +120,7 @@ def _checked_settings(
                 f"{name} must be a {cls.__name__} or None, got {value!r}")
     engine = None if engine is None else EngineOptions.coerce(engine)
     stats = None if stats is None else StatsSpec.coerce(stats)
-    return trace, engine, stats
+    return engine, stats
 
 
 @dataclass(frozen=True)
@@ -140,12 +133,10 @@ class JobResult:
     duration: float
     #: per-rank (start, end) virtual times
     spans: list = field(default_factory=list)
-    #: observability payload: a :class:`repro.simmpi.tracing.CommTrace`
-    #: when run_job(trace=True); a
-    #: :class:`repro.simmpi.tracing.TraceRecorder` (full structured
-    #: event stream, ``.comm`` holds the CommTrace view) when
-    #: run_job(trace="events") or a recorder instance; else None
-    trace: CommTrace | TraceRecorder | None = None
+    #: the :class:`repro.simmpi.tracing.TraceRecorder` (full structured
+    #: event stream; ``.comm`` and the per-rank counters are views over
+    #: it) when run_job(trace=True) or a recorder instance; else None
+    trace: TraceRecorder | None = None
     #: the security configuration the job ran under (None = plain MPI)
     security: SecurityConfig | None = None
     #: fabric name the job ran on
@@ -195,7 +186,7 @@ def run_job(
     network: str | FabricSpec | NetworkModel = "ethernet",
     cluster: ClusterSpec | None = None,
     placement: str = "block",
-    trace: TraceMode = False,
+    trace: bool | TraceRecorder | None = False,
     faults: FaultPlan | None = None,
     sanitize: bool | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -210,14 +201,13 @@ def run_job(
     or encrypted (``ctx.enc``) MPI.  All arguments except the workload
     are keyword-only, and each setting has exactly this one spelling.
 
-    *trace* selects the observability level (:data:`TraceMode`).
-    ``False`` (default) costs nothing; ``True`` aggregates per-route
-    statistics into a CommTrace; ``"events"`` — or a
+    *trace* ``False`` (default) costs nothing; ``True`` — or a
     :class:`repro.simmpi.tracing.TraceRecorder` you construct yourself
-    — records the full structured event stream (engine, transport,
-    collective, AEAD layers) and per-rank counters, exportable as JSONL
-    or a Chrome ``about://tracing`` file.  Unknown strings raise
-    :class:`ValueError` up front (see :func:`parse_trace_mode`).
+    — records every event of the job (engine, transport, collective,
+    AEAD layers), exportable as JSONL or a Chrome ``about://tracing``
+    file; the per-route ``.comm`` statistics and per-rank counters are
+    views over that stream.  Any other value, strings included, raises
+    :class:`TypeError` up front.
 
     *sanitize* arms the runtime sanitizer
     (:mod:`repro.analysis.sanitize`): deadlock diagnosis with the
@@ -250,7 +240,7 @@ def run_job(
     seeded repetitions — each offsets the fabric's noise seed — and
     attaches the samples + bootstrap CI as ``JobResult.stats``.
     """
-    trace, engine, stats = _checked_settings(
+    engine, stats = _checked_settings(
         trace, faults, resilience, cluster, engine, stats)
     if cluster is None:
         cluster = PAPER_CLUSTER
@@ -301,7 +291,7 @@ def run_job(
     if isinstance(trace, TraceRecorder) and stats.reps > 1:
         raise RuntimeError(
             "one TraceRecorder cannot be shared across repetitions; use "
-            "trace='events' so each repetition records its own stream"
+            "trace=True so each repetition records its own stream"
         )
     from repro.experiments.stats import job_stats, rep_networks
 
@@ -320,7 +310,7 @@ def sweep(
     securities: Iterable[SecurityConfig | None] = (None,),
     cluster: ClusterSpec | None = None,
     placement: str = "block",
-    trace: TraceMode = False,
+    trace: bool | TraceRecorder | None = False,
     faults: FaultPlan | None = None,
     parallel: int = 1,
     sanitize: bool | None = None,
@@ -337,7 +327,7 @@ def sweep(
     settings are validated before any cell runs.  *trace* is forwarded
     to every cell; passing one TraceRecorder instance across cells
     raises — each job needs its own recorder, so use
-    ``trace="events"`` for sweeps.
+    ``trace=True`` for sweeps.
 
     *parallel* > 1 routes the grid cells through the campaign
     executor's fork pool (:func:`repro.experiments.campaign.run_tasks`):
@@ -349,14 +339,14 @@ def sweep(
     :class:`FabricSpec` values (see :func:`run_job`); cell labels use
     the canonical token.  *stats* arms seeded repetitions per cell.
     """
-    trace, engine, stats = _checked_settings(
+    engine, stats = _checked_settings(
         trace, faults, resilience, cluster, engine, stats)
     securities = tuple(securities)
     cells = [(net, sec) for net in networks for sec in securities]
     if isinstance(trace, TraceRecorder) and len(cells) > 1:
         raise RuntimeError(
             "one TraceRecorder cannot be shared across sweep cells; "
-            "use a fresh recorder per run (trace='events' gives each "
+            "use a fresh recorder per run (trace=True gives each "
             "cell its own)"
         )
     tasks = [

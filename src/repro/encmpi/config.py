@@ -38,7 +38,10 @@ class SecurityConfig:
     #: the two are independent by design.
     backend: str = "auto"
     #: sliding-window anti-replay protection (repro.encmpi.replay).
-    #: 0 disables the check (the paper's threat model, §III footnote 1);
+    #: 0 disables the check (the paper's threat model, §III footnote 1),
+    #: so a duplicated frame goes unscreened: the serial path delivers
+    #: the stale copy as the next message, and a stale cryptmpi frame 0
+    #: posts its siblings on its old message's tag and hangs;
     #: a positive value is the per-source acceptance window and requires
     #: nonce_strategy="counter" so the receiver can read the sequence
     #: counter out of the nonce.

@@ -201,12 +201,6 @@ class EncryptedComm:
             where = {} if chunk is None else {"chunk": chunk}
             rec.emit("aead", "seal", self.rank, backend=self._aead.name,
                      bytes=len(plaintext), dur=dur, **where)
-            c = rec.rank_counters(self.rank)
-            c.aead_seals += 1
-            c.bytes_sealed += len(plaintext)
-            c.nonces_consumed += 1
-            if chunk is not None:
-                c.chunk_seals += 1
         if self.config.crypto_mode == "real":
             return prefix + nonce + self._aead.seal(nonce, plaintext,
                                                     prefix + aad)
@@ -242,11 +236,6 @@ class EncryptedComm:
             where = {} if chunk is None else {"chunk": chunk}
             rec.emit("aead", "open", self.rank, backend=self._aead.name,
                      bytes=plain_len, dur=dur, **where)
-            c = rec.rank_counters(self.rank)
-            c.aead_opens += 1
-            c.bytes_opened += plain_len
-            if chunk is not None:
-                c.chunk_opens += 1
         return plain
 
     def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
@@ -269,7 +258,6 @@ class EncryptedComm:
         rec = self.ctx.recorder
         if rec is not None:
             rec.emit("aead", "auth_fail", self.rank, bytes=plain_len)
-            rec.rank_counters(self.rank).auth_failures += 1
 
     def _replay_screen(self, source: int, nonce: bytes) -> int | None:
         """Sliding-window anti-replay check, run before any decrypt work.
@@ -297,7 +285,6 @@ class EncryptedComm:
             if rec is not None:
                 rec.emit("aead", "replay_drop", self.rank, src=source,
                          counter=counter)
-                rec.rank_counters(self.rank).replay_drops += 1
             raise
         return counter
 

@@ -126,6 +126,13 @@ def _parse_chunk_header(wire) -> tuple[int, int, int]:
     )
 
 
+def _frame_nonce(wire) -> bytes:
+    """The nonce of one chunk frame (what the replay screen reads)."""
+    if isinstance(wire, OpaquePayload):
+        return wire.prefix[HEADER_SIZE:]
+    return bytes(wire[HEADER_SIZE:HEADER_SIZE + NONCE_SIZE])
+
+
 class ChunkedSendRequest:
     """Composite handle over one chunk-framed logical send."""
 
@@ -365,24 +372,36 @@ class ChunkPipeline:
         return data
 
     def _authentic_first(self, inner, wire, src: int, tag: int):
-        """Frame 0 and its receive once the frame's tag verifies.
+        """Frame 0 and its receive once the frame's tag verifies and
+        its nonce counter passes the replay screen.
 
-        The check has no side effect when the frame authenticates; the
-        chunk's open later does the counting.  A frame that fails counts
-        one authentication failure and takes chunk 0's NACK + re-post
-        path, or raises without resilience.
+        Both checks have no side effect when the frame passes; the
+        chunk's open later does the counting and commits the counter.
+        A frame that fails authentication counts one failure; a stale
+        authentic copy (a replay of an earlier message's frame 0) counts
+        one replay drop.  Either takes chunk 0's NACK + re-post path, or
+        raises without resilience.
         """
+        enc = self.enc
         attempts = 0
-        while not self._header_authentic(wire, src, tag):
-            self.enc._record_auth_fail(
-                max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD))
+        while True:
+            if not self._header_authentic(wire, src, tag):
+                enc._record_auth_fail(
+                    max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD))
+                exc = AuthenticationError(
+                    f"chunk frame 0 from rank {src} (tag {tag}) failed "
+                    f"authentication; its header was not trusted")
+            else:
+                nonce = _frame_nonce(wire)
+                try:
+                    enc._replay_screen(src, nonce)
+                except ReplayError as err:
+                    exc = err
+                else:
+                    return inner, wire
             attempts += 1
-            exc = AuthenticationError(
-                f"chunk frame 0 from rank {src} (tag {tag}) failed "
-                f"authentication; its header was not trusted")
             inner, wire = yield from self._nack_and_repost(
                 inner, exc, src, tag, 0, attempts)
-        return inner, wire
 
     def _header_authentic(self, wire, src: int, tag: int) -> bool:
         """Whether a chunk frame's tag verifies over its clear header.
@@ -463,9 +482,7 @@ class ChunkPipeline:
                 f"message {seq}, got {got_index}/{got_total} of "
                 f"message {got_seq}"
             )
-        nonce = wire.prefix[HEADER_SIZE:] if isinstance(wire, OpaquePayload) \
-            else bytes(wire[HEADER_SIZE:HEADER_SIZE + 12])
-        counter = enc._replay_screen(src, nonce)
+        counter = enc._replay_screen(src, _frame_nonce(wire))
         plain = enc._open(wire, _chunk_header(seq, total, index),
                           enc._aad_for_peer(src, tag), dur, index)
         if counter is not None:

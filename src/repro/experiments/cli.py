@@ -286,7 +286,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.experiments import goldens
-    from repro.simmpi.tracing import CommTrace, TraceRecorder
 
     if args.write_goldens is not None:
         path = args.write_goldens or goldens.FIXTURE_PATH
@@ -298,21 +297,10 @@ def _cmd_trace(args) -> int:
     if args.workload is None:
         print("choose a workload or pass --write-goldens", file=sys.stderr)
         return 2
-    if args.mode is False:
-        print("trace mode 'off' records nothing; pick 'events' or "
-              "'aggregate'", file=sys.stderr)
-        return 2
-    trace = goldens.run_golden(args.workload, backend=args.backend,
-                               trace=args.mode)
-    if isinstance(trace, TraceRecorder):
-        print(trace.summary())
-    elif isinstance(trace, CommTrace):
-        print(trace.render())
+    trace = goldens.run_golden(args.workload, backend=args.backend)
+    print(trace.summary())
+    print(trace.comm.render())
     if args.output:
-        if not isinstance(trace, TraceRecorder):
-            print("--output needs --mode events (the aggregate view has "
-                  "no event stream)", file=sys.stderr)
-            return 2
         if args.format == "chrome":
             trace.write_chrome_trace(args.output)
         else:
@@ -588,25 +576,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default="auto",
         help="AEAD byte-work backend for encrypted runs (auto|pure|chacha|openssl)",
-    )
-    from repro.simmpi.tracing import parse_trace_mode
-
-    def trace_mode(value: str):
-        # same parser as api.run_job(trace=...); ArgumentTypeError keeps
-        # the message (argparse would swallow a plain ValueError's text)
-        try:
-            return parse_trace_mode(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    trace.add_argument(
-        "--mode",
-        type=trace_mode,
-        default="events",
-        metavar="MODE",
-        help="trace level: 'events' (full structured stream, default) "
-        "or 'aggregate' (CommTrace statistics); same parser as "
-        "api.run_job(trace=...)",
     )
     trace.add_argument(
         "--format",

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.simmpi.tracing import CommTrace, TraceMode, TraceRecorder, parse_trace_mode
+from repro.simmpi.tracing import TraceRecorder
 
 SCHEMA = 1
 
@@ -149,20 +149,14 @@ GOLDEN_RUNS: dict[str, GoldenSpec] = {
 }
 
 
-def run_golden(
-    name: str, backend: str = "auto", trace: TraceMode = "events"
-) -> TraceRecorder | CommTrace:
-    """Execute one golden run and return its trace payload.
+def run_golden(name: str, backend: str = "auto") -> TraceRecorder:
+    """Execute one golden run and return its trace recorder.
 
     *backend* selects the AEAD byte-work implementation for encrypted
     goldens; the digest is backend-independent by construction.
-    *trace* is the shared :data:`TraceMode` selector (default
-    ``"events"``, the full recorder — what the fixture digests hash);
-    ``True`` returns only the aggregate :class:`CommTrace` view.
     """
     from repro import api
 
-    trace = parse_trace_mode(trace)
     spec = GOLDEN_RUNS.get(name)
     if spec is None:
         raise KeyError(
@@ -181,7 +175,7 @@ def run_golden(
         nranks=spec.nranks,
         security=security,
         network=spec.network,
-        trace=trace,
+        trace=True,
     )
     return result.trace
 

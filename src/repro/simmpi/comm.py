@@ -45,7 +45,7 @@ _COLL_TAG_BASE = MAX_USER_TAG
 class Communicator:
     """Job-wide state: transport plus per-rank collective sequencing."""
 
-    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime, trace=None,
+    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime,
                  recorder=None, sanitizer=None):
         self.scheduler = scheduler
         self.cluster = cluster
@@ -56,7 +56,7 @@ class Communicator:
         #: sanitized; None (the common case) costs one attribute test
         #: per posted operation
         self.sanitizer = sanitizer
-        self.transport = Transport(scheduler, cluster, trace, recorder)
+        self.transport = Transport(scheduler, cluster, recorder)
         self._coll_seq = [0] * self.size
 
     def handle(self, rank: int) -> "CommHandle":
@@ -286,7 +286,6 @@ class CommHandle:
             return (yield from gen)
         g = self._global_rank(self.rank)
         rec.emit("collective", "coll_begin", g, op=op, **meta)
-        rec.rank_counters(g).collectives += 1
         out = yield from gen
         rec.emit("collective", "coll_end", g, op=op)
         return out

@@ -276,7 +276,6 @@ class ReliabilityManager:
                 tag=env.tag if env is not None else -1,
                 reason=reason,
             )
-            rec.rank_counters(rank).nacks += 1
         if reason == "replay" or flight is None or flight.reseal is None:
             # A replayed duplicate was rejected (the legitimate copy is
             # its own flight) or no reseal closure exists — there is
@@ -412,7 +411,6 @@ class ReliabilityManager:
             env = flight.env
             rec.emit("transport", "ack", env.src, dst=env.dst, tag=env.tag,
                      attempts=flight.attempts)
-            rec.rank_counters(env.src).acks += 1
 
     def _note_retry(self, env: Envelope, attempt: int, reason: str) -> None:
         self.retransmits += 1
@@ -420,7 +418,6 @@ class ReliabilityManager:
         if rec is not None:
             rec.emit("transport", "retry", env.src, dst=env.dst, tag=env.tag,
                      attempt=attempt, reason=reason)
-            rec.rank_counters(env.src).retransmits += 1
 
     def _emit_gave_up(self, env: Envelope, attempts: int, reason: str) -> None:
         rec = self.recorder
@@ -428,7 +425,6 @@ class ReliabilityManager:
             rec.emit("transport", "gave_up", env.src, dst=env.dst,
                      tag=env.tag, attempts=attempts,
                      action=self.policy.escalation, reason=reason)
-            rec.rank_counters(env.src).gave_ups += 1
 
     def _control_latency(self, env: Envelope) -> float:
         """One-way latency of a small control message (ack / nack)."""

@@ -1,20 +1,21 @@
-"""Structured event tracing and aggregate communication statistics.
+"""Structured event tracing, and the views folded from the event stream.
 
-Two levels of observability, selected by ``run_program(..., trace=...)``
-(or ``api.run_job(trace=...)``):
+``run_program(..., trace=True)`` (or ``api.run_job(trace=True)``, or a
+:class:`TraceRecorder` you construct and pass in) records one product:
+the timestamped typed events of every layer of the stack (DES engine
+process lifecycle, transport send/deliver/match, collective phases,
+AEAD seal/open with backend + bytes + virtual duration, auth failures,
+replay drops, reliability retries).  ``trace=True`` keeps every event.
+Everything else is a view over that stream, computed when read:
 
-- ``trace=True`` — the lightweight aggregate view: a :class:`CommTrace`
-  with per-route traffic statistics (bytes per rank pair, message-size
-  histogram) — the communication-characterization data the NAS skeleton
-  volumes are based on.  Quickstart:
-  ``examples/comm_characterization.py``.
-- ``trace="events"`` (or a :class:`TraceRecorder` instance) — the full
-  structured trace: timestamped typed events from every layer of the
-  stack (DES engine process lifecycle, transport send/deliver/match,
-  collective phases, AEAD seal/open with backend + bytes + virtual
-  duration, auth failures, replay drops) plus per-rank counters.  The
-  recorder's :attr:`TraceRecorder.comm` is a :class:`CommTrace`, so the
-  aggregate view rides along for free.
+- :attr:`TraceRecorder.comm` — a :class:`CommTrace` of per-route
+  traffic statistics (bytes per rank pair, message-size histogram, wire
+  overhead), folded from the ``send_posted`` events: the
+  communication-characterization data the NAS skeleton volumes are
+  based on.  Quickstart: ``examples/comm_characterization.py``.
+- :meth:`TraceRecorder.rank_counters` and
+  :meth:`TraceRecorder.counters_snapshot` — per-rank
+  :class:`RankCounters`, folded from the :data:`COUNTED_KINDS`.
 
 Events carry *virtual* timestamps; the simulator's strict handoff
 discipline makes the event stream fully deterministic, which is what the
@@ -41,7 +42,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Literal, Union
 
 
 @dataclass
@@ -192,24 +192,59 @@ class RankCounters:
     def snapshot(self) -> dict:
         return dict(self.__dict__)
 
+    def count(self, event: TraceEvent) -> None:
+        """Fold one counted event (see :data:`COUNTED_KINDS`) in."""
+        kind, data = event.kind, event.data
+        if kind == "send_posted":
+            self.messages_sent += 1
+            self.payload_bytes_sent += data["bytes"]
+            self.wire_bytes_sent += data["wire"]
+        elif kind == "seal":
+            self.aead_seals += 1
+            self.bytes_sealed += data["bytes"]
+            self.nonces_consumed += 1
+            self.chunk_seals += "chunk" in data
+        elif kind == "open":
+            self.aead_opens += 1
+            self.bytes_opened += data["bytes"]
+            self.chunk_opens += "chunk" in data
+        else:
+            name = _TALLIES[kind]
+            setattr(self, name, getattr(self, name) + 1)
+
+
+#: counter each tally-only event kind bumps by one on the event's rank
+_TALLIES = {
+    "wire_end": "messages_received",
+    "coll_begin": "collectives",
+    "auth_fail": "auth_failures",
+    "replay_drop": "replay_drops",
+    "retry": "retransmits",
+    "nack": "nacks",
+    "ack": "acks",
+    "gave_up": "gave_ups",
+}
+
+#: The event kinds :class:`RankCounters` fold: the tallies, plus
+#: ``send_posted`` (messages and bytes sent) and AEAD ``seal``/``open``
+#: (bytes, nonces, and chunk frames, the events carrying ``chunk``).
+COUNTED_KINDS = frozenset(_TALLIES) | {"send_posted", "seal", "open"}
+
 
 class TraceRecorder:
-    """Records typed events and per-rank counters for one simulated job.
+    """Records the typed event stream of one simulated job.
 
-    Create one and pass it to ``run_program(trace=recorder)`` /
-    ``api.run_job(trace=recorder)`` — or pass ``trace="events"`` and
-    take the recorder from the result.  A recorder binds to exactly one
-    job (its clock); reusing one across jobs is an error.
+    Pass ``trace=True`` to ``run_program`` / ``api.run_job`` and take the
+    recorder from the result, or construct one and pass it in.  A
+    recorder binds to exactly one job (its clock); reusing one across
+    jobs is an error.
 
-    The embedded :attr:`comm` is the classic :class:`CommTrace`
-    aggregate view, fed by the same transport-layer recording.
+    The stream is the only record: :attr:`comm`, :meth:`rank_counters`,
+    :meth:`counters_snapshot` and :meth:`summary` fold it when read.
     """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        #: aggregate per-route statistics (the CommTrace view)
-        self.comm = CommTrace()
-        self._counters: dict[int, RankCounters] = {}
         self._sched = None
 
     # -- wiring -----------------------------------------------------------
@@ -242,11 +277,32 @@ class TraceRecorder:
         """Append one event stamped at the current virtual time."""
         self.events.append(TraceEvent(self.now, layer, kind, rank, data))
 
+    # -- views ------------------------------------------------------------
+
+    @property
+    def comm(self) -> CommTrace:
+        """Per-route traffic statistics, folded from ``send_posted``."""
+        view = CommTrace()
+        for e in self.events:
+            if e.kind == "send_posted":
+                view.record(e.rank, e.data["dst"], e.data["bytes"],
+                            e.data["wire"])
+        return view
+
+    def _counters(self) -> dict[int, RankCounters]:
+        """Per-rank counters of every rank with a counted event."""
+        counters: dict[int, RankCounters] = {}
+        for e in self.events:
+            if e.kind in COUNTED_KINDS:
+                c = counters.get(e.rank)
+                if c is None:
+                    c = counters[e.rank] = RankCounters()
+                c.count(e)
+        return dict(sorted(counters.items()))
+
     def rank_counters(self, rank: int) -> RankCounters:
-        c = self._counters.get(rank)
-        if c is None:
-            c = self._counters[rank] = RankCounters()
-        return c
+        """One rank's counters (all zero for a rank that did nothing)."""
+        return self._counters().get(rank) or RankCounters()
 
     # -- inspection -------------------------------------------------------
 
@@ -267,7 +323,7 @@ class TraceRecorder:
 
     def counters_snapshot(self) -> dict[int, dict]:
         """Per-rank counter snapshots, keyed by global rank."""
-        return {r: c.snapshot() for r, c in sorted(self._counters.items())}
+        return {r: c.snapshot() for r, c in self._counters().items()}
 
     # -- canonical form and digest ----------------------------------------
 
@@ -370,9 +426,10 @@ class TraceRecorder:
             )
             detail = ", ".join(f"{k}×{n}" for k, n in sorted(kinds.items()))
             lines.append(f"  {layer:10s} {by_layer[layer]:6d}  ({detail})")
-        if self._counters:
+        counters = self._counters()
+        if counters:
             lines.append("per-rank counters:")
-            for rank, c in sorted(self._counters.items()):
+            for rank, c in counters.items():
                 lines.append(
                     f"  rank {rank}: sent {c.messages_sent} "
                     f"({c.payload_bytes_sent}B payload/{c.wire_bytes_sent}B wire), "
@@ -383,70 +440,22 @@ class TraceRecorder:
         return "\n".join(lines)
 
 
-#: The typed trace selector every tracing entry point shares
-#: (``run_program``, ``api.run_job``, ``api.sweep``, the ``trace`` CLI):
-#: ``False`` — off (zero cost); ``True`` — aggregate :class:`CommTrace`;
-#: ``"events"`` — fresh :class:`TraceRecorder` with the full structured
-#: stream; or a caller-constructed :class:`TraceRecorder`.
-TraceMode = Union[bool, Literal["events"], TraceRecorder]
+def check_trace(trace):
+    """Validate a ``trace=`` argument and return it.
 
-#: CLI-friendly spellings accepted by :func:`parse_trace_mode`
-_TRACE_MODE_STRINGS: dict[str, "bool | str"] = {
-    "off": False,
-    "false": False,
-    "aggregate": True,
-    "true": True,
-    "events": "events",
-}
-
-
-def parse_trace_mode(value) -> TraceMode:
-    """Normalize a ``trace=`` argument into a canonical :data:`TraceMode`.
-
-    Accepts ``None``/bools, a :class:`TraceRecorder`, and the strings
-    ``"off"``/``"false"`` (→ ``False``), ``"aggregate"``/``"true"``
-    (→ ``True``), and ``"events"``.  Any other string raises
-    :class:`ValueError` naming the valid modes — a typo like
-    ``trace="event"`` must never be silently interpreted; any other
-    type raises :class:`TypeError`.
-
-    This is the single parser: the API facade validates through it and
-    the CLI uses it as an ``argparse`` type, so both reject exactly the
-    same inputs with the same message.
+    ``False``/``None`` turns tracing off, ``True`` asks for a fresh
+    :class:`TraceRecorder` per job, and a recorder records into itself.
+    Anything else, strings included, raises :class:`TypeError`.
     """
-    if value is None:
-        return False
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, TraceRecorder):
-        return value
-    if isinstance(value, str):
-        try:
-            return _TRACE_MODE_STRINGS[value.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown trace mode {value!r}; valid modes: False ('off'), "
-                f"True ('aggregate'), 'events', or a TraceRecorder instance"
-            ) from None
+    if trace is None or isinstance(trace, (bool, TraceRecorder)):
+        return trace
     raise TypeError(
-        f"trace must be a bool, 'events', or a TraceRecorder, got {value!r}"
+        f"trace must be True, False/None or a TraceRecorder, got {trace!r}"
     )
 
 
-def resolve_trace(trace):
-    """Normalize a ``trace=`` argument into ``(recorder, comm_trace)``.
-
-    ``False``/``None`` → (None, None); ``True`` → aggregate-only
-    (None, CommTrace); ``"events"`` → fresh recorder; a
-    :class:`TraceRecorder` → that recorder.  With a recorder, the
-    CommTrace returned is the recorder's embedded :attr:`~TraceRecorder.comm`.
-    Validation rides on :func:`parse_trace_mode`.
-    """
-    trace = parse_trace_mode(trace)
-    if trace is False:
-        return None, None
-    if trace is True:
-        return None, CommTrace()
-    if trace == "events":
-        trace = TraceRecorder()
-    return trace, trace.comm
+def resolve_trace(trace) -> TraceRecorder | None:
+    """The recorder a ``trace=`` argument selects (None when off)."""
+    if check_trace(trace) is True:
+        return TraceRecorder()
+    return trace if isinstance(trace, TraceRecorder) else None

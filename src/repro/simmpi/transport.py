@@ -44,7 +44,7 @@ FLOW_CUTOFF = 2048
 
 
 class Transport:
-    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime, trace=None,
+    def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime,
                  recorder=None):
         self.sched = scheduler
         self.cluster = cluster
@@ -52,11 +52,9 @@ class Transport:
         #: noisy fabrics (repro.models.network.NoiseModel) perturb each
         #: inter-node delivery leg; clean models have no such method
         self._perturb = getattr(self.net, "perturb_delay", None)
-        #: optional CommTrace recording every message — the single
-        #: recording point for *all* traffic (point-to-point and
-        #: collective-internal alike); upper layers never record
-        self.trace = trace
-        #: optional TraceRecorder for structured events
+        #: optional TraceRecorder; its send_posted events are the single
+        #: record of *all* traffic (point-to-point and
+        #: collective-internal alike)
         self.recorder = recorder
         #: optional FaultInjector applied at delivery time
         self.fault_injector = None
@@ -83,8 +81,6 @@ class Transport:
         injection; rendezvous: when the payload transfer completes).
         """
         size = env.wire_bytes
-        if self.trace is not None:
-            self.trace.record(env.src, env.dst, env.payload_bytes, size)
         rec = self.recorder
         if rec is not None:
             if self.cluster.same_node(env.src, env.dst):
@@ -97,10 +93,6 @@ class Transport:
                 "transport", "send_posted", env.src, dst=env.dst,
                 tag=env.tag, bytes=env.payload_bytes, wire=size, path=path,
             )
-            c = rec.rank_counters(env.src)
-            c.messages_sent += 1
-            c.payload_bytes_sent += env.payload_bytes
-            c.wire_bytes_sent += size
         # Chain this envelope behind the route's previous one so FIFO
         # order is decided by *send* order, not by which transfer
         # finishes first.
@@ -178,7 +170,6 @@ class Transport:
             def emit_payload_arrival(_ev: SimEvent) -> None:
                 rec.emit("transport", "wire_end", env.dst, src=env.src,
                          tag=env.tag, wire=env.wire_bytes)
-                rec.rank_counters(env.dst).messages_received += 1
 
             data_ready.callbacks.append(emit_payload_arrival)
 
@@ -300,5 +291,3 @@ class Transport:
         kind = "rts_delivered" if "rendezvous_trigger" in env.info else "wire_end"
         rec.emit("transport", kind, env.dst, src=env.src,
                  tag=env.tag, wire=env.wire_bytes)
-        if kind == "wire_end":
-            rec.rank_counters(env.dst).messages_received += 1

@@ -19,7 +19,7 @@ from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.models.network import FabricSpec, NetworkModel, resolve_network
 from repro.simmpi.comm import CommHandle, Communicator
 from repro.simmpi.faults import ChainedInjector
-from repro.simmpi.tracing import TraceMode, resolve_trace
+from repro.simmpi.tracing import TraceRecorder, resolve_trace
 from repro.simmpi.topology import ClusterRuntime
 
 
@@ -36,7 +36,7 @@ class RankContext:
         #: SecurityConfig is supplied (None on plain-MPI jobs)
         self.enc = None
         #: TraceRecorder for structured tracing (None unless the job ran
-        #: with trace="events" or an explicit recorder)
+        #: with trace=True or an explicit recorder)
         self.recorder = recorder
         #: repro.analysis.sanitize.Sanitizer when the job runs with
         #: sanitize=True (None otherwise)
@@ -87,8 +87,8 @@ class SimResult:
     duration: float
     #: per-rank (start, end) virtual times
     spans: list[tuple[float, float]] = field(default_factory=list)
-    #: populated when run_program(trace=True)
-    trace: Any = None
+    #: the job's TraceRecorder when traced (None otherwise)
+    trace: TraceRecorder | None = None
     #: a repro.analysis.sanitize.SanitizerReport when the job ran with
     #: sanitize=True (the run raises SanitizerError instead of
     #: returning when the report has leaks)
@@ -105,7 +105,7 @@ def run_program(
     network: str | FabricSpec | NetworkModel = "ethernet",
     cluster: ClusterSpec = PAPER_CLUSTER,
     placement: str = "block",
-    trace: TraceMode = False,
+    trace: bool | TraceRecorder | None = False,
     fault_injector=None,
     sanitize: bool | None = None,
     resilience=None,
@@ -116,13 +116,11 @@ def run_program(
     The program receives a :class:`RankContext`.  Rank processes hold
     one core each for their lifetime (the paper never oversubscribes).
 
-    ``trace`` selects the observability level: ``True`` records every
-    message into ``SimResult.trace`` (a
-    :class:`repro.simmpi.tracing.CommTrace` of aggregate statistics);
-    ``"events"`` — or a :class:`repro.simmpi.tracing.TraceRecorder`
-    instance — additionally records the full structured event stream,
-    and ``SimResult.trace`` is then the recorder (whose ``.comm`` is the
-    aggregate view).  ``fault_injector`` (a
+    ``trace=True`` — or a :class:`repro.simmpi.tracing.TraceRecorder`
+    instance — records the full structured event stream into
+    ``SimResult.trace``; its ``.comm`` and per-rank counters are views
+    over it.  Any other value than a bool, None or a recorder raises
+    :class:`TypeError` before any rank runs.  ``fault_injector`` (a
     :class:`repro.simmpi.faults.FaultInjector`) lets an adversary
     tamper with deliveries.
 
@@ -192,7 +190,7 @@ def run_program(
         else:
             fault_injector = ChainedInjector((loss_injector, fault_injector))
     scheduler = Scheduler(runtime=mode, handoff_check=opts.handoff_check)
-    recorder, comm_trace = resolve_trace(trace)
+    recorder = resolve_trace(trace)
     runtime = ClusterRuntime(scheduler, cluster, net, nranks, placement,
                              recorder)
     if recorder is not None:
@@ -205,8 +203,7 @@ def run_program(
     if resolve_sanitize(sanitize):
         sanitizer = Sanitizer(nranks,
                               fault_injection=fault_injector is not None)
-    communicator = Communicator(scheduler, runtime, comm_trace, recorder,
-                                sanitizer)
+    communicator = Communicator(scheduler, runtime, recorder, sanitizer)
     communicator.transport.fault_injector = fault_injector
     manager = None
     if resilience is not None:
@@ -256,7 +253,7 @@ def run_program(
             raise SanitizerError(report)
     return SimResult(
         results=results, duration=duration, spans=spans,
-        trace=recorder if recorder is not None else comm_trace,
+        trace=recorder,
         sanitizer=report,
         resilience=manager.report() if manager is not None else None,
     )

@@ -79,7 +79,7 @@ def test_mistyped_settings_raise_before_any_rank_runs():
         (dict(cluster="2x8"), TypeError, "ClusterSpec"),
         (dict(engine=8), TypeError, "engine"),
         (dict(stats=3), TypeError, "stats"),
-        (dict(trace="evnts"), ValueError, "trace"),
+        (dict(trace="evnts"), TypeError, "trace"),
     ):
         for entry in (api.run_job, api.sweep):
             with pytest.raises(error, match=match):

@@ -42,7 +42,7 @@ def test_sweep_cell_records_auth_fail_events():
         networks=("ethernet", "infiniband"),
         securities=(SECURITY,),
         cluster=CLUSTER,
-        trace="events",
+        trace=True,
         faults=CORRUPT_ROUTE,
     )
     assert len(points) == 2
@@ -87,7 +87,7 @@ def test_parallel_sweep_matches_serial_byte_for_byte():
         networks=("ethernet", "infiniband"),
         securities=(None, SECURITY),
         cluster=CLUSTER,
-        trace="events",
+        trace=True,
     )
     serial = api.sweep(workload, **kwargs)
     parallel = api.sweep(workload, parallel=2, **kwargs)

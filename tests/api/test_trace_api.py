@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api
-from repro.simmpi.tracing import CommTrace, TraceRecorder
+from repro.simmpi.tracing import TraceRecorder
 
 
 def _enc_workload(ctx):
@@ -24,7 +24,7 @@ def test_run_job_trace_events_covers_every_layer():
     """The headline contract: one encrypted job traced end to end shows
     events from the engine, transport, collective, and AEAD layers."""
     result = api.run_job(_enc_workload, nranks=2, security=SECURITY,
-                         trace="events")
+                         trace=True)
     rec = result.trace
     assert isinstance(rec, TraceRecorder)
     assert {"engine", "transport", "collective", "aead"} <= rec.layers()
@@ -52,20 +52,13 @@ def test_run_job_accepts_caller_constructed_recorder():
     assert mine.events
 
 
-def test_run_job_trace_true_keeps_comm_trace_shape():
-    result = api.run_job(_enc_workload, nranks=2, security=SECURITY,
-                         trace=True)
-    assert isinstance(result.trace, CommTrace)
-    assert not isinstance(result.trace, TraceRecorder)
-
-
 def test_sweep_forwards_trace_to_every_cell():
     points = api.sweep(
         _enc_workload,
         nranks=2,
         securities=(SECURITY,),
         networks=("ethernet", "infiniband"),
-        trace="events",
+        trace=True,
     )
     assert len(points) == 2
     recorders = [p.result.trace for p in points]
@@ -88,33 +81,20 @@ def test_sweep_rejects_one_recorder_across_cells():
 
 
 # ---------------------------------------------------------------------------
-# the typed TraceMode surface
+# the trace= values
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_trace_string_raises_value_error_naming_modes():
-    with pytest.raises(ValueError, match="eventz") as exc_info:
-        api.run_job(_enc_workload, nranks=2, security=SECURITY,
-                    trace="eventz")
-    message = str(exc_info.value)
-    assert "'events'" in message and "aggregate" in message
-    # sweep rejects it eagerly too, before any cell runs
-    with pytest.raises(ValueError, match="unknown trace mode"):
-        api.sweep(_enc_workload, nranks=2, securities=(SECURITY,),
-                  trace="evnts")
+@pytest.mark.parametrize("value", ["events", "aggregate", "true", "off", 1])
+def test_trace_strings_are_type_errors_before_any_rank_runs(value):
+    ran = []
 
+    def spy(ctx):
+        ran.append(ctx.rank)
 
-def test_parse_trace_mode_accepts_documented_spellings():
-    from repro.simmpi.tracing import parse_trace_mode
-
-    assert parse_trace_mode(None) is False
-    assert parse_trace_mode("off") is False
-    assert parse_trace_mode("false") is False
-    assert parse_trace_mode("aggregate") is True
-    assert parse_trace_mode("true") is True
-    assert parse_trace_mode("events") == "events"
-    assert parse_trace_mode(True) is True
-    mine = TraceRecorder()
-    assert parse_trace_mode(mine) is mine
-    with pytest.raises(TypeError):
-        parse_trace_mode(42)
+    for entry in (api.run_job, api.sweep):
+        with pytest.raises(TypeError, match="TraceRecorder"):
+            entry(spy, nranks=2, trace=value)
+    assert ran == []
+    assert not hasattr(api, "TraceMode")
+    assert not hasattr(api, "parse_trace_mode")

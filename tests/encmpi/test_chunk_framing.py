@@ -5,7 +5,8 @@ with the header authenticated as AAD.  Frame 0's header is special: its
 ``total`` sizes the sibling receives and its ``seq`` routes them, so it
 must authenticate before it is read.  Each test puts a damaged frame on
 the wire (a flipped header bit, a truncated frame, a repeated or
-out-of-range index, a duplicated frame) and checks that the receiver
+out-of-range index, a duplicated frame, a stale copy of an earlier
+message's frame 0) and checks that the receiver
 raises an :class:`AuthenticationError` that names the frame, instead of
 hanging or sizing a huge receive list, and that resilience recovers
 where a clean copy of the frame is still on its way.
@@ -166,3 +167,43 @@ def test_duplicated_first_frame_leaves_the_message_intact():
     result = _send_recv(fault_injector=injector)
     assert injector.injected[FaultAction.DUPLICATE] == 1
     assert result.results[1] == PAYLOAD
+
+
+def _exchange_with_duplicates(seed, **run_kwargs):
+    """Two ranks trade 12 cryptmpi messages of 3,000 B (three chunks
+    each) while the wire duplicates a fifth of the frame 0s, so stale
+    but authentic copies of earlier messages' frame 0 arrive."""
+    security = SecurityConfig(nonce_strategy="counter", replay_window=64,
+                              bind_header=True, crypto=PLAN)
+    faults = FaultPlan(duplicate=0.2, seed=seed, tag=TAG)
+
+    def program(ctx):
+        enc = EncryptedComm(ctx, security)
+        peer = 1 - ctx.rank
+        got = []
+        for i in range(12):
+            rreq = enc.irecv(peer, TAG)
+            sreq = enc.isend(bytes([i]) * 3000, peer, TAG)
+            got.append(rreq.wait())
+            sreq.wait()
+        return got
+
+    return run_program(2, program, cluster=TWO_NODES,
+                       fault_injector=faults.build(), **run_kwargs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replayed_first_frame_is_a_replay_error(seed):
+    # a stale frame 0 must not route sibling receives onto its old
+    # message's tag (which deadlocked both ranks)
+    with pytest.raises(ProcessFailed, match="ReplayError"):
+        _exchange_with_duplicates(seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replayed_first_frame_recovers_with_resilience(seed):
+    result = _exchange_with_duplicates(
+        seed, resilience=ResiliencePolicy(max_retries=8, timeout=2e-4))
+    expected = [bytes([i]) * 3000 for i in range(12)]
+    assert result.results == [expected, expected]
+    assert result.resilience.nacks > 0

@@ -94,7 +94,7 @@ def test_core_busy_trace_and_determinism():
                 enc.recv(0, TAG_BULK)
 
         return api.run_job(program, nranks=2, cluster=TWO_NODES,
-                           trace="events").trace
+                           trace=True).trace
 
     first, second = run(), run()
     busy = list(first.events_in("cpu", "core_busy"))
@@ -113,7 +113,7 @@ def test_oversubscribed_node_degrades_to_serial_chunked():
     may be scheduled on the allocator — yet the transfer still works."""
     size = 5 * CHUNK
     payload, result = _roundtrip(REAL_PLAN, OVERSUBSCRIBED, size,
-                                 trace="events")
+                                 trace=True)
     data, _status = result.results[1]
     assert data == payload
     assert not list(result.trace.events_in("cpu"))
@@ -122,7 +122,7 @@ def test_oversubscribed_node_degrades_to_serial_chunked():
 def test_helper_cores_zero_forces_the_fallback():
     plan = CryptoPlan(mode="cryptmpi", chunk_bytes=CHUNK, helper_cores=0,
                       bytework="real")
-    payload, result = _roundtrip(plan, TWO_NODES, 3 * CHUNK, trace="events")
+    payload, result = _roundtrip(plan, TWO_NODES, 3 * CHUNK, trace=True)
     data, _status = result.results[1]
     assert data == payload
     assert not list(result.trace.events_in("cpu"))

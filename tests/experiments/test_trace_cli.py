@@ -48,32 +48,12 @@ def test_trace_write_goldens_round_trips(tmp_path, capsys):
     assert goldens.generate_fixture() == doc
 
 
-def test_trace_mode_aggregate_prints_comm_trace(capsys):
-    assert main(["trace", "pingpong", "--mode", "aggregate"]) == 0
+def test_trace_prints_summary_then_route_view(capsys):
+    assert main(["trace", "enc_multipair"]) == 0
     out = capsys.readouterr().out
-    # the aggregate CommTrace view, not the event summary
-    assert "per-rank counters" not in out
-    assert "->" in out or "messages" in out
-
-
-def test_trace_mode_off_is_rejected(capsys):
-    assert main(["trace", "pingpong", "--mode", "off"]) == 2
-    assert "records nothing" in capsys.readouterr().err
-
-
-def test_trace_mode_unknown_string_names_valid_modes(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["trace", "pingpong", "--mode", "eventz"])
-    assert exc_info.value.code == 2
-    err = capsys.readouterr().err
-    # the parser's message survives argparse, naming the valid modes
-    assert "eventz" in err and "'events'" in err
-
-
-def test_trace_aggregate_mode_refuses_output(tmp_path, capsys):
-    assert main(["trace", "pingpong", "--mode", "aggregate",
-                 "--output", str(tmp_path / "t.jsonl")]) == 2
-    assert "--mode events" in capsys.readouterr().err
+    # the event summary, then the per-route view folded from the stream
+    assert out.index("per-rank counters") < out.index("messages:") \
+        < out.index("heaviest routes")
 
 
 def test_trace_without_workload_errors(capsys):

@@ -16,7 +16,7 @@ FAST_EXAMPLES = [
     "pipelined_encryption.py",
     "heat_stencil.py",
     "campaign_demo.py",
-    pytest.param("comm_characterization.py", marks=pytest.mark.slow),
+    "comm_characterization.py",
 ]
 
 

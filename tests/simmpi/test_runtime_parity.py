@@ -176,7 +176,7 @@ def _run_cryptmpi(runtime_name: str):
     return api.run_job(
         _co_cryptmpi_exchange, nranks=2,
         security=api.SecurityConfig(library="boringssl", crypto=CRYPTMPI),
-        cluster=parse_cluster_spec("2x8"), trace="events",
+        cluster=parse_cluster_spec("2x8"), trace=True,
         faults=faults,
         resilience=api.ResiliencePolicy(max_retries=8, timeout=1e-3),
         engine=_force(runtime_name),
@@ -204,7 +204,7 @@ def test_collective_latency_identical_on_both_runtimes(op, monkeypatch):
     jobs = []
 
     def traced_run_program(*args, **kwargs):
-        jobs.append(run_program(*args, trace="events", **kwargs))
+        jobs.append(run_program(*args, trace=True, **kwargs))
         return jobs[-1]
 
     monkeypatch.setattr(osu_collectives, "run_program", traced_run_program)

@@ -14,7 +14,7 @@ CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
 def _traced(prog, nranks=2):
     res = run_program(nranks, prog, cluster=CLUSTER, trace=True)
     assert res.trace is not None
-    return res.trace
+    return res.trace.comm
 
 
 def test_p2p_traffic_recorded():
@@ -177,7 +177,7 @@ def test_p2p_and_collective_byte_accounting_agree():
 
 
 def _recorded(prog, nranks=2, **kw):
-    res = run_program(nranks, prog, cluster=CLUSTER, trace="events", **kw)
+    res = run_program(nranks, prog, cluster=CLUSTER, trace=True, **kw)
     assert isinstance(res.trace, TraceRecorder)
     return res.trace
 
@@ -278,13 +278,12 @@ def test_recorder_cannot_span_two_jobs():
 
 
 def test_resolve_trace_contract():
-    assert resolve_trace(False) == (None, None)
-    assert resolve_trace(None) == (None, None)
-    rec, comm = resolve_trace(True)
-    assert rec is None and isinstance(comm, CommTrace)
-    rec, comm = resolve_trace("events")
-    assert isinstance(rec, TraceRecorder) and comm is rec.comm
+    assert resolve_trace(False) is None
+    assert resolve_trace(None) is None
+    assert isinstance(resolve_trace(True), TraceRecorder)
+    assert resolve_trace(True) is not resolve_trace(True)
     mine = TraceRecorder()
-    assert resolve_trace(mine) == (mine, mine.comm)
-    with pytest.raises(TypeError):
-        resolve_trace(42)
+    assert resolve_trace(mine) is mine
+    for value in (42, "events", "aggregate"):
+        with pytest.raises(TypeError):
+            resolve_trace(value)
