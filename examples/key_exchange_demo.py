@@ -31,8 +31,9 @@ def job(ctx):
 
     # All ranks now share a key no one hardcoded; use it.
     enc = EncryptedComm(ctx, SecurityConfig().with_key(key_epoch0))
-    roster = enc.allgather(f"rank{ctx.rank}".encode())
-    assert roster == [f"rank{i}".encode() for i in range(ctx.size)]
+    # allgather blocks are equal-sized, as in MPI
+    roster = enc.allgather(f"rank{ctx.rank:02d}".encode())
+    assert roster == [f"rank{i:02d}".encode() for i in range(ctx.size)]
 
     # Re-key (e.g. after a checkpoint): a fresh epoch gives a fresh key.
     key_epoch1 = establish_session_key(ctx, epoch=1)

@@ -187,33 +187,39 @@ class EncryptedComm:
     # ------------------------------------------------------------------
 
     def _seal(self, plaintext: bytes, prefix: bytes, aad: bytes, dur: float,
-              chunk: int | None = None):
+              chunk: int | None = None, window: tuple[int, int] | None = None):
         """Frame one message as ``prefix || nonce || ct`` under a fresh
         nonce, the clear *prefix* (a chunk header, or empty) authenticated
-        ahead of *aad*; the caller charges the seal time *dur*.  Every
+        ahead of *aad*; the caller charges the seal time *dur*.  The
+        message is the *window* ``[start, stop)`` of *plaintext* (a
+        cryptmpi chunk), or all of it, and is never copied.  Every
         seal — serial, chunk, or reliability-layer reseal — comes here."""
+        start, stop = window or (0, len(plaintext))
         nonce = self._nonces.next()
         if self._san is not None:
             self._san.check_nonce(self._aead.key, nonce, self.rank)
-        self.bytes_encrypted += len(plaintext)
+        self.bytes_encrypted += stop - start
         rec = self.ctx.recorder
         if rec is not None:
             where = {} if chunk is None else {"chunk": chunk}
             rec.emit("aead", "seal", self.rank, backend=self._aead.name,
-                     bytes=len(plaintext), dur=dur, **where)
+                     bytes=stop - start, dur=dur, **where)
         if self.config.crypto_mode == "real":
-            return prefix + nonce + self._aead.seal(nonce, plaintext,
-                                                    prefix + aad)
+            body = plaintext if window is None \
+                else memoryview(plaintext)[start:stop]
+            return prefix + nonce + self._aead.seal(nonce, body, prefix + aad)
         # Modeled: time already charged; ship the plaintext inside a
         # zero-copy frame whose length accounting is the real ℓ+28 (see
         # OpaquePayload — this keeps p² fan-outs from materializing p²
         # ciphertext buffers in the single simulator process).
-        return OpaquePayload(prefix + nonce, plaintext, bytes(16))
+        return OpaquePayload(prefix + nonce, plaintext, bytes(16), start, stop)
 
     def _open(self, wire, prefix: bytes, aad: bytes, dur: float,
               chunk: int | None = None) -> bytes:
         """Open a ``prefix || nonce || ct`` frame sealed by :meth:`_seal`;
-        the caller has checked the prefix and charged the open time."""
+        the caller has checked the prefix and charged the open time.  A
+        modeled frame's plaintext is its uncopied window
+        (:attr:`OpaquePayload.body`)."""
         start = len(prefix) + NONCE_SIZE
         plain_len = max(0, len(wire) - len(prefix) - WIRE_OVERHEAD)
         try:
@@ -221,7 +227,7 @@ class EncryptedComm:
                 raise AuthenticationError("message shorter than nonce + tag")
             if isinstance(wire, OpaquePayload):
                 # Zero-copy modeled frame: the plaintext rides inside.
-                plain = wire.base
+                plain = wire.body
             elif self.config.crypto_mode == "real":
                 plain = self._aead.open(wire[len(prefix):start], wire[start:],
                                         prefix + aad)

@@ -133,6 +133,20 @@ def _frame_nonce(wire) -> bytes:
     return bytes(wire[HEADER_SIZE:HEADER_SIZE + NONCE_SIZE])
 
 
+def _tiled_buffer(frames):
+    """The buffer that *frames*, in index order, are consecutive windows
+    on from offset 0 to its end; None when any frame was materialized
+    (real bytework, a corrupted frame), is a window on another buffer,
+    or leaves a gap or an overlap."""
+    base, pos = getattr(frames[0], "base", None), 0
+    for frame in frames:
+        if not (isinstance(frame, OpaquePayload) and frame.base is base
+                and frame.start == pos):
+            return None
+        pos = frame.stop
+    return base if pos == len(base) else None
+
+
 class ChunkedSendRequest:
     """Composite handle over one chunk-framed logical send."""
 
@@ -218,6 +232,13 @@ class ChunkPipeline:
     not chunked — CryptMPI pipelines point-to-point transfers, and the
     serial collectives keep their golden traces.
 
+    As in an MPI library, a chunk is a window ``[start, stop)`` of the
+    sender's buffer, never a copy: real bytework seals a memoryview of
+    it, and a modeled frame carries the window itself
+    (:class:`~repro.simmpi.message.OpaquePayload`).  The receiver hands
+    back the sender's buffer when the frames it accepted tile it in
+    index order, and joins the opened chunks otherwise.
+
     :meth:`isend`, :meth:`_recv_wait` and :meth:`_open_chunk_reliable`
     are generators: the rank waits on helper-core events and on chunk
     receives by yielding them, under either rank runtime.
@@ -238,17 +259,20 @@ class ChunkPipeline:
             return alloc.helpers
         return min(self.plan.helper_cores, alloc.helpers)
 
-    def _split(self, data: bytes) -> list[bytes]:
+    def _split(self, size: int) -> list[tuple[int, int]]:
+        """The chunk windows ``[start, stop)`` of a *size*-byte message."""
         cb = self.chunk_bytes
-        return [data[off:off + cb] for off in range(0, len(data), cb)] or [b""]
+        return [(off, min(off + cb, size))
+                for off in range(0, size, cb)] or [(0, 0)]
 
     # -- sender ----------------------------------------------------------
 
     def isend(self, data: bytes, dest: int, tag: int = 0):
         enc = self.enc
         data = bytes(data)
-        chunks = self._split(data)
-        total = len(chunks)
+        # Each chunk is a window on the sender's buffer: no copy.
+        windows = self._split(len(data))
+        total = len(windows)
         seq = self._seq
         self._seq += 1
         aad_tail = enc._aad_for_peer(enc.rank, tag)
@@ -259,54 +283,59 @@ class ChunkPipeline:
         if rec is not None:
             rec.emit("encmpi", "chunked_send", enc.rank, dest=dest, tag=tag,
                      bytes=len(data), chunks=total, helpers=cap)
-        durs = [enc.profile.encrypt_time(len(c), enc.crypto_slowdown)
-                for c in chunks]
+        durs = [enc.profile.encrypt_time(stop - start, enc.crypto_slowdown)
+                for start, stop in windows]
         events = []
         if cap > 0:
             # Submit every seal now; the after= chain caps this
             # operation at `cap` concurrent helpers (chunk i waits for
             # chunk i-cap) while the pool itself arbitrates FIFO against
             # other operations on the node.
-            for i, c in enumerate(chunks):
+            for i, (start, stop) in enumerate(windows):
                 after = events[i - cap] if i >= cap else None
                 events.append(alloc.submit(
-                    durs[i], rank=enc.rank, work="seal", nbytes=len(c),
+                    durs[i], rank=enc.rank, work="seal", nbytes=stop - start,
                     chunk=i, after=after,
                 ))
         sib_tag = CHUNK_TAG_BASE + (seq & 0xFFFFFFFF)
         inners = []
-        for i, c in enumerate(chunks):
+        for i, window in enumerate(windows):
             if cap > 0:
                 yield events[i]
             else:
                 yield from enc.ctx.co_compute(durs[i])  # serial-chunked fallback
-            wire = self._seal_chunk(seq, i, total, c, aad_tail, durs[i])
+            wire = self._seal_chunk(seq, i, total, data, window, aad_tail,
+                                    durs[i])
             reseal = None
             if enc._resilience is not None:
-                reseal = self._make_chunk_reseal(seq, i, total, c, aad_tail)
+                reseal = self._make_chunk_reseal(seq, i, total, data, window,
+                                                 aad_tail)
             inners.append((yield from enc.ctx.comm.co_isend(
                 wire, dest, tag if i == 0 else sib_tag,
-                wire_bytes=HEADER_SIZE + enc._wire_bytes(len(c)),
+                wire_bytes=HEADER_SIZE + enc._wire_bytes(window[1] - window[0]),
                 _internal=i > 0,
                 _reseal=reseal,
             )))
         return ChunkedSendRequest(inners, enc.ctx._scheduler)
 
-    def _seal_chunk(self, seq: int, index: int, total: int, chunk: bytes,
-                    aad_tail: bytes, dur: float):
-        """Frame one chunk (byte work only — time already charged)."""
-        return self.enc._seal(chunk, _chunk_header(seq, total, index),
-                              aad_tail, dur, index)
+    def _seal_chunk(self, seq: int, index: int, total: int, data: bytes,
+                    window: tuple[int, int], aad_tail: bytes, dur: float):
+        """Frame chunk *index*, the *window* ``[start, stop)`` of *data*
+        (byte work only — time already charged)."""
+        return self.enc._seal(data, _chunk_header(seq, total, index),
+                              aad_tail, dur, index, window)
 
     def _make_chunk_reseal(self, seq: int, index: int, total: int,
-                           chunk: bytes, aad_tail: bytes):
+                           data: bytes, window: tuple[int, int],
+                           aad_tail: bytes):
         """Fresh-nonce re-framing of one chunk for the reliability layer."""
         enc = self.enc
 
         def reseal():
-            dur = enc.profile.encrypt_time(len(chunk), enc.crypto_slowdown)
-            return self._seal_chunk(seq, index, total, chunk, aad_tail,
-                                    dur), dur
+            dur = enc.profile.encrypt_time(window[1] - window[0],
+                                           enc.crypto_slowdown)
+            return self._seal_chunk(seq, index, total, data, window,
+                                    aad_tail, dur), dur
 
         return reseal
 
@@ -340,6 +369,9 @@ class ChunkPipeline:
                             for _ in range(total - 1)]
         open_events: list = []
         wires: list = [None] * total
+        # the frame each chunk opened from (a re-posted one after a NACK)
+        # and its plaintext
+        accepted: list = [None] * total
         plains: list = [None] * total
         for i in range(total):
             wire = wires[i] = (yield from inners[i].co_wait()) if i else wire0
@@ -356,16 +388,18 @@ class ChunkPipeline:
                 ))
             else:
                 yield from enc.ctx.co_compute(dur)
-                plains[i] = yield from self._open_chunk_reliable(
+                accepted[i], plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wire, src, tag, seq, i, total, dur)
         if cap > 0:
             for i in range(total):
                 yield open_events[i]
                 plain_len = max(0, len(wires[i]) - HEADER_SIZE - WIRE_OVERHEAD)
                 dur = enc.profile.decrypt_time(plain_len, enc.crypto_slowdown)
-                plains[i] = yield from self._open_chunk_reliable(
+                accepted[i], plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wires[i], src, tag, seq, i, total, dur)
-        data = b"".join(plains)
+        data = _tiled_buffer(accepted)
+        if data is None:
+            data = b"".join(plains)
         # Like the serial path, count reflects delivered frame bytes.
         req.status = Status(source=src, tag=tag,
                             count=sum(len(w) for w in wires))
@@ -424,13 +458,14 @@ class ChunkPipeline:
 
     def _open_chunk_reliable(self, inner, wire, src: int, tag: int,
                              seq: int, index: int, total: int, dur: float):
-        """Open one chunk; NACK + pinned re-post on failure (resilience)."""
+        """Open one chunk; NACK + pinned re-post on failure (resilience).
+        Returns the frame that opened and its plaintext."""
         channel = tag if index == 0 else CHUNK_TAG_BASE + seq
         attempts = 0
         while True:
             try:
-                return self._open_chunk(wire, src, tag, seq, index, total,
-                                        dur)
+                return wire, self._open_chunk(wire, src, tag, seq, index,
+                                              total, dur)
             except (AuthenticationError, ReplayError) as exc:
                 attempts += 1
                 inner, wire = yield from self._nack_and_repost(

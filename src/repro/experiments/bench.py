@@ -3,9 +3,9 @@
 The simulator is deterministic, so the *virtual* results never move —
 what can regress is the wall-clock cost of producing them.  This module
 times the hot paths the reproduction leans on (pure-Python AES-GCM and
-ChaCha20-Poly1305, the event engine, process handoff, the simulated transport, and one
-end-to-end experiment) and writes the numbers to ``BENCH_core.json``
-so a checked-in baseline travels with the code.
+ChaCha20-Poly1305, the event engine, process handoff, the simulated
+transport, and end-to-end experiments) and writes the numbers to
+``BENCH_core.json`` so a checked-in baseline travels with the code.
 
 Two modes:
 
@@ -227,6 +227,14 @@ def _bench_experiment_fig6(mode: str) -> dict:
     from repro.experiments.figures import fig6
 
     return {"seconds": _timed(fig6)}
+
+
+@_bench("experiment_cryptmpi",
+        "cryptmpi end-to-end (chunk pipeline on helper cores, modeled)")
+def _bench_experiment_cryptmpi(_mode: str) -> dict:
+    from repro.experiments.cryptmpi import cryptmpi
+
+    return {"seconds": _timed(cryptmpi)}
 
 
 @_bench("campaign_warm_cache",

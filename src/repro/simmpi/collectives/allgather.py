@@ -3,6 +3,8 @@
 MPICH uses recursive doubling for short payloads on power-of-two
 communicators and the ring algorithm for long payloads or non-power-of-
 two sizes; the classic threshold is 512 KiB of *total* gathered data.
+Blocks carry no header: like MPICH, both algorithms place a block by
+its rank offset, so every rank must contribute the same size.
 """
 
 from __future__ import annotations
@@ -11,28 +13,6 @@ from repro.simmpi.collectives.common import is_power_of_two
 from repro.simmpi.message import as_bytes
 
 ALLGATHER_LONG_THRESHOLD = 512 * 1024
-
-
-def _pack(chunks: dict[int, bytes]) -> bytes:
-    parts = []
-    for idx in sorted(chunks):
-        c = chunks[idx]
-        parts.append(idx.to_bytes(4, "big"))
-        parts.append(len(c).to_bytes(4, "big"))
-        parts.append(c)
-    return b"".join(parts)
-
-
-def _unpack(payload: bytes) -> dict[int, bytes]:
-    out = {}
-    offset = 0
-    while offset < len(payload):
-        idx = int.from_bytes(payload[offset : offset + 4], "big")
-        n = int.from_bytes(payload[offset + 4 : offset + 8], "big")
-        offset += 8
-        out[idx] = payload[offset : offset + n]
-        offset += n
-    return out
 
 
 def allgather(handle, data: bytes):
@@ -47,35 +27,48 @@ def allgather(handle, data: bytes):
     return (yield from _allgather_ring(handle, data, tag))
 
 
+def _check_reply(rank: int, partner: int, got: int, expected: int) -> None:
+    if got != expected:
+        raise ValueError(
+            f"allgather: rank {rank} got {got} bytes from rank {partner}, "
+            f"expected {expected}; every rank must contribute the same size")
+
+
 def _allgather_recursive_doubling(handle, data: bytes, tag: int):
+    """Before round *mask* a rank holds the *mask* blocks of its aligned
+    group; it sends them joined in index order and slices the partner's
+    reply into *mask* blocks of its own block size."""
     size, rank = handle.size, handle.rank
-    held: dict[int, bytes] = {rank: data}
+    n = len(data)
+    blocks: list = [None] * size
+    blocks[rank] = data
     mask = 1
     while mask < size:
         partner = rank ^ mask
-        packed = _pack(held)
-        wire = sum(len(c) for c in held.values())
+        mine, theirs = rank & ~(mask - 1), partner & ~(mask - 1)
         rreq = handle.irecv(partner, tag, _internal=True)
-        sreq = yield from handle.co_isend(packed, partner, tag, wire_bytes=wire,
-                                          payload_bytes=wire, _internal=True)
+        sreq = yield from handle.co_isend(b"".join(blocks[mine:mine + mask]),
+                                          partner, tag, _internal=True)
         yield from sreq.co_wait()
         received = yield from rreq.co_wait()
-        held.update(_unpack(received))
+        _check_reply(rank, partner, len(received), mask * n)
+        for j in range(mask):
+            blocks[theirs + j] = received[j * n:(j + 1) * n]
         mask <<= 1
-    return [held[i] for i in range(size)]
+    return blocks
 
 
 def _allgather_ring(handle, data: bytes, tag: int):
     size, rank = handle.size, handle.rank
     right = (rank + 1) % size
     left = (rank - 1) % size
-    held: dict[int, bytes] = {rank: data}
+    blocks: list = [None] * size
+    blocks[rank] = data
     send_idx = rank
     for _step in range(size - 1):
-        out = held[send_idx]
         received, _status = yield from handle.co_sendrecv(
-            out, right, left, tag, tag, _internal=True)
-        recv_idx = (send_idx - 1) % size
-        held[recv_idx] = received
-        send_idx = recv_idx
-    return [held[i] for i in range(size)]
+            blocks[send_idx], right, left, tag, tag, _internal=True)
+        _check_reply(rank, left, len(received), len(data))
+        send_idx = (send_idx - 1) % size
+        blocks[send_idx] = received
+    return blocks

@@ -18,34 +18,56 @@ _seq = itertools.count()
 
 
 class OpaquePayload:
-    """Zero-copy framed payload for the simulator.
+    """Zero-copy framed payload for the simulator: a window on a shared
+    buffer.
 
     The paper's Encrypted_Alltoall materializes p ciphertext buffers on
     *each of p ranks* — distributed over the cluster's memory.  The
     simulator hosts every rank in one process, so naively framing a
     4 MB chunk per destination per rank would need p² × 4 MB (~17 GB at
     p = 64).  In ``crypto_mode="modeled"`` the frame therefore *shares*
-    the plaintext object and only virtually prepends the nonce and
-    appends the tag: length accounting (and hence all timing) sees the
-    full ℓ+28 bytes, while memory holds one plaintext.
+    the sender's buffer *base* and only virtually prepends the nonce and
+    appends the tag.  Its body is the window ``base[start:stop]``: all
+    of the buffer for a serial message, one chunk of it for a cryptmpi
+    frame, so framing a chunk copies nothing either.  Length accounting
+    (and hence all timing) sees the full ℓ+28 bytes, fixed when the
+    frame is built, while memory holds one plaintext.
 
     Behaves like an immutable bytes-ish object for the operations the
     stack needs (``len``, slicing, equality via materialization).
     """
 
-    __slots__ = ("prefix", "base", "suffix")
+    __slots__ = ("prefix", "base", "start", "stop", "suffix", "_len")
 
-    def __init__(self, prefix: bytes, base, suffix: bytes):
+    def __init__(self, prefix: bytes, base, suffix: bytes, start: int = 0,
+                 stop: int | None = None):
+        size = len(base)
+        if stop is None:
+            stop = size
+        if not 0 <= start <= stop <= size:
+            raise ValueError(
+                f"window [{start}, {stop}) outside a {size}-byte buffer")
         self.prefix = prefix
         self.base = base
+        self.start = start
+        self.stop = stop
         self.suffix = suffix
+        self._len = len(prefix) + (stop - start) + len(suffix)
 
     def __len__(self) -> int:
-        return len(self.prefix) + len(self.base) + len(self.suffix)
+        return self._len
+
+    @property
+    def body(self):
+        """The window's bytes, uncopied: *base* itself when the window
+        covers it, else a memoryview of the window."""
+        if self.start == 0 and self.stop == len(self.base):
+            return self.base
+        return memoryview(self.base)[self.start:self.stop]
 
     def to_bytes(self) -> bytes:
         base = self.base.to_bytes() if isinstance(self.base, OpaquePayload) else self.base
-        return self.prefix + bytes(base) + self.suffix
+        return b"".join((self.prefix, base[self.start:self.stop], self.suffix))
 
     def __getitem__(self, index):
         return self.to_bytes()[index]

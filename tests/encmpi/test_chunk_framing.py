@@ -66,7 +66,7 @@ def _sealed(enc, total, index, seq=0):
     """A frame sealed under the job key with any header: what a keyed
     but faulty sender would emit."""
     chunk = PAYLOAD[index * CHUNK:(index + 1) * CHUNK] or b"x" * CHUNK
-    return enc._pipe._seal_chunk(seq, index, total, chunk,
+    return enc._pipe._seal_chunk(seq, index, total, chunk, (0, len(chunk)),
                                  enc._aad_for_peer(enc.rank, TAG), 0.0)
 
 

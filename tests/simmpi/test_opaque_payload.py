@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simmpi.faults import _flip_bit
 from repro.simmpi.message import OpaquePayload, as_bytes
 
 NONCE = bytes(range(12))
@@ -69,3 +70,65 @@ def test_repr_shows_size_not_content():
     f = _frame(b"secret")
     assert "secret" not in repr(f)
     assert str(len(f)) in repr(f)
+
+
+# -- windows: a frame whose body is base[start:stop] -------------------------
+
+BUFFER = bytes(range(64))
+
+
+def _window(start, stop):
+    return OpaquePayload(NONCE, BUFFER, TAG, start, stop)
+
+
+def test_window_length_counts_only_the_window():
+    assert len(_window(8, 24)) == 12 + 16 + 16
+    assert len(_window(5, 5)) == 12 + 16
+
+
+def test_window_length_is_fixed_when_built():
+    f = OpaquePayload(NONCE, bytearray(BUFFER), TAG, 0, 10)
+    f.base.extend(b"more")
+    assert len(f) == 12 + 10 + 16
+
+
+def test_window_to_bytes_materializes_only_the_window():
+    assert _window(8, 24).to_bytes() == NONCE + BUFFER[8:24] + TAG
+
+
+def test_window_body_is_a_view_not_a_copy():
+    body = _window(8, 24).body
+    assert isinstance(body, memoryview)
+    assert body.obj is BUFFER
+    assert bytes(body) == BUFFER[8:24]
+    assert _window(0, len(BUFFER)).body is BUFFER
+
+
+def test_default_window_is_the_whole_buffer():
+    f = OpaquePayload(NONCE, BUFFER, TAG)
+    assert (f.start, f.stop) == (0, len(BUFFER))
+    assert f == _window(0, len(BUFFER))
+
+
+def test_window_equality_and_hash_follow_the_window_bytes():
+    same = OpaquePayload(NONCE, b"\xff" + BUFFER[8:24], TAG, 1, 17)
+    assert _window(8, 24) == same
+    assert hash(_window(8, 24)) == hash(same)
+    assert _window(8, 24) == NONCE + BUFFER[8:24] + TAG
+    assert _window(8, 24) != _window(9, 25)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 65)])
+def test_window_outside_the_buffer_is_rejected(start, stop):
+    with pytest.raises(ValueError, match="outside a 64-byte buffer"):
+        _window(start, stop)
+
+
+def test_flip_bit_of_a_window_flips_the_window_bytes():
+    f = _window(8, 24)
+    bit = 8 * 12 + 3  # first byte of the window
+    out = _flip_bit(f, bit)
+    expected = bytearray(NONCE + BUFFER[8:24] + TAG)
+    expected[12] ^= 1 << 3
+    assert out == bytes(expected)
+    assert BUFFER[8] == 8  # the shared buffer is untouched
