@@ -81,12 +81,13 @@ $(RUN_TWICE_GATES): check-%:
 	diff -r results/$*-a results/$*-b
 	@echo "$@: two runs of $* byte-identical"
 
-# Runtime parity: the fast experiment tier and the cryptmpi experiment
-# (chunk pipeline on helper cores) forced onto the thread runtime and
-# onto the coroutine runtime must produce byte-identical artifacts —
-# virtual time cannot depend on how rank programs are scheduled.
-# (tests/simmpi/test_runtime_parity.py pins the same invariant at
-# golden-trace granularity.)
+# Runtime parity: the fast experiment tier, the cryptmpi experiment
+# (chunk pipeline on helper cores) and the resilience experiment
+# (sanitized, seeded faults with ack/retransmit) forced onto the thread
+# runtime and onto the coroutine runtime must produce byte-identical
+# artifacts — virtual time cannot depend on how rank programs are
+# scheduled.  (tests/simmpi/test_runtime_parity.py pins the same
+# invariant at golden-trace granularity.)
 check-runtime-parity:
 	rm -rf results/runtime-threads results/runtime-coroutines
 	$(PYTHON) -m repro.experiments run fast --runtime threads \
@@ -97,8 +98,12 @@ check-runtime-parity:
 		--output results/runtime-threads/cryptmpi
 	$(PYTHON) -m repro.experiments run cryptmpi --runtime coroutines \
 		--output results/runtime-coroutines/cryptmpi
+	$(PYTHON) -m repro.experiments run resilience --runtime threads \
+		--output results/runtime-threads/resilience
+	$(PYTHON) -m repro.experiments run resilience --runtime coroutines \
+		--output results/runtime-coroutines/resilience
 	diff -r results/runtime-threads results/runtime-coroutines
-	@echo "check-runtime-parity: fast tier and cryptmpi byte-identical across runtimes"
+	@echo "check-runtime-parity: fast tier, cryptmpi and resilience byte-identical across runtimes"
 
 install:
 	$(PYTHON) setup.py develop

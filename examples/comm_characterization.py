@@ -13,7 +13,7 @@ from repro.crypto.aead import WIRE_OVERHEAD
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import parse_cluster_spec
 from repro.simmpi import run_program
-from repro.workloads.nas.common import NasComm, get_benchmark
+from repro.workloads.nas.common import get_benchmark
 
 CLUSTER = parse_cluster_spec("4x4")
 NRANKS = 16
@@ -23,16 +23,14 @@ def characterize(library: str | None):
     bench = get_benchmark("ft")
 
     def prog(ctx):
-        enc = None
         if library is not None:
-            enc = EncryptedComm(
+            ctx.enc = EncryptedComm(
                 ctx,
                 SecurityConfig(
                     crypto=CryptoPlan(library=library, bytework="modeled")
                 ),
             )
-        comm = NasComm(ctx, enc)
-        bench.skeleton(comm, 0)  # one iteration
+        yield from bench.skeleton(ctx, 0)  # one iteration
 
     result = run_program(NRANKS, prog, cluster=CLUSTER, trace=True)
     return result.trace
@@ -51,7 +49,7 @@ def main() -> None:
 
     # Every rank seals all NRANKS blocks of the alltoall transpose, but
     # its own block never leaves the rank; the checksum allreduce is
-    # plain MPI (see NasComm.allreduce_bytes).
+    # plain MPI (see repro.workloads.nas.common.co_allreduce_bytes).
     seals = sum(c["aead_seals"] for c in recorder.counters_snapshot().values())
     frames = seals - NRANKS
     plain = enc.total_messages - frames

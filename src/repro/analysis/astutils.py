@@ -20,7 +20,7 @@ from typing import Iterator
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 #: annotations that mark a parameter as a simulated-rank context
-_CTX_ANNOTATIONS = ("RankContext", "NasComm", "CommHandle", "EncryptedComm")
+CTX_ANNOTATIONS = ("RankContext", "CommHandle", "EncryptedComm")
 #: parameter names that mark a function as rank code by convention
 _CTX_PARAM_NAMES = ("ctx", "comm")
 
@@ -30,7 +30,7 @@ BLOCKING_P2P = ("send", "recv", "sendrecv")
 NONBLOCKING_P2P = ("isend", "irecv")
 P2P_CALLS = BLOCKING_P2P + NONBLOCKING_P2P
 
-#: the collective surface of CommHandle / EncryptedComm / NasComm
+#: the collective surface of CommHandle / EncryptedComm
 COLLECTIVES = (
     "barrier", "bcast", "gather", "scatter", "allgather", "alltoall",
     "alltoallv", "reduce", "allreduce", "reduce_scatter", "scan",
@@ -131,7 +131,7 @@ class ModuleContext:
             ann = getattr(p, "annotation", None)
             if ann is not None:
                 text = ast.dump(ann)
-                if any(marker in text for marker in _CTX_ANNOTATIONS):
+                if any(marker in text for marker in CTX_ANNOTATIONS):
                     return True
         return False
 

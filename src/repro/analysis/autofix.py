@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutils import P2P_CALLS, ModuleContext, \
-    call_name, int_literals_in, tag_args
+from repro.analysis.astutils import CTX_ANNOTATIONS, P2P_CALLS, \
+    ModuleContext, call_name, int_literals_in, tag_args
 from repro.analysis.checks_det import _RANDOM_OK, _import_aliases
 
 FIXABLE_RULES = ("MPI002", "DET002")
@@ -67,9 +67,7 @@ def _rank_seed(mod: ModuleContext, node: ast.AST) -> str | None:
                 return f"{param.arg}.rank"
             ann = getattr(param, "annotation", None)
             if ann is not None and any(
-                    marker in ast.dump(ann) for marker in
-                    ("RankContext", "NasComm", "CommHandle",
-                     "EncryptedComm")):
+                    marker in ast.dump(ann) for marker in CTX_ANNOTATIONS):
                 return f"{param.arg}.rank"
     return None
 

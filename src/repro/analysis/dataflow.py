@@ -42,7 +42,7 @@ import re
 import textwrap
 from dataclasses import dataclass, field
 
-from repro.analysis.astutils import ModuleContext
+from repro.analysis.astutils import CTX_ANNOTATIONS, ModuleContext
 from repro.analysis.commgraph import (
     COLLECTIVE_KINDS,
     CommOp,
@@ -290,20 +290,12 @@ class CommModel:
     """CommHandle-shaped facade; ``channel`` distinguishes the wire
     framing (plain / aead / chunked) for MPI105."""
 
-    kind = "comm"
-
     def __init__(self, rank: int, size: int, channel: str = "plain",
                  key_id=None):
         self.rank = rank
         self.size = size
         self.channel = channel
         self.key_id = key_id
-
-
-class NasCommModel(CommModel):
-    """NasComm facade: 4-arg sendrecv, bytes-returning recv."""
-
-    kind = "nas"
 
 
 class CtxModel:
@@ -361,7 +353,7 @@ class RecorderModel:
 
 #: class names that construct model objects when called
 _MODEL_CLASSES = frozenset((
-    "EncryptedComm", "SecurityConfig", "NasComm", "CounterNonces",
+    "EncryptedComm", "SecurityConfig", "CounterNonces",
     "RandomNonces", "ChunkPipeline", "TraceRecorder",
 ))
 
@@ -1463,12 +1455,6 @@ class Interp:
             return CommModel(rank, size, channel="aead", key_id=key_id)
         if cls == "SecurityConfig":
             return SecurityCfgModel(dict(kwargs))
-        if cls == "NasComm":
-            ctx = taint.strip(args[0]) if args else None
-            rank, size = self.rank, self.nranks
-            if isinstance(ctx, CtxModel):
-                rank, size = ctx.rank, ctx.size
-            return NasCommModel(rank, size)
         if cls == "CounterNonces":
             sender = taint.strip(args[0]) if args else \
                 taint.strip(kwargs.get("sender_id", 0))
@@ -1581,9 +1567,7 @@ class Interp:
                 return args[index]
             return kwargs.get(kwname, default)
 
-        is_nas = isinstance(comm, NasCommModel)
-        if base in _COLLECTIVE_METHODS and not (is_nas and base in
-                                                ("sendrecv",)):
+        if base in _COLLECTIVE_METHODS:
             kind = _COLLECTIVE_METHODS[base]
             root = self._int_or_none(arg(1, "root", 0)) \
                 if kind in ("bcast", "gather", "scatter") else \
@@ -1600,11 +1584,6 @@ class Interp:
                 return out([Unknown("block")
                             for _ in range(self.nranks)])
             return out(Unknown(kind))
-        if base == "allreduce_bytes":
-            self.emit(CommOp(kind="allreduce", rank=self.rank,
-                             site=site, channel="plain",
-                             size=self._int_or_none(arg(0, "nbytes"))))
-            return out(None)
         if base in ("send", "isend"):
             data = arg(0, "data")
             peer = self._int_or_none(arg(1, "dest"))
@@ -1621,19 +1600,12 @@ class Interp:
                 return out(ReqModel(req, comm, is_recv=False))
             return out(None)
         if base == "recv":
-            if is_nas:
-                peer = self._int_or_none(arg(0, "source"))
-                tag = self._int_or_none(arg(1, "tag"))
-            else:
-                peer = self._int_or_none(arg(0, "source", ANY_SOURCE))
-                tag = self._int_or_none(arg(1, "tag", ANY_TAG))
+            peer = self._int_or_none(arg(0, "source", ANY_SOURCE))
+            tag = self._int_or_none(arg(1, "tag", ANY_TAG))
             self._check_peer_range(peer, node)
             self.emit(CommOp(kind="recv", rank=self.rank, site=site,
                              peer=peer, tag=tag, channel=comm.channel))
-            data = self._recv_value(comm)
-            if is_nas:
-                return out(data)
-            return out((data, Unknown("status")))
+            return out((self._recv_value(comm), Unknown("status")))
         if base == "irecv":
             peer = self._int_or_none(arg(0, "source", ANY_SOURCE))
             tag = self._int_or_none(arg(1, "tag", ANY_TAG))
@@ -1644,17 +1616,11 @@ class Interp:
                              req=req))
             return out(ReqModel(req, comm, is_recv=True))
         if base == "sendrecv":
-            data = arg(0, "senddata" if not is_nas else "payload")
+            data = arg(0, "senddata")
             peer = self._int_or_none(arg(1, "dest"))
-            if is_nas:
-                rpeer = self._int_or_none(arg(2, "source"))
-                tag = self._int_or_none(arg(3, "tag", 0))
-                rtag = tag
-            else:
-                rpeer = self._int_or_none(
-                    arg(2, "recvsource", ANY_SOURCE))
-                tag = self._int_or_none(arg(3, "sendtag", 0))
-                rtag = self._int_or_none(arg(4, "recvtag", ANY_TAG))
+            rpeer = self._int_or_none(arg(2, "recvsource", ANY_SOURCE))
+            tag = self._int_or_none(arg(3, "sendtag", 0))
+            rtag = self._int_or_none(arg(4, "recvtag", ANY_TAG))
             self._check_peer_range(peer, node)
             self._check_peer_range(rpeer, node)
             self._wire_check(comm, data, "sendrecv", site)
@@ -1663,10 +1629,7 @@ class Interp:
                              peer=peer, tag=tag, rpeer=rpeer, rtag=rtag,
                              size=self._size_of(data),
                              channel=comm.channel))
-            data = self._recv_value(comm)
-            if is_nas:
-                return out(data)
-            return out((data, Unknown("status")))
+            return out((self._recv_value(comm), Unknown("status")))
         if base == "waitall":
             reqs = taint.strip(arg(0, "requests", ()))
             handles = [r for r in (taint.strip(x) for x in reqs)
@@ -1734,8 +1697,6 @@ def _root_functions(mod: ModuleContext):
 def _ctx_param_model(param, rank: int, nranks: int):
     ann = getattr(param, "annotation", None)
     text = ast.dump(ann) if ann is not None else ""
-    if "NasComm" in text:
-        return NasCommModel(rank, nranks)
     if "CommHandle" in text:
         return CommModel(rank, nranks)
     if "EncryptedComm" in text:
@@ -1819,9 +1780,7 @@ def _run_rank(loader: Loader, mod: ModuleContext, modenv: ModEnv,
         ann = getattr(param, "annotation", None)
         text = ast.dump(ann) if ann is not None else ""
         if param.arg in ("ctx", "comm") or any(
-                marker in text for marker in
-                ("RankContext", "NasComm", "CommHandle",
-                 "EncryptedComm")):
+                marker in text for marker in CTX_ANNOTATIONS):
             ctx_index = i
             break
     _bind_heuristic_params(root, env, interp)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, wraps
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.defaults import job_defaults
@@ -250,7 +250,9 @@ def run_job(
         from repro.encmpi.context import EncryptedComm
 
         # the wrapper must stay a generator function so run_program's
-        # runtime="auto" still sees a coroutine-capable workload
+        # runtime="auto" still sees a coroutine-capable workload; it
+        # carries the workload's name, which runtime errors quote
+        @wraps(workload)
         def program(ctx: RankContext):
             ctx.enc = EncryptedComm(ctx, security)
             return (yield from workload(ctx))
@@ -258,6 +260,7 @@ def run_job(
     else:
         from repro.encmpi.context import EncryptedComm
 
+        @wraps(workload)
         def program(ctx: RankContext) -> Any:
             ctx.enc = EncryptedComm(ctx, security)
             return workload(ctx)

@@ -128,3 +128,19 @@ def apply_default_plan(plan: CryptoPlan) -> CryptoPlan:
         chunk_bytes=default.chunk_bytes,
         helper_cores=default.helper_cores,
     )
+
+
+def modeled_plan(library: str | None,
+                 crypto: CryptoPlan | None = None) -> CryptoPlan | None:
+    """The plan a simulator benchmark encrypts under; None (the plain
+    baseline) when *library* is None.
+
+    *crypto* sets the pipelining discipline; None adopts the
+    process-wide default's geometry (:func:`apply_default_plan`).  The
+    benchmark's own *library* and modeled byte work always override the
+    plan's, so multi-gigabyte sweeps charge only virtual time.
+    """
+    if library is None:
+        return None
+    base = crypto if crypto is not None else apply_default_plan(CryptoPlan())
+    return replace(base, library=library, bytework="modeled")

@@ -237,6 +237,20 @@ def _bench_experiment_cryptmpi(_mode: str) -> dict:
     return {"seconds": _timed(cryptmpi)}
 
 
+@_bench("experiment_nas_cg",
+        "NAS CG baseline + BoringSSL simulations (Table IV cell, cold memo)")
+def _bench_experiment_nas_cg(mode: str) -> dict:
+    from repro.models.cpu import ClusterSpec
+    from repro.workloads.nas import common
+
+    # full: the paper's 64 ranks on 8 nodes; smoke: 8 ranks on 2 nodes
+    scale = {} if mode == "full" else {
+        "nranks": 8, "cluster": ClusterSpec(nodes=2, cores_per_node=4)}
+    common._comm_time_cache.clear()
+    return {"seconds": _timed(
+        lambda: common.run_nas("cg", library="boringssl", **scale))}
+
+
 @_bench("campaign_warm_cache",
         "warm-cache campaign over fig2+table1 (zero runners executed)")
 def _bench_campaign_warm_cache(_mode: str) -> dict:

@@ -71,11 +71,11 @@ def _pingpong(ctx):
     moved = 0
     for _ in range(ITERS):
         if ctx.rank == 0:
-            enc.send(payload, 1, tag=TAG_RESILIENT_PINGPONG)
-            data, _status = enc.recv(1, TAG_RESILIENT_PINGPONG)
+            yield from enc.co_send(payload, 1, tag=TAG_RESILIENT_PINGPONG)
+            data, _status = yield from enc.co_recv(1, TAG_RESILIENT_PINGPONG)
         else:
-            data, _status = enc.recv(0, TAG_RESILIENT_PINGPONG)
-            enc.send(payload, 0, tag=TAG_RESILIENT_PINGPONG)
+            data, _status = yield from enc.co_recv(0, TAG_RESILIENT_PINGPONG)
+            yield from enc.co_send(payload, 0, tag=TAG_RESILIENT_PINGPONG)
         if len(data) != MSG_BYTES:
             raise AssertionError("payload mangled despite resilience")
         moved += len(data) + MSG_BYTES

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 # verify-sizes: 2  (a strictly two-rank exchange; ranks >= 2 never exist)
 
-from dataclasses import replace
-
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi.plan import modeled_plan
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -61,48 +59,37 @@ def mtlatency_round_time(
         raise ValueError(f"iters must be >= 1, got {iters}")
     payload = b"\x4d" * size
     out = [0.0]
-    plan = None
-    if library is not None:
-        base = crypto if crypto is not None \
-            else apply_default_plan(CryptoPlan())
-        plan = replace(base, library=library, bytework="modeled")
+    plan = modeled_plan(library, crypto)
 
     def co_program(ctx):
-        if plan is None:
-            comm = ctx.comm
-            co_isend = lambda d, p: comm.co_isend(p, d, tag=TAG_MTLATENCY)
-            irecv = lambda s: comm.irecv(s, TAG_MTLATENCY)
-            co_waitall = comm.co_waitall
-        else:
-            enc = EncryptedComm(
-                ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-            )
-            co_isend = lambda d, p: enc.co_isend(p, d, tag=TAG_MTLATENCY)
-            irecv = lambda s: enc.irecv(s, TAG_MTLATENCY)
-            co_waitall = enc.co_waitall
+        comm = ctx.comm if plan is None else EncryptedComm(
+            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
+        )
+
+        def co_send_batch(dest):
+            reqs = []
+            for _ in range(channels):
+                reqs.append((yield from comm.co_isend(payload, dest,
+                                                      tag=TAG_MTLATENCY)))
+            yield from comm.co_waitall(reqs)
+
+        def co_recv_batch(source):
+            yield from comm.co_waitall(
+                [comm.irecv(source, TAG_MTLATENCY) for _ in range(channels)])
 
         if ctx.rank == 0:  # client
-            for _ in range(1):  # warmup round (excluded from timing)
-                reqs = []
-                for _ in range(channels):
-                    reqs.append((yield from co_isend(1, payload)))
-                yield from co_waitall(reqs)
-                yield from co_waitall([irecv(1) for _ in range(channels)])
+            # one warmup round (excluded from timing)
+            yield from co_send_batch(1)
+            yield from co_recv_batch(1)
             t0 = ctx.now
             for _ in range(iters):
-                reqs = []
-                for _ in range(channels):
-                    reqs.append((yield from co_isend(1, payload)))
-                yield from co_waitall(reqs)
-                yield from co_waitall([irecv(1) for _ in range(channels)])
+                yield from co_send_batch(1)
+                yield from co_recv_batch(1)
             out[0] = (ctx.now - t0) / iters
         else:  # server: `channels` concurrent service threads
             for _ in range(iters + 1):
-                yield from co_waitall([irecv(0) for _ in range(channels)])
-                reqs = []
-                for _ in range(channels):
-                    reqs.append((yield from co_isend(0, payload)))
-                yield from co_waitall(reqs)
+                yield from co_recv_batch(0)
+                yield from co_send_batch(0)
 
     run_program(
         2,

@@ -9,10 +9,8 @@ reported.  The +28 encrypted-wire bytes are excluded, as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi.plan import modeled_plan
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -57,52 +55,39 @@ def multipair_aggregate_throughput(
     payload = b"\x5a" * size
     nranks = 2 * pairs
     per_pair_rate: list[float] = [0.0] * pairs
-    plan = None
-    if library is not None:
-        base = crypto if crypto is not None \
-            else apply_default_plan(CryptoPlan())
-        plan = replace(base, library=library, bytework="modeled")
+    plan = modeled_plan(library, crypto)
 
     def co_program(ctx):
         # Senders are ranks [0, pairs) on node 0; receivers are
         # [pairs, 2*pairs) on node 1 (block placement puts the first
         # `pairs` ranks on node 0 only if pairs <= cores; we place
         # explicitly through a round-robin-safe mapping below).
-        if plan is None:
-            comm = ctx.comm
-            co_isend = lambda d, p: comm.co_isend(p, d, tag=0)
-            irecv = lambda s: comm.irecv(s, 0)
-            co_waitall = comm.co_waitall
-        else:
-            enc = EncryptedComm(
-                ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-            )
-            co_isend = lambda d, p: enc.co_isend(p, d, tag=0)
-            irecv = lambda s: enc.irecv(s, 0)
-            co_waitall = enc.co_waitall
-
+        comm = ctx.comm if plan is None else EncryptedComm(
+            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
+        )
         if ctx.rank < pairs:  # sender
             peer = ctx.rank + pairs
             # warmup window
             reqs = []
             for _ in range(window):
-                reqs.append((yield from co_isend(peer, payload)))
-            yield from co_waitall(reqs)
-            yield from irecv(peer).co_wait()
+                reqs.append((yield from comm.co_isend(payload, peer, tag=0)))
+            yield from comm.co_waitall(reqs)
+            yield from comm.irecv(peer, 0).co_wait()
             t0 = ctx.now
             for _ in range(iters):
                 reqs = []
                 for _ in range(window):
-                    reqs.append((yield from co_isend(peer, payload)))
-                yield from co_waitall(reqs)
-                yield from irecv(peer).co_wait()
+                    reqs.append((yield from comm.co_isend(payload, peer, tag=0)))
+                yield from comm.co_waitall(reqs)
+                yield from comm.irecv(peer, 0).co_wait()
             elapsed = ctx.now - t0
             per_pair_rate[ctx.rank] = size * window * iters / elapsed
         else:  # receiver
             peer = ctx.rank - pairs
             for _ in range(iters + 1):
-                yield from co_waitall([irecv(peer) for _ in range(window)])
-                sreq = yield from co_isend(peer, b"\x00" * 4)
+                yield from comm.co_waitall(
+                    [comm.irecv(peer, 0) for _ in range(window)])
+                sreq = yield from comm.co_isend(b"\x00" * 4, peer, tag=0)
                 yield from sreq.co_wait()
 
     run_program(

@@ -18,7 +18,7 @@ encrypted delta in Table IV.
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, register
 from repro.workloads.nas.topology_utils import coords2d, grid2d, rank2d
 
 GRID = 162
@@ -32,10 +32,11 @@ TAG_COPY_FACES = 41  # + axis (occupies 41..42)
 TAG_SOLVE_BASE = 43  # + 2*direction + phase (occupies 43..48)
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     rows, cols = grid2d(p)
-    i, j = coords2d(comm.rank, rows, cols)
+    i, j = coords2d(ctx.rank, rows, cols)
     cells = min(rows, cols)  # diagonal cells per rank (multi-partition)
     cell_edge = max(GRID // rows, 2)
     face_points = cell_edge * cell_edge
@@ -50,10 +51,11 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
             else:
                 dst = rank2d(i + delta, j, rows, cols)
                 src = rank2d(i - delta, j, rows, cols)
-            if dst == comm.rank:
+            if dst == ctx.rank:
                 continue
-            comm.sendrecv(b"\x00" * (face * cells), dst, src,
-                          tag=TAG_COPY_FACES + axis)
+            tag = TAG_COPY_FACES + axis
+            yield from comm.co_sendrecv(b"\x00" * (face * cells), dst, src,
+                                        tag, tag)
 
     # x / y / z line solves: forward elimination then back substitution,
     # each pipelining a stage message per owned cell.
@@ -70,9 +72,10 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
                 else:
                     dst = rank2d(i + sweep, j, rows, cols)
                     src = rank2d(i - sweep, j, rows, cols)
-                if dst == comm.rank:
+                if dst == ctx.rank:
                     continue
-                comm.sendrecv(b"\x00" * plane, dst, src, tag=tag)
+                yield from comm.co_sendrecv(b"\x00" * plane, dst, src,
+                                            tag, tag)
 
 
 BT = register(

@@ -13,7 +13,7 @@ grid; each matvec does:
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 from repro.workloads.nas.topology_utils import coords2d, grid2d, rank2d
 
 N = 150_000
@@ -24,10 +24,11 @@ TAG_ROW_REDUCE = 11
 TAG_TRANSPOSE = 12
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     rows, cols = grid2d(p)
-    i, j = coords2d(comm.rank, rows, cols)
+    i, j = coords2d(ctx.rank, rows, cols)
     seg_doubles = N // rows  # partial vector length per row
 
     for _step in range(INNER_ITERS):
@@ -41,7 +42,8 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
         payload = b"\x00" * max(seg_doubles * DOUBLE, DOUBLE)
         while stage < cols:
             partner = rank2d(i, j ^ stage, rows, cols)
-            comm.sendrecv(payload, partner, partner, tag=TAG_ROW_REDUCE)
+            yield from comm.co_sendrecv(payload, partner, partner,
+                                        TAG_ROW_REDUCE, TAG_ROW_REDUCE)
             stage <<= 1
         # Transpose exchange of the row-reduced vector segment.  NAS CG
         # pairs rank (i, j) with (j, i) — an involution only on square
@@ -54,12 +56,12 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
             tpartner = rank2d(j, i, rows, cols)
         elif cols % 2 == 0:
             tpartner = rank2d(i, (j + cols // 2) % cols, rows, cols)
-        if tpartner is not None and tpartner != comm.rank:
+        if tpartner is not None and tpartner != ctx.rank:
             chunk = max(seg_doubles * DOUBLE, DOUBLE)
-            comm.sendrecv(b"\x00" * chunk, tpartner, tpartner,
-                          tag=TAG_TRANSPOSE)
+            yield from comm.co_sendrecv(b"\x00" * chunk, tpartner, tpartner,
+                                        TAG_TRANSPOSE, TAG_TRANSPOSE)
         # Two dot products per CG step, folded into one 16-byte allreduce.
-        comm.allreduce_bytes(2 * DOUBLE)
+        yield from co_allreduce_bytes(ctx, 2 * DOUBLE)
 
 
 CG = register(

@@ -1,12 +1,23 @@
-"""NAS proxy infrastructure: skeleton spec, auto-calibration, runner."""
+"""NAS proxy infrastructure: skeleton spec, auto-calibration, runner.
+
+A skeleton is a generator rank program, ``skeleton(ctx, iteration)``,
+that performs one iteration's communication through
+``comm = ctx.enc or ctx.comm`` — the convention of
+:func:`repro.api.run_job` workloads: ``ctx.enc`` is the rank's
+:class:`~repro.encmpi.context.EncryptedComm` on encrypted runs and None
+on the baseline.  Its allreduces go through :func:`co_allreduce_bytes`,
+which keeps them on the plain wire and charges the per-hop crypto on
+the rank's core.  Every skeleton therefore runs on either engine
+runtime, with identical virtual times.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Generator
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi.plan import modeled_plan
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.models.network import FabricSpec
 from repro.simmpi import RankContext, run_program
@@ -32,68 +43,38 @@ PAPER_BASELINE_SECONDS = {
 EP_NOMINAL_SECONDS = 13.0
 
 
-class NasComm:
-    """The communication facade a skeleton uses: baseline or encrypted."""
+def _first(a: bytes, _b: bytes) -> bytes:
+    """The skeletons' allreduce combiner: combining is free next to the
+    wire, and the content is irrelevant to timing."""
+    return a
 
-    def __init__(self, ctx: RankContext, enc: EncryptedComm | None):
-        self.ctx = ctx
-        self.enc = enc
-        self.rank = ctx.rank
-        self.size = ctx.size
 
-    def sendrecv(self, payload: bytes, dest: int, source: int, tag: int) -> bytes:
-        if self.enc is None:
-            data, _status = self.ctx.comm.sendrecv(payload, dest, source, tag, tag)
-        else:
-            data, _status = self.enc.sendrecv(payload, dest, source, tag, tag)
-        return data
+def co_allreduce_bytes(ctx: RankContext, nbytes: int):
+    """A numeric allreduce of *nbytes* (content irrelevant to timing).
 
-    def send(self, payload: bytes, dest: int, tag: int) -> None:
-        (self.enc or self.ctx.comm).send(payload, dest, tag)
-
-    def recv(self, source: int, tag: int) -> bytes:
-        data, _status = (self.enc or self.ctx.comm).recv(source, tag)
-        return data
-
-    def isend(self, payload: bytes, dest: int, tag: int):
-        return (self.enc or self.ctx.comm).isend(payload, dest, tag)
-
-    def irecv(self, source: int, tag: int):
-        return (self.enc or self.ctx.comm).irecv(source, tag)
-
-    def waitall(self, reqs) -> list:
-        return (self.enc or self.ctx.comm).waitall(reqs)
-
-    def alltoall(self, chunks) -> list[bytes]:
-        return (self.enc or self.ctx.comm).alltoall(chunks)
-
-    def alltoallv(self, chunks) -> list[bytes]:
-        return (self.enc or self.ctx.comm).alltoallv(chunks)
-
-    def allreduce_bytes(self, nbytes: int) -> None:
-        """A numeric allreduce of *nbytes* (content irrelevant to timing).
-
-        Encrypted allreduce is not one of §IV's routines — the paper's
-        NAS binaries route it through the encrypted point-to-point
-        layer, which encrypts/decrypts each hop of the recursive
-        doubling.  We run the plain allreduce for the wire time and
-        charge per-hop crypto on this rank's core, matching that cost.
-        """
-        op = lambda a, b: a  # timing skeleton: combining is free vs wire
-        payload = b"\x00" * nbytes
-        if self.enc is not None:
-            hops = max(1, (self.size - 1).bit_length())
-            per_hop = self.enc.profile.encdec_time(nbytes, self.enc.crypto_slowdown)
-            self.ctx.compute(hops * per_hop)
-        self.ctx.comm.allreduce(payload, op)
+    Encrypted allreduce is not one of §IV's routines — the paper's
+    NAS binaries route it through the encrypted point-to-point
+    layer, which encrypts/decrypts each hop of the recursive
+    doubling.  We run the plain allreduce for the wire time and, when
+    ``ctx.enc`` is set, charge per-hop crypto on this rank's core,
+    matching that cost.
+    """
+    enc = ctx.enc
+    if enc is not None:
+        hops = max(1, (ctx.size - 1).bit_length())
+        per_hop = enc.profile.encdec_time(nbytes, enc.crypto_slowdown)
+        yield from ctx.co_compute(hops * per_hop)
+    yield from ctx.comm.co_allreduce(b"\x00" * nbytes, _first)
 
 
 @dataclass(frozen=True)
 class NasBenchmark:
     """One NAS proxy: name, class-C iteration count, and the skeleton.
 
-    ``skeleton(comm, iteration)`` performs exactly one iteration's
-    communication.  ``payload_kind`` selects the crypto slowdown class:
+    ``skeleton(ctx, iteration)`` is a generator rank program that
+    performs exactly one iteration's communication through
+    ``ctx.enc or ctx.comm``.  ``payload_kind`` selects the crypto
+    slowdown class:
     ``"contiguous"`` payloads (vectors, alltoall blocks) encrypt at
     cache-cold speed, ``"strided"`` ones (stencil boundary faces) pay
     the additional pack/unpack penalty — see
@@ -102,7 +83,7 @@ class NasBenchmark:
 
     name: str
     iterations: int
-    skeleton: Callable[[NasComm, int], None]
+    skeleton: Callable[[RankContext, int], Generator]
     description: str
     payload_kind: str = "contiguous"
 
@@ -163,34 +144,28 @@ _comm_time_cache: dict[tuple, float] = {}
 def _simulate_comm_time(
     name: str,
     network: str | FabricSpec,
-    library: str | None,
     nranks: int,
     cluster: ClusterSpec,
     sim_iters: int,
+    plan: CryptoPlan | None = None,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
-    crypto: CryptoPlan | None = None,
 ) -> float:
-    """Virtual seconds for `sim_iters` iterations of pure communication."""
+    """Virtual seconds for `sim_iters` iterations of pure communication;
+    *plan* encrypts every rank's traffic (None = the plain baseline)."""
     bench = get_benchmark(name)
 
     def program(ctx):
-        enc = None
-        if library is not None:
-            enc = EncryptedComm(
-                ctx,
-                SecurityConfig(crypto=replace(
-                    crypto if crypto is not None else CryptoPlan(),
-                    library=library, bytework="modeled",
-                )),
+        if plan is not None:
+            ctx.enc = EncryptedComm(
+                ctx, SecurityConfig(crypto=plan),
                 crypto_slowdown=bench.crypto_slowdown(),
             )
-        comm = NasComm(ctx, enc)
-        ctx.comm.barrier()
+        yield from ctx.comm.co_barrier()
         t0 = ctx.now
         for it in range(sim_iters):
-            bench.skeleton(comm, it)
-        ctx.comm.barrier()
+            yield from bench.skeleton(ctx, it)
+        yield from ctx.comm.co_barrier()
         return ctx.now - t0
 
     result = run_program(
@@ -201,6 +176,29 @@ def _simulate_comm_time(
         resilience=resilience,
     )
     return max(result.results)
+
+
+def _comm_time(
+    name: str,
+    fabric: FabricSpec,
+    nranks: int,
+    cluster: ClusterSpec,
+    sim_iters: int,
+    plan: CryptoPlan | None = None,
+    faults: FaultPlan | None = None,
+    resilience: ResiliencePolicy | None = None,
+) -> float:
+    """Memoized :func:`_simulate_comm_time`: every cell, the clean
+    baseline included, has one key shape, so a baseline cell and the
+    calibration run of an encrypted cell share one simulation."""
+    key = (name, fabric.token(), nranks, cluster, sim_iters, plan, faults,
+           resilience)
+    if key not in _comm_time_cache:
+        _comm_time_cache[key] = _simulate_comm_time(
+            name, fabric, nranks, cluster, sim_iters, plan, faults,
+            resilience,
+        )
+    return _comm_time_cache[key]
 
 
 def run_nas(
@@ -238,35 +236,19 @@ def run_nas(
     # keys use the token so noisy fabrics never collide with clean ones
     # (or with differently-seeded variants of themselves).
     fabric = FabricSpec.coerce(network)
-    token = fabric.token()
-    # Resolve the effective plan up front (baseline cells carry no
+    # The effective plan, resolved up front (baseline cells carry no
     # crypto at all, so they memoize independently of any plan).
-    effective_crypto = None
-    if library is not None:
-        effective_crypto = replace(
-            crypto if crypto is not None
-            else apply_default_plan(CryptoPlan()),
-            library=library, bytework="modeled",
-        )
-    key = (name, token, library, nranks, cluster, sim_iters,
-           faults, resilience, effective_crypto)
-    if key not in _comm_time_cache:
-        _comm_time_cache[key] = _simulate_comm_time(
-            name, fabric, library, nranks, cluster, sim_iters,
-            faults=faults, resilience=resilience, crypto=effective_crypto,
-        )
-    comm_per_iter = _comm_time_cache[key] / sim_iters
-    comm_total = comm_per_iter * bench.iterations
+    plan = modeled_plan(library, crypto)
+    comm_total = _comm_time(
+        name, fabric, nranks, cluster, sim_iters, plan, faults, resilience,
+    ) / sim_iters * bench.iterations
 
     # Compute budget: calibrated from the *baseline* run at the paper's
     # scale; reused unchanged for encrypted runs (encryption does not
     # change the numerical work).
-    base_key = (name, token, None, nranks, cluster, sim_iters, None, None)
-    if base_key not in _comm_time_cache:
-        _comm_time_cache[base_key] = _simulate_comm_time(
-            name, fabric, None, nranks, cluster, sim_iters
-        )
-    base_comm_total = _comm_time_cache[base_key] / sim_iters * bench.iterations
+    base_comm_total = _comm_time(
+        name, fabric, nranks, cluster, sim_iters,
+    ) / sim_iters * bench.iterations
     # The paper only publishes baselines for its two fabrics; hostile
     # fabrics fall through to the nominal-compute branch below.
     paper_total = PAPER_BASELINE_SECONDS.get(fabric.base, {}).get(name.lower())
@@ -280,7 +262,7 @@ def run_nas(
         compute_total = base_comm_total
     return NasResult(
         benchmark=name.lower(),
-        network=token,
+        network=fabric.token(),
         library=library,
         total_seconds=compute_total + comm_total,
         comm_seconds=comm_total,

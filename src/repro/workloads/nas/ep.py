@@ -16,17 +16,17 @@ the paper for EP, so off-paper runs use the nominal budget rule.)
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 
 DOUBLE = 8
 ITERS = 1  # a single terminal reduction phase
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
+def _skeleton(ctx, _iteration: int):
     # sx, sy sums and the 10-bin annulus counts: three small allreduces.
-    comm.allreduce_bytes(2 * DOUBLE)
-    comm.allreduce_bytes(10 * DOUBLE)
-    comm.allreduce_bytes(DOUBLE)
+    yield from co_allreduce_bytes(ctx, 2 * DOUBLE)
+    yield from co_allreduce_bytes(ctx, 10 * DOUBLE)
+    yield from co_allreduce_bytes(ctx, DOUBLE)
 
 
 EP = register(

@@ -8,21 +8,22 @@ bytes (512 KiB at p = 64).  A 16-byte checksum allreduce follows.
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 
 GRID = 512
 COMPLEX = 16
 ITERS = 20
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     per_pair = (GRID ** 3 * COMPLEX) // (p * p)
     # one shared chunk: NAS runs bytework="modeled", so no rank ever
     # needs p distinct buffers
     chunks = [b"\x00" * per_pair] * p
-    comm.alltoall(chunks)
-    comm.allreduce_bytes(COMPLEX)  # checksum
+    yield from comm.co_alltoall(chunks)
+    yield from co_allreduce_bytes(ctx, COMPLEX)  # checksum
 
 
 FT = register(

@@ -8,7 +8,7 @@ keys with MPI_Alltoallv; keys are uniform, so each pair carries
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 
 TOTAL_KEYS = 1 << 27
 KEY_BYTES = 4
@@ -16,14 +16,15 @@ BUCKETS = 1024
 ITERS = 10
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
-    comm.allreduce_bytes(BUCKETS * KEY_BYTES)
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
+    yield from co_allreduce_bytes(ctx, BUCKETS * KEY_BYTES)
     per_pair = (TOTAL_KEYS * KEY_BYTES) // (p * p)
     # one shared chunk: NAS runs bytework="modeled", so no rank ever
     # needs p distinct buffers
     chunks = [b"\x00" * per_pair] * p
-    comm.alltoallv(chunks)
+    yield from comm.co_alltoallv(chunks)
 
 
 IS = register(

@@ -11,7 +11,7 @@ tractable, and add the full-face ``exchange_3`` boundary swaps.
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 from repro.workloads.nas.topology_utils import coords2d, grid2d, rank2d
 
 GRID = 162
@@ -30,10 +30,11 @@ TAG_EXCHANGE3 = 33
 BLOCK_COMPUTE_SECONDS = 150e-6
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     rows, cols = grid2d(p)
-    i, j = coords2d(comm.rank, rows, cols)
+    i, j = coords2d(ctx.rank, rows, cols)
     local_edge = max(GRID // rows, 2)
     strip = local_edge * VARS * DOUBLE * K_BLOCK  # boundary strip per block
     nblocks = max(GRID // K_BLOCK, 1)
@@ -49,14 +50,14 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
         tag = TAG_SWEEP_BASE + sweep_tag
         for _blk in range(nblocks):
             if recv_a is not None:
-                comm.recv(recv_a, tag)
+                yield from comm.co_recv(recv_a, tag)
             if recv_b is not None:
-                comm.recv(recv_b, tag)
-            comm.ctx.compute(BLOCK_COMPUTE_SECONDS)
+                yield from comm.co_recv(recv_b, tag)
+            yield from ctx.co_compute(BLOCK_COMPUTE_SECONDS)
             if send_a is not None:
-                comm.send(b"\x00" * strip, send_a, tag)
+                yield from comm.co_send(b"\x00" * strip, send_a, tag)
             if send_b is not None:
-                comm.send(b"\x00" * strip, send_b, tag)
+                yield from comm.co_send(b"\x00" * strip, send_b, tag)
 
     # exchange_3: full-face swaps after the sweeps.
     face = local_edge * GRID * VARS * DOUBLE
@@ -64,12 +65,13 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
         if dst is None and src is None:
             continue
         if dst is not None and src is not None:
-            comm.sendrecv(b"\x00" * face, dst, src, tag=TAG_EXCHANGE3)
+            yield from comm.co_sendrecv(b"\x00" * face, dst, src,
+                                        TAG_EXCHANGE3, TAG_EXCHANGE3)
         elif dst is not None:
-            comm.send(b"\x00" * face, dst, tag=TAG_EXCHANGE3)
+            yield from comm.co_send(b"\x00" * face, dst, tag=TAG_EXCHANGE3)
         else:
-            comm.recv(src, tag=TAG_EXCHANGE3)
-    comm.allreduce_bytes(VARS * DOUBLE)  # residual norms
+            yield from comm.co_recv(src, tag=TAG_EXCHANGE3)
+    yield from co_allreduce_bytes(ctx, VARS * DOUBLE)  # residual norms
 
 
 LU = register(

@@ -8,7 +8,7 @@ Face sizes shrink 4x per level (128 KiB at the finest level for p=64).
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, co_allreduce_bytes, register
 from repro.workloads.nas.topology_utils import coords3d, grid3d, rank3d
 
 GRID = 512
@@ -20,10 +20,11 @@ SMOOTHS_PER_LEVEL = 4
 TAG_HALO = 21  # + dimension (occupies 21..23)
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     nx, ny, nz = grid3d(p)
-    x, y, z = coords3d(comm.rank, nx, ny, nz)
+    x, y, z = coords3d(ctx.rank, nx, ny, nz)
     local = max(GRID // max(nx, ny, nz), 2)
 
     level_face = local  # face edge length at the current level
@@ -45,12 +46,13 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
                     else:
                         dst = rank3d(x, y, z + d_dst, nx, ny, nz)
                         src = rank3d(x, y, z + d_src, nx, ny, nz)
-                    if dst == comm.rank:
+                    if dst == ctx.rank:
                         continue
-                    comm.sendrecv(b"\x00" * face_bytes, dst, src,
-                                  tag=TAG_HALO + dim)
+                    tag = TAG_HALO + dim
+                    yield from comm.co_sendrecv(b"\x00" * face_bytes, dst,
+                                                src, tag, tag)
         level_face //= 2
-    comm.allreduce_bytes(DOUBLE)  # residual norm
+    yield from co_allreduce_bytes(ctx, DOUBLE)  # residual norm
 
 
 MG = register(

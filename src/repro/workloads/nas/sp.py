@@ -9,7 +9,7 @@ volume per stage at twice the iteration count.
 
 from __future__ import annotations
 
-from repro.workloads.nas.common import NasBenchmark, NasComm, register
+from repro.workloads.nas.common import NasBenchmark, register
 from repro.workloads.nas.topology_utils import coords2d, grid2d, rank2d
 
 GRID = 162
@@ -21,10 +21,11 @@ TAG_COPY_FACES = 51  # + axis (occupies 51..52)
 TAG_SOLVE_BASE = 53  # + 2*direction + phase (occupies 53..58)
 
 
-def _skeleton(comm: NasComm, _iteration: int) -> None:
-    p = comm.size
+def _skeleton(ctx, _iteration: int):
+    comm = ctx.enc or ctx.comm
+    p = ctx.size
     rows, cols = grid2d(p)
-    i, j = coords2d(comm.rank, rows, cols)
+    i, j = coords2d(ctx.rank, rows, cols)
     cells = min(rows, cols)
     cell_edge = max(GRID // rows, 2)
     face_points = cell_edge * cell_edge
@@ -38,10 +39,11 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
             else:
                 dst = rank2d(i + delta, j, rows, cols)
                 src = rank2d(i - delta, j, rows, cols)
-            if dst == comm.rank:
+            if dst == ctx.rank:
                 continue
-            comm.sendrecv(b"\x00" * (face * cells), dst, src,
-                          tag=TAG_COPY_FACES + axis)
+            tag = TAG_COPY_FACES + axis
+            yield from comm.co_sendrecv(b"\x00" * (face * cells), dst, src,
+                                        tag, tag)
 
     plane = face_points * SOLVE_DOUBLES_PER_POINT * DOUBLE
     for direction in range(3):
@@ -56,9 +58,10 @@ def _skeleton(comm: NasComm, _iteration: int) -> None:
                 else:
                     dst = rank2d(i + sweep, j, rows, cols)
                     src = rank2d(i - sweep, j, rows, cols)
-                if dst == comm.rank:
+                if dst == ctx.rank:
                     continue
-                comm.sendrecv(b"\x00" * plane, dst, src, tag=tag)
+                yield from comm.co_sendrecv(b"\x00" * plane, dst, src,
+                                            tag, tag)
 
 
 SP = register(

@@ -9,8 +9,8 @@ deterministic so a couple of post-warmup iterations give the same mean.
 
 from __future__ import annotations
 
-from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi import EncryptedComm, SecurityConfig
+from repro.encmpi.plan import modeled_plan
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.simmpi import run_program
 
@@ -43,46 +43,25 @@ def collective_latency(
         raise ValueError(f"size must be >= 1, got {size}")
     payload = b"\x3c" * size
     per_rank_mean: list[float] = [0.0] * nranks
+    plan = modeled_plan(library)
 
     def program(ctx):
-        enc = None
-        if library is not None:
-            enc = EncryptedComm(
-                ctx,
-                SecurityConfig(
-                    key_bits=key_bits,
-                    crypto=apply_default_plan(
-                        CryptoPlan(library=library, bytework="modeled")
-                    ),
-                ),
-            )
+        comm = ctx.comm if plan is None else EncryptedComm(
+            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
+        )
 
         def co_run_op():
             if op == "bcast":
                 data = payload if ctx.rank == 0 else None
-                if enc is None:
-                    yield from ctx.comm.co_bcast(data, 0, nbytes=size)
-                else:
-                    yield from enc.co_bcast(data, 0, nbytes=size)
+                yield from comm.co_bcast(data, 0, nbytes=size)
             elif op == "allgather":
-                if enc is None:
-                    yield from ctx.comm.co_allgather(payload)
-                else:
-                    yield from enc.co_allgather(payload)
+                yield from comm.co_allgather(payload)
             elif op == "alltoallv":
                 # osu_alltoallv's default: uniform counts through the
                 # v-variant interface.
-                chunks = [payload] * ctx.size
-                if enc is None:
-                    yield from ctx.comm.co_alltoallv(chunks)
-                else:
-                    yield from enc.co_alltoallv(chunks)
+                yield from comm.co_alltoallv([payload] * ctx.size)
             else:
-                chunks = [payload] * ctx.size
-                if enc is None:
-                    yield from ctx.comm.co_alltoall(chunks)
-                else:
-                    yield from enc.co_alltoall(chunks)
+                yield from comm.co_alltoall([payload] * ctx.size)
 
         yield from co_run_op()  # warmup
         yield from ctx.comm.co_barrier()

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 # verify-sizes: 2  (a strictly two-rank exchange; ranks >= 2 never exist)
 
-from dataclasses import replace
-
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import apply_default_plan
+from repro.encmpi.plan import modeled_plan
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -64,37 +62,25 @@ def pingpong_oneway_time(
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     payload = b"\xa5" * size
-    plan = None
-    if library is not None:
-        base = crypto if crypto is not None \
-            else apply_default_plan(CryptoPlan())
-        plan = replace(base, library=library, bytework="modeled")
+    plan = modeled_plan(library, crypto)
 
     def co_program(ctx):
-        if plan is None:
-            comm = ctx.comm
-            send = lambda d, p: comm.co_send(p, d, tag=TAG_PINGPONG)
-            recv = lambda s: comm.co_recv(s, TAG_PINGPONG)
-        else:
-            enc = EncryptedComm(
-                ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
-            )
-            send = lambda d, p: enc.co_send(p, d, tag=TAG_PINGPONG)
-            recv = lambda s: enc.co_recv(s, TAG_PINGPONG)
-
+        comm = ctx.comm if plan is None else EncryptedComm(
+            ctx, SecurityConfig(key_bits=key_bits, crypto=plan),
+        )
         if ctx.rank == 0:
             # one warmup round trip (excluded)
-            yield from send(1, payload)
-            yield from recv(1)
+            yield from comm.co_send(payload, 1, tag=TAG_PINGPONG)
+            yield from comm.co_recv(1, TAG_PINGPONG)
             t0 = ctx.now
             for _ in range(iters):
-                yield from send(1, payload)
-                data, _st = yield from recv(1)
+                yield from comm.co_send(payload, 1, tag=TAG_PINGPONG)
+                data, _st = yield from comm.co_recv(1, TAG_PINGPONG)
                 assert len(data) == size
             return (ctx.now - t0) / (2 * iters)
         for _ in range(iters + 1):
-            data, _st = yield from recv(0)
-            yield from send(0, data)
+            data, _st = yield from comm.co_recv(0, TAG_PINGPONG)
+            yield from comm.co_send(data, 0, tag=TAG_PINGPONG)
         return None
 
     result = run_program(

@@ -191,3 +191,26 @@ def test_findings_deduplicated_across_sizes():
     """, sizes=(2,))
     mpi101 = [f for f in found if f.rule == "MPI101"]
     assert len(mpi101) == len({(f.path, f.line) for f in mpi101})
+
+
+def test_nas_skeletons_verify_with_complete_graphs():
+    """A NAS skeleton is an ordinary ``ctx`` generator program: the
+    verifier extracts its operations, prints no note for it, and finds
+    a planted tag mismatch without any NAS-specific model."""
+    import inspect
+
+    from repro.workloads.nas import cg, lu, mg
+
+    for module in (cg, lu, mg):
+        result = verify_source(inspect.getsource(module), module.__file__)
+        assert result.findings == [] and result.notes == [], module.__name__
+        assert result.graphs
+        for graph in result.graphs:
+            assert not graph.incomplete
+            assert next(graph.all_ops(), None) is not None
+    clean = inspect.getsource(cg)
+    planted = clean.replace("TAG_ROW_REDUCE, TAG_ROW_REDUCE)",
+                            "TAG_ROW_REDUCE, TAG_TRANSPOSE)")
+    assert planted != clean
+    rules = {f.rule for f in verify_source(planted, cg.__file__).findings}
+    assert "MPI101" in rules

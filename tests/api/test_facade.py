@@ -118,3 +118,15 @@ def test_top_level_lazy_exports():
     assert repro.JobResult is api.JobResult
     with pytest.raises(AttributeError):
         repro.not_a_real_name
+
+
+@pytest.mark.parametrize("security", [None, SecurityConfig()])
+def test_coroutine_runtime_error_names_the_workload(security):
+    # with security=, run_job wraps the workload to set ctx.enc; the
+    # wrapper must still report the workload's own name
+    def my_blocking_job(ctx):
+        return ctx.rank
+
+    with pytest.raises(TypeError, match="'my_blocking_job' is a plain"):
+        api.run_job(my_blocking_job, nranks=2, cluster=CLUSTER,
+                    security=security, engine="coroutines")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cli import main
+from repro.workloads.nas import common
 
 
 def test_nas_subcommand_ep(capsys):
@@ -51,3 +52,28 @@ def test_nas_subcommand_bad_fault_spec(capsys):
     assert main(["nas", "cg", "--faults", "dorp=0.1"]) == 2
     err = capsys.readouterr().err
     assert "bad --faults/--resilience spec" in err
+
+
+def test_nas_output_identical_on_both_runtimes(capsys, monkeypatch):
+    outs = []
+    for runtime in ("threads", "coroutines"):
+        # a fresh NAS memo, so the second runtime simulates too
+        monkeypatch.setattr(common, "_comm_time_cache", {})
+        assert main(["nas", "ep", "--library", "boringssl",
+                     "--runtime", runtime]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_run_resilience_artifacts_identical_on_both_runtimes(tmp_path,
+                                                             capsys):
+    for runtime in ("threads", "coroutines"):
+        assert main(["run", "resilience", "--runtime", runtime,
+                     "--output", str(tmp_path / runtime)]) == 0
+    capsys.readouterr()
+    written = sorted(p.name for p in (tmp_path / "threads").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "coroutines").iterdir())
+    assert "resilience.json" in written
+    for name in written:
+        assert (tmp_path / "threads" / name).read_bytes() == \
+            (tmp_path / "coroutines" / name).read_bytes(), name
