@@ -2,21 +2,23 @@
 
 PYTHON ?= python
 
-.PHONY: install check lint verify check-conformance check-sanitize \
-	check-resilience check-cryptmpi check-hostile \
-	check-predict check-scale check-runtime-parity test test-fast test-all \
-	bench bench-baseline bench-pytest \
+# gitignored scratch of the make check gates: the fast-tier campaign
+# with its cache and manifest, and the regenerated artifacts
+CHECK_DIR := .check
+
+.PHONY: install check lint verify check-conformance check-artifacts \
+	check-artifacts-all test test-fast test-all bench bench-baseline \
 	trace-goldens check-tracing-overhead \
 	campaign-fast check-campaign-cache \
 	experiments-fast experiments-all examples clean
 
 # The default verification flow: static misuse analysis, unit tests,
 # a parallel fast-tier campaign, the warm-cache invariant (second run
-# executes zero runners), a sanitized re-run of the fast tier, and the
-# fault-sweep determinism invariant.
-check: lint verify test campaign-fast check-campaign-cache check-sanitize \
-	check-resilience check-cryptmpi check-hostile check-predict check-scale \
-	check-runtime-parity check-conformance
+# executes zero runners), the committed artifacts regenerated and
+# byte-compared, every example, and the static-vs-dynamic conformance
+# audit.
+check: lint verify test campaign-fast check-campaign-cache check-artifacts \
+	examples check-conformance
 
 # Static misuse analysis (MPI protocol, determinism, crypto) over the
 # tree the repo promises to keep clean; exits nonzero on any finding.
@@ -47,63 +49,41 @@ check-conformance:
 	diff results/conformance/run-a.txt results/conformance/run-b.txt
 	@echo "check-conformance: fast-tier goldens conform, byte-identical"
 
-# Fast-tier campaign with the runtime sanitizer armed in every cell:
-# deadlock diagnosis, leaked-request tracking, nonce-reuse checks.
-# --no-cache because cache hits skip runners (and thus the sanitizer);
-# a separate results tree keeps the main cache warm.
-check-sanitize:
-	$(PYTHON) -m repro.experiments campaign fast -j 4 --no-cache \
-		--sanitize --output results/sanitize
-
-# Run-twice determinism gates: each experiment run twice into
-# results/<name>-a and results/<name>-b must produce byte-identical
-# artifacts.  Everything they sweep is virtual-time deterministic:
-# resilience (seeded FaultPlan x backoff policy: retransmission timing,
-# backoff, fault sequences), cryptmpi (chunked seals on helper cores:
-# core allocation order, chunk completion order, nonce draws), hostile
-# (WAN/IoT jitter/wobble/loss draws and bootstrap resampling, all
-# seeded), predict (the closed-form fit has no wall clock or
-# randomness in it; DET004 lints exactly that) and scale (fluid
-# Encrypted_Alltoall on the coroutine runtime).  Two caps keep the
-# gates fast: REPRO_HOSTILE_REPS=5 repetitions per hostile cell and
-# REPRO_SCALE_MAX_RANKS=256; the committed results/hostile.* and
-# results/scale.* are the full 20-rep and 4096-rank runs.
-RUN_TWICE_GATES := check-resilience check-cryptmpi check-hostile \
-	check-predict check-scale
-
-check-hostile: export REPRO_HOSTILE_REPS = 5
-check-scale: export REPRO_SCALE_MAX_RANKS = 256
-
-$(RUN_TWICE_GATES): check-%:
-	rm -rf results/$*-a results/$*-b
-	$(PYTHON) -m repro.experiments run $* --output results/$*-a
-	$(PYTHON) -m repro.experiments run $* --output results/$*-b
-	diff -r results/$*-a results/$*-b
-	@echo "$@: two runs of $* byte-identical"
-
-# Runtime parity: the fast experiment tier, the cryptmpi experiment
-# (chunk pipeline on helper cores) and the resilience experiment
-# (sanitized, seeded faults with ack/retransmit) forced onto the thread
-# runtime and onto the coroutine runtime must produce byte-identical
-# artifacts — virtual time cannot depend on how rank programs are
-# scheduled.  (tests/simmpi/test_runtime_parity.py pins the same
-# invariant at golden-trace granularity.)
-check-runtime-parity:
-	rm -rf results/runtime-threads results/runtime-coroutines
-	$(PYTHON) -m repro.experiments run fast --runtime threads \
-		--output results/runtime-threads
-	$(PYTHON) -m repro.experiments run fast --runtime coroutines \
-		--output results/runtime-coroutines
-	$(PYTHON) -m repro.experiments run cryptmpi --runtime threads \
-		--output results/runtime-threads/cryptmpi
-	$(PYTHON) -m repro.experiments run cryptmpi --runtime coroutines \
-		--output results/runtime-coroutines/cryptmpi
-	$(PYTHON) -m repro.experiments run resilience --runtime threads \
-		--output results/runtime-threads/resilience
-	$(PYTHON) -m repro.experiments run resilience --runtime coroutines \
-		--output results/runtime-coroutines/resilience
-	diff -r results/runtime-threads results/runtime-coroutines
-	@echo "check-runtime-parity: fast tier, cryptmpi and resilience byte-identical across runtimes"
+# The committed results/ are the reproduction's record, and this is its
+# gate.  It regenerates the not-slow tier plus scale with the runtime
+# sanitizer armed in every job (deadlock diagnosis, leaked-request
+# tracking, nonce-reuse checks), then the fast tier, cryptmpi (chunk
+# pipeline on helper cores) and resilience (seeded faults with
+# ack/retransmit) on the thread runtime, and byte-compares every
+# regenerated .txt/.json with its committed file.  Virtual time is
+# deterministic and depends neither on the sanitizer nor on how rank
+# programs are scheduled, so any difference is drift: a regression, or
+# an intended change that must re-commit the artifact and say why.
+# --no-cache because cache hits skip runners (and thus the sanitizer).
+# check-artifacts-all widens the sanitized pass to every experiment
+# (the slow tier adds minutes); make check runs check-artifacts.
+check-artifacts check-artifacts-all:
+	rm -rf $(CHECK_DIR)/sanitized $(CHECK_DIR)/threads
+	$(PYTHON) -m repro.experiments campaign \
+		$(if $(filter %-all,$@),all,not-slow scale) -j 2 \
+		--no-cache --sanitize --output $(CHECK_DIR)/sanitized
+	$(PYTHON) -m repro.experiments campaign fast cryptmpi resilience -j 2 \
+		--no-cache --runtime threads --output $(CHECK_DIR)/threads
+	@status=0; \
+	for new in $(CHECK_DIR)/sanitized/*.txt $(CHECK_DIR)/sanitized/*.json \
+		$(CHECK_DIR)/threads/*.txt $(CHECK_DIR)/threads/*.json; do \
+		name=$${new##*/}; \
+		[ "$$name" = campaign.json ] && continue; \
+		if [ ! -f "results/$$name" ]; then \
+			echo "$@: results/$$name is not committed"; status=1; \
+		elif ! cmp -s "results/$$name" "$$new"; then \
+			diff -u "results/$$name" "$$new" | head -n 20; \
+			echo "$@: results/$$name differs from its regeneration $$new"; \
+			status=1; \
+		fi; \
+	done; \
+	[ $$status = 0 ] && echo "$@: every regenerated artifact matches results/"; \
+	exit $$status
 
 install:
 	$(PYTHON) setup.py develop
@@ -126,9 +106,6 @@ bench:
 bench-baseline:
 	$(PYTHON) -m repro.experiments bench --output BENCH_core.json
 
-bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # Regenerate the golden-trace fixture after an intentional behavior change
 # (review the digest diff — it is a statement that observable simulation
 # behavior moved).
@@ -140,24 +117,31 @@ trace-goldens:
 check-tracing-overhead:
 	$(PYTHON) -m repro.experiments bench --check-tracing --baseline BENCH_core.json
 
-# Fast-tier campaign across 4 workers into results/ (cache + manifest).
+# Fast-tier campaign across 4 workers into $(CHECK_DIR)/campaign
+# (artifacts, cache, manifest); results/ keeps only the committed record.
 campaign-fast:
-	$(PYTHON) -m repro.experiments campaign fast -j 4
+	$(PYTHON) -m repro.experiments campaign fast -j 4 \
+		--output $(CHECK_DIR)/campaign
 
 # Warm-cache invariant: an immediately repeated campaign must serve every
-# cell from results/cache and execute zero experiment runners.
+# cell from $(CHECK_DIR)/campaign/cache and execute zero experiment runners.
 check-campaign-cache: campaign-fast
-	$(PYTHON) -m repro.experiments campaign fast -j 4 --expect-all-cached
+	$(PYTHON) -m repro.experiments campaign fast -j 4 --expect-all-cached \
+		--output $(CHECK_DIR)/campaign
 
 experiments-fast:
 	$(PYTHON) -m repro.experiments run fast
 
+# Regenerate the whole committed record into results/ (minutes); the
+# diff is a statement that the artifacts intentionally moved.
 experiments-all:
 	$(PYTHON) -m repro.experiments run all --output results/
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
 
+# Removes build and check byproducts; the committed results/ stay.
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache results
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache $(CHECK_DIR) \
+		results/cache results/campaign.json results/conformance
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -170,8 +170,9 @@ _FIT_PATH_PARTS = ("models/predict",)
          "timestamps belong to the caller, stamped after calibrate() "
          "returns",
     grounding="PredictionModel.token() is hashed into a committed "
-              "golden digest and `make check-predict` diffs two runs "
-              "byte for byte",
+              "golden digest and `make check-artifacts` byte-compares "
+              "a fresh calibrate-and-validate run with the committed "
+              "artifact",
 )
 def check_predict_wall_clock(mod: ModuleContext):
     path = mod.path.replace("\\", "/")

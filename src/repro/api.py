@@ -225,8 +225,7 @@ def run_job(
     policy-driven escalation; the job-wide
     :class:`~repro.simmpi.resilience.ResilienceReport` rides on
     ``JobResult.resilience``.  *cluster* defaults to the paper's testbed
-    (:data:`PAPER_CLUSTER`); the resolved spec feeds the campaign cache
-    key (:func:`repro.experiments.campaign.job_config_digest`).
+    (:data:`PAPER_CLUSTER`).
 
     *engine* (an :class:`EngineOptions` or a spec string like
     ``"coroutines:max_ranks=4096"``) picks the rank runtime, the rank
@@ -501,8 +500,9 @@ def run_campaign(
     *engine* is an :class:`EngineOptions` (or a spec string like
     ``"coroutines"``): every simulated
     job in every cell executes on that rank runtime, and the options'
-    token salts the cache keys — ``make check-runtime-parity`` runs the
-    fast tier under both runtimes and byte-compares the artifacts.
+    token salts the cache keys — ``make check-artifacts`` runs the fast
+    tier on the thread runtime and byte-compares it with the committed
+    artifacts.
 
     Returns a frozen
     :class:`repro.experiments.campaign.CampaignResult`; failures never

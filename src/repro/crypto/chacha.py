@@ -6,7 +6,7 @@ preferred AEAD is ChaCha20-Poly1305, which needs no AES-NI hardware and
 runs at a stable rate on any CPU.  The reproduction includes a full
 implementation so the what-if ablation ("what would Libsodium's numbers
 look like under its native cipher?") can be run with real cryptography
-(see ``benchmarks/test_bench_ablation_chacha.py``), and because a
+(see ``tests/integration/test_ablations.py``), and because a
 second, structurally different AEAD is a good adversarial check of the
 AEAD abstraction.
 

@@ -29,7 +29,9 @@ generators:
 Both runtimes issue *identical* ``engine.schedule`` call sequences (one
 entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`,
 inline continuation for already-completed events), so artifacts are
-byte-identical between them — ``make check-runtime-parity`` pins that.
+byte-identical between them — ``make check-artifacts`` regenerates
+the fast tier on threads and byte-compares it with the committed
+artifacts.
 The ``runtime="auto"`` default picks per function, so both styles
 coexist in one simulation.
 """

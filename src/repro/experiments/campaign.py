@@ -121,58 +121,6 @@ def experiment_config_digest(
     return _digest(doc)
 
 
-def _network_token(network: Any) -> str:
-    """Canonical cache-key spelling of any ``network=`` argument."""
-    if isinstance(network, str):
-        from repro.models.network import parse_network_spec
-
-        return parse_network_spec(network).token()
-    if hasattr(network, "token"):  # FabricSpec
-        return network.token()
-    return network.name  # NetworkModel / NoiseModel
-
-
-def job_config_digest(
-    workload: Callable,
-    *,
-    nranks: int,
-    network: Any = "ethernet",
-    security: Any = None,
-    placement: str = "block",
-    cluster: Any = None,
-    engine: Any = None,
-) -> str:
-    """Config digest of one simulated-job cell (the :func:`repro.api`
-    argument surface).  Any change to the security config, fabric, rank
-    count, placement, cluster shape, engine options, or the workload's
-    own source flips the digest — the cache-miss conditions the tests
-    pin."""
-    try:
-        import inspect
-
-        src = hashlib.sha256(inspect.getsource(workload).encode()).hexdigest()
-    except (OSError, TypeError):
-        code = getattr(workload, "__code__", None)
-        src = hashlib.sha256(code.co_code).hexdigest() if code else "opaque"
-    return _digest(
-        {
-            "kind": "job",
-            "workload": f"{getattr(workload, '__module__', '?')}:"
-            f"{getattr(workload, '__qualname__', repr(workload))}",
-            "workload_src": src,
-            "nranks": nranks,
-            # FabricSpec/NoiseModel carry their canonical token (a clean
-            # spec tokens to the bare name, so historical keys survive);
-            # a noisy fabric therefore always gets its own cache key.
-            "network": _network_token(network),
-            "security": _jsonable(security),
-            "placement": placement,
-            "cluster": cluster.token() if hasattr(cluster, "token") else _jsonable(cluster),
-            "engine": engine.token() if engine is not None else None,
-        }
-    )
-
-
 def cell_key(exp_id: str, config_digest: str, fingerprint: str) -> str:
     """The content address of one cell's result."""
     return hashlib.sha256(
@@ -407,8 +355,8 @@ def run_campaign(
     *engine* (an :class:`repro.des.options.EngineOptions`, or its spec
     string, e.g. ``"coroutines"``) picks the runtime every simulated
     job executes on, and salts every cell's cache key with the
-    options' token (``make check-runtime-parity`` relies on the two
-    runtimes occupying distinct cache entries).
+    options' token, so the two runtimes occupy distinct cache
+    entries.
     """
     t0 = time.perf_counter()
     if engine is not None:

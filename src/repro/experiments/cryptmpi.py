@@ -15,8 +15,9 @@ result inside the simulator:
   narrows under the cryptmpi plan because the node's helper cores
   absorb the crypto cost that serial mode charges on the rank's core.
 
-Everything is virtual-time and seeded, so two runs render byte-identical
-artifacts — the property ``make check-cryptmpi`` pins.
+Everything is virtual-time and seeded, so every run renders the
+committed ``results/cryptmpi.*`` byte for byte — the property ``make
+check-artifacts`` pins.
 """
 
 from __future__ import annotations

@@ -17,13 +17,13 @@ Every cell is ``REPS`` seeded repetitions (the fabric seed is offset
 per rep — common random numbers across cells, so policy comparisons
 are paired) summarized per ``repro.experiments.stats``: median +
 percentile-bootstrap CI for latencies, ratio-of-sums aggregation for
-goodput.  Everything is virtual-time and seeded, so two runs render
-byte-identical artifacts — ``make check-hostile`` pins exactly that.
+goodput.  Everything is virtual-time and seeded, so every run renders
+the committed ``results/hostile.*`` byte for byte — ``make
+check-artifacts`` pins exactly that.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 from repro.encmpi import CryptoPlan
@@ -38,10 +38,8 @@ from repro.models.network import FabricSpec
 from repro.simmpi.resilience import ResiliencePolicy
 from repro.util.tables import Table
 
-#: Cap the per-cell repetitions (the CI gate in the Makefile uses 5 so
-#: two full sweeps stay fast); unset = the committed 20-rep artifacts.
-REPS_ENV = "REPRO_HOSTILE_REPS"
-DEFAULT_REPS = 20
+#: seeded repetitions per cell
+REPS = 20
 CONFIDENCE = 0.95
 
 MSG_BYTES = 1024
@@ -81,10 +79,6 @@ POLICY_CELLS = (
 _PLAN = CryptoPlan()
 
 
-def _reps() -> int:
-    return int(os.environ.get(REPS_ENV, str(DEFAULT_REPS)))
-
-
 def _latency_cells(samples, spec: StatsSpec) -> list:
     """[median ms, ±ms] from per-rep times in seconds."""
     est = estimate(samples, confidence=spec.confidence, seed=spec.seed)
@@ -107,11 +101,10 @@ def hostile() -> Artifact:
     from repro.workloads.multipair import multipair_aggregate_throughput
     from repro.workloads.pingpong import pingpong_oneway_time
 
-    reps = _reps()
-    spec = StatsSpec(reps=reps, confidence=CONFIDENCE, seed=0)
+    spec = StatsSpec(reps=REPS, confidence=CONFIDENCE, seed=0)
     title = (
         f"Encrypted microbenchmarks on hostile fabrics "
-        f"({reps} seeded reps, {int(CONFIDENCE * 100)}% bootstrap CI)"
+        f"({REPS} seeded reps, {int(CONFIDENCE * 100)}% bootstrap CI)"
     )
     table = Table(
         title,
@@ -198,7 +191,7 @@ def hostile() -> Artifact:
         "iot = 40 ms / ~0.45 MB/s + 20% jitter, 10% wobble; loss is "
         "iid per delivery and feeds the FaultPlan/ReliabilityManager "
         "machinery (retransmit, NACK, plain fallback after 6 tries)",
-        f"every cell: {reps} seeded repetitions (fabric seed offset "
+        f"every cell: {REPS} seeded repetitions (fabric seed offset "
         "per rep, shared across cells for paired comparisons); "
         "latency = median with percentile-bootstrap CI, goodput = "
         "ratio-of-sums with a CI bootstrapped from per-rep rates",
@@ -206,7 +199,6 @@ def hostile() -> Artifact:
         "streaming aggregate; mt = osu_latency_mt-style round "
         "(channels concurrent in-flight messages), exponential backoff",
         "paper has no hostile-fabric numbers (ROADMAP item 5 "
-        "extension); REPRO_HOSTILE_REPS caps repetitions for the "
-        "make check-hostile determinism gate",
+        "extension)",
     ]
     return Artifact("hostile", title, table, notes, headlines)

@@ -9,8 +9,9 @@ ping-pong under a seeded :class:`~repro.simmpi.faults.FaultPlan`
 (deterministic fault sequence) with a
 :class:`~repro.simmpi.resilience.ResiliencePolicy`, and reports goodput,
 latency overhead versus the fault-free baseline, and the retransmission
-ledger.  Everything is virtual-time and seeded, so two runs render
-byte-identical artifacts — the property ``make check-resilience`` pins.
+ledger.  Everything is virtual-time and seeded, so every run renders
+the committed ``results/resilience.*`` byte for byte — the property
+``make check-artifacts`` pins.
 """
 
 from __future__ import annotations

@@ -15,16 +15,11 @@ message-rate-bound as N² traffic grows) is what this artifact pins —
 not packet-exact latencies.  Every rank of the symmetric collective
 sees identical phases, which the runner asserts: job makespan ==
 per-rank total.
-
-``REPRO_SCALE_MAX_RANKS`` caps the rank points (``make check-scale``
-sets it to keep the determinism check cheap); the committed
-``results/scale.*`` artifacts are the full 4096-rank run.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from repro.des.options import EngineOptions
 from repro.experiments.report import Artifact
@@ -45,25 +40,6 @@ RANK_POINTS = (64, 256, 1024, 4096)
 
 #: per-peer alltoall block — the paper's medium collective size
 MSG_BYTES = 16 * KiB
-
-#: environment knob capping the curve (``make check-scale``)
-MAX_RANKS_ENV = "REPRO_SCALE_MAX_RANKS"
-
-
-def _rank_points() -> tuple[int, ...]:
-    cap = os.environ.get(MAX_RANKS_ENV)
-    if not cap:
-        return RANK_POINTS
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise ValueError(f"{MAX_RANKS_ENV} must be an integer, got {cap!r}") from None
-    points = tuple(n for n in RANK_POINTS if n <= limit)
-    if not points:
-        raise ValueError(
-            f"{MAX_RANKS_ENV}={limit} excludes every rank point {RANK_POINTS}"
-        )
-    return points
 
 
 def _measure(nranks: int, network: str, library: str | None,
@@ -105,20 +81,19 @@ def _network_model(network: str):
 
 
 def scale(network: str = "ethernet") -> Artifact:
-    points = _rank_points()
     title = (
-        f"Encrypted_Alltoall {MSG_BYTES // KiB}KB to {points[-1]} ranks "
+        f"Encrypted_Alltoall {MSG_BYTES // KiB}KB to {RANK_POINTS[-1]} ranks "
         f"({SCALE_CLUSTER.token()} fluid model), {network}"
     )
     fig = Figure(title, "ranks", "seconds", log_y=True, plain_x=True)
     fig.add_series(
-        "baseline", [(n, _measure(n, network, None, False)) for n in points]
+        "baseline", [(n, _measure(n, network, None, False)) for n in RANK_POINTS]
     )
     for lib in PROFILED_LIBRARIES:
         for mode, pipelined in (("serial", False), ("cryptmpi", True)):
             fig.add_series(
                 f"{lib}/{mode}",
-                [(n, _measure(n, network, lib, pipelined)) for n in points],
+                [(n, _measure(n, network, lib, pipelined)) for n in RANK_POINTS],
             )
     art = Artifact("scale", title, fig)
     art.notes.append(
@@ -126,12 +101,4 @@ def scale(network: str = "ethernet") -> Artifact:
         "curve shape, not packet-exact latency — the message-level "
         "simulator covers the <=64-rank points of tables III/VII"
     )
-    art.notes.append(
-        f"set {MAX_RANKS_ENV} to cap the curve (make check-scale runs "
-        "the reduced tier twice and byte-compares)"
-    )
-    if len(points) < len(RANK_POINTS):
-        art.notes.append(
-            f"capped by {MAX_RANKS_ENV}: {points} of {RANK_POINTS}"
-        )
     return art

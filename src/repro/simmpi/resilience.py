@@ -25,7 +25,7 @@ encrypted MPI needs (CryptMPI-style), entirely in virtual time:
 Everything is scheduled on the deterministic DES engine from
 deterministic state, so two runs of the same faulty job are
 bit-identical — the property the ``resilience`` experiment's
-artifact-diff gate (``make check-resilience``) pins.
+artifact gate (``make check-artifacts``) pins.
 
 With no policy armed, none of this code runs and the transport behaves
 byte-identically to before (golden-trace digests unchanged).

@@ -6,84 +6,20 @@ import json
 
 import pytest
 
-from repro.encmpi import SecurityConfig
 from repro.experiments import campaign
 from repro.experiments.campaign import (
     ResultCache,
     cell_key,
     code_fingerprint,
     experiment_config_digest,
-    job_config_digest,
     run_campaign,
 )
 from repro.experiments.registry import get_experiment
 
 
-def _workload(ctx):
-    return ctx.rank
-
-
 # ---------------------------------------------------------------------------
 # key derivation
 # ---------------------------------------------------------------------------
-
-
-def test_job_digest_hits_on_identical_config():
-    a = job_config_digest(_workload, nranks=4, network="ethernet",
-                          security=SecurityConfig())
-    b = job_config_digest(_workload, nranks=4, network="ethernet",
-                          security=SecurityConfig())
-    assert a == b
-
-
-def test_job_digest_misses_on_changed_security_config():
-    base = job_config_digest(_workload, nranks=4,
-                             security=SecurityConfig())
-    changed = job_config_digest(_workload, nranks=4,
-                                security=SecurityConfig(library="cryptopp"))
-    assert base != changed
-    # even a field the simulation outcome is insensitive to (backend)
-    # flips the digest — false misses are cheap, false hits are wrong
-    assert base != job_config_digest(
-        _workload, nranks=4, security=SecurityConfig(backend="pure")
-    )
-    assert base != job_config_digest(_workload, nranks=4, security=None)
-
-
-def test_job_digest_misses_on_changed_network_and_nranks():
-    base = job_config_digest(_workload, nranks=4, network="ethernet")
-    assert base != job_config_digest(_workload, nranks=4,
-                                     network="infiniband")
-    assert base != job_config_digest(_workload, nranks=8,
-                                     network="ethernet")
-    assert base != job_config_digest(_workload, nranks=4,
-                                     network="ethernet", placement="round")
-
-
-def test_job_digest_keyed_by_canonical_fabric_token():
-    from repro.models.network import FabricSpec, get_network
-
-    base = job_config_digest(_workload, nranks=4, network="ethernet")
-    # the key changes iff the fabric token changes: aliases, the
-    # FabricSpec spelling, and the model singleton all token to
-    # "ethernet" and share the historical cache entry
-    assert base == job_config_digest(_workload, nranks=4, network="eth")
-    assert base == job_config_digest(_workload, nranks=4,
-                                     network=FabricSpec(base="ethernet"))
-    assert base == job_config_digest(_workload, nranks=4,
-                                     network=get_network("ethernet"))
-    # any noise knob (or a different seed on the same knobs) is a miss
-    noisy = job_config_digest(
-        _workload, nranks=4, network="ethernet:jitter=10%,seed=1"
-    )
-    assert noisy != base
-    assert noisy == job_config_digest(
-        _workload, nranks=4,
-        network=FabricSpec(base="ethernet", jitter=0.1, seed=1),
-    )
-    assert noisy != job_config_digest(
-        _workload, nranks=4, network="ethernet:jitter=10%,seed=2"
-    )
 
 
 def test_cell_key_invalidates_when_code_fingerprint_changes():
@@ -273,10 +209,3 @@ def test_experiment_digest_salted_by_crypto_plan_and_cluster():
             != experiment_config_digest(exp, piped))
 
 
-def test_job_digest_misses_on_cluster_shape():
-    from repro.models.cpu import ClusterSpec
-
-    base = job_config_digest(_workload, nranks=4)
-    assert base != job_config_digest(
-        _workload, nranks=4, cluster=ClusterSpec(nodes=2, cores_per_node=8)
-    )

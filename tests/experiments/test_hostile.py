@@ -11,7 +11,7 @@ from repro.experiments.report import artifact_dict
 
 @pytest.fixture()
 def capped_reps(monkeypatch):
-    monkeypatch.setenv(hostile_mod.REPS_ENV, "2")
+    monkeypatch.setattr(hostile_mod, "REPS", 2)
 
 
 def test_registered_as_medium_tier():

@@ -1,6 +1,7 @@
 """The ``predict`` experiment's grid discipline, registry entry, and
 the ``predict`` CLI subcommand (the full validation sweep itself is
-exercised by ``make check-predict``)."""
+regenerated and byte-compared with ``results/predict.*`` by ``make
+check-artifacts``)."""
 
 import json
 
@@ -34,6 +35,35 @@ def test_registry_entry():
     assert entry.cost == "medium"
     assert entry.cluster == ClusterSpec(nodes=2, cores_per_node=8)
     assert entry.runner is exp.predict_validation
+
+
+def test_runner_calibrates_without_the_anchor_cache(monkeypatch, tmp_path):
+    """The registry runner simulates its anchors itself: a warm on-disk
+    anchor cache must not stand in for a run the campaign asked for
+    uncached or sanitized, and the runner writes no cache of its own."""
+    from repro.experiments import campaign
+    from repro.models import predict as engine
+
+    class FitReached(Exception):
+        pass
+
+    def fit(cells, values):
+        raise FitReached(len(values))
+
+    opened = []
+
+    class RecordingCache(campaign.ResultCache):
+        def __init__(self, path):
+            opened.append(path)
+            super().__init__(str(tmp_path))
+
+    monkeypatch.setattr(campaign, "ResultCache", RecordingCache)
+    monkeypatch.setattr(engine.AnchorCell, "simulate", lambda self: 1.0)
+    monkeypatch.setattr(engine, "_fit_model", fit)
+    monkeypatch.setattr(engine, "_MODEL_CACHE", {})
+    with pytest.raises(FitReached):
+        exp.predict_validation()
+    assert opened == []
 
 
 # ------------------------------------------------------------ CLI surface

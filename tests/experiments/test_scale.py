@@ -2,7 +2,7 @@
 
 The committed ``results/scale.*`` artifacts are the full 4096-rank run;
 these tests exercise the same code path capped to the cheapest point
-via ``REPRO_SCALE_MAX_RANKS`` so tier-1 stays fast.
+by patching ``RANK_POINTS`` so tier-1 stays fast.
 """
 
 import json
@@ -24,21 +24,8 @@ def test_registry_entry_is_slow_tier_with_the_scale_cluster():
     assert exp.cluster.token() == "1024x8"
 
 
-def test_rank_points_env_cap(monkeypatch):
-    monkeypatch.setenv(scale_mod.MAX_RANKS_ENV, "256")
-    assert scale_mod._rank_points() == (64, 256)
-    monkeypatch.setenv(scale_mod.MAX_RANKS_ENV, "10")
-    with pytest.raises(ValueError, match="excludes every rank point"):
-        scale_mod._rank_points()
-    monkeypatch.setenv(scale_mod.MAX_RANKS_ENV, "lots")
-    with pytest.raises(ValueError, match="integer"):
-        scale_mod._rank_points()
-    monkeypatch.delenv(scale_mod.MAX_RANKS_ENV)
-    assert scale_mod._rank_points() == scale_mod.RANK_POINTS
-
-
 def test_scale_artifact_reduced_tier_is_deterministic(monkeypatch):
-    monkeypatch.setenv(scale_mod.MAX_RANKS_ENV, "64")
+    monkeypatch.setattr(scale_mod, "RANK_POINTS", (64,))
     exp = get_experiment("scale")
     first = json.dumps(artifact_dict(exp, scale_mod.scale()), sort_keys=True)
     second = json.dumps(artifact_dict(exp, scale_mod.scale()), sort_keys=True)

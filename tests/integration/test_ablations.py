@@ -1,0 +1,195 @@
+"""Ablations of the design choices DESIGN.md calls out.
+
+These go beyond the paper's tables: they quantify the knobs the paper
+discusses qualitatively — key length, nonce discipline, the collective
+algorithm switch points, the §V-C multi-core encryption remedy — and
+replay Libsodium under its native ChaCha20-Poly1305.  §III-B notes
+Libsodium "only supports AES-GCM with 256-bit keys"; its native AEAD
+needs no AES-NI and runs at a CPU-independent rate (typically
+1.5-3 GB/s on a 2015-era Xeon core, i.e. *faster* than Libsodium's
+~0.58 GB/s AES-GCM but slower than BoringSSL's AES-NI path at large
+sizes).
+"""
+
+import importlib
+import os
+import time
+
+import pytest
+
+from repro.crypto.aead import get_aead
+from repro.encmpi.pipeline import plan_pipeline
+from repro.models.cryptolib import get_profile
+from repro.util.units import KiB, MiB
+from repro.workloads.pingpong import pingpong_oneway_time
+
+
+def test_ablation_key_length_128_vs_256():
+    """§III-A: 'longer key length means better security ... but also
+    slower speed'; the paper found both lengths show the same trends."""
+    times = {
+        bits: pingpong_oneway_time(
+            2 * MiB, network="ethernet", library="boringssl", key_bits=bits
+        )
+        for bits in (128, 256)
+    }
+    assert times[128] < times[256]
+    # Same trend: both are far above the baseline, ratio is modest.
+    assert times[256] / times[128] < 1.5
+
+
+def test_ablation_nonce_strategy():
+    """Counter nonces skip the per-message RAND_bytes call.  The cost
+    model charges framing identically (the dominant term is buffer
+    handling), so the wire results must be unaffected — this pins down
+    that nonce strategy is a *security* choice, not a performance one."""
+    from repro.encmpi import EncryptedComm, SecurityConfig
+    from repro.models.cpu import ClusterSpec
+    from repro.simmpi import run_program
+
+    times = {}
+    for strategy in ("random", "counter"):
+        def prog(ctx, strategy=strategy):
+            enc = EncryptedComm(ctx, SecurityConfig(nonce_strategy=strategy))
+            if ctx.rank == 0:
+                enc.send(b"x" * 4096, 1)
+                return ctx.now
+            enc.recv(0)
+            return ctx.now
+
+        res = run_program(2, prog, cluster=ClusterSpec(2, 2))
+        times[strategy] = res.results[1]
+    assert times["random"] == pytest.approx(times["counter"], rel=1e-9)
+
+
+def test_ablation_pipeline_chunk_size():
+    """§V-C remedy: sweep the encryption chunk size on 8 cores.  Too
+    large -> no parallelism; too small -> framing overhead; the sweet
+    spot sits in between."""
+    profile = get_profile("boringssl", "mvapich")
+    plans = {
+        chunk: plan_pipeline(profile, 4 * MiB, cores=8, chunk_bytes=chunk)
+        for chunk in (4 * MiB, 1 * MiB, 256 * KiB, 64 * KiB, 4 * KiB)
+    }
+    assert plans[4 * MiB].speedup == pytest.approx(1.0)
+    best = min(p.parallel_time for p in plans.values())
+    assert plans[256 * KiB].parallel_time == pytest.approx(best, rel=0.35)
+    # Tiny chunks pay per-call framing: slower than the sweet spot.
+    assert plans[4 * KiB].parallel_time > plans[256 * KiB].parallel_time
+
+
+def test_ablation_collective_algorithm_thresholds(monkeypatch):
+    """MPICH's bcast switches from binomial to scatter+allgather at
+    12 KiB: verify the large algorithm actually wins above the switch
+    (this is why the simulator implements both)."""
+    from repro.models.cpu import ClusterSpec
+    from repro.simmpi import run_program
+
+    # The collectives package re-exports the bcast *function* under the
+    # submodule's name; fetch the module itself to reach the threshold.
+    bcast_mod = importlib.import_module("repro.simmpi.collectives.bcast")
+
+    cluster = ClusterSpec(nodes=8, cores_per_node=4)
+
+    def time_bcast(size, force):
+        # forced for the whole job; monkeypatch restores it, so no later
+        # test inherits the forced threshold
+        monkeypatch.setattr(bcast_mod, "BCAST_LONG_THRESHOLD", force)
+        payload = b"\x00" * size
+
+        def prog(ctx):
+            data = payload if ctx.rank == 0 else None
+            ctx.comm.bcast(data, 0, nbytes=size)
+            return ctx.now
+
+        res = run_program(32, prog, network="ethernet", cluster=cluster)
+        return max(res.results)
+
+    size = 1 * MiB
+    binomial = time_bcast(size, force=10**9)  # never switch
+    scatter_allgather = time_bcast(size, force=0)  # always switch
+    assert scatter_allgather < binomial
+
+
+def test_ablation_eager_vs_rendezvous_boundary():
+    """The one-way time curve must be continuous-ish across the eager
+    threshold — a discontinuity would poison every larger result."""
+    below = pingpong_oneway_time(64 * KiB, network="ethernet")
+    above = pingpong_oneway_time(64 * KiB + 4096, network="ethernet")
+    assert above > below
+    assert above < below * 1.5
+
+
+# ---------------------------------------------------------------------------
+# What-if: Libsodium under its native ChaCha20-Poly1305
+# ---------------------------------------------------------------------------
+
+
+def _throughput(seal, open_, size, seconds=0.05):
+    payload = os.urandom(size)
+    nonce = bytes(12)
+    t0 = time.perf_counter()
+    ct = seal(nonce, payload)
+    open_(nonce, ct)
+    once = max(time.perf_counter() - t0, 1e-9)
+    iters = max(3, int(seconds / once))
+    t0 = time.perf_counter()
+    for _ in range(iters):
+        ct = seal(nonce, payload)
+        open_(nonce, ct)
+    return size * iters / (time.perf_counter() - t0)
+
+
+def test_ablation_chacha_vs_gcm_measured():
+    """Real measured enc+dec throughput of both AEADs on this host.
+
+    The assertable property is cipher-agnostic: both run at practical
+    rates and both frame ct||tag identically, so swapping them inside
+    encrypted MPI is free.
+    """
+    cryptography = pytest.importorskip("cryptography")  # noqa: F841
+    from cryptography.hazmat.primitives.ciphers.aead import (
+        ChaCha20Poly1305 as OsslChaCha,
+    )
+
+    key = os.urandom(32)
+    gcm = get_aead(key, "openssl")
+    chacha = OsslChaCha(key)
+    rates = {
+        "aes-gcm": _throughput(gcm.seal, gcm.open, 1 * MiB),
+        "chacha20-poly1305": _throughput(
+            lambda n, p: chacha.encrypt(n, p, None),
+            lambda n, c: chacha.decrypt(n, c, None),
+            1 * MiB,
+        ),
+    }
+    assert rates["aes-gcm"] > 50e6
+    assert rates["chacha20-poly1305"] > 50e6
+
+
+def test_ablation_pure_chacha_correct_under_mpi_frame():
+    """The from-scratch ChaCha backend drives the AEAD interface used by
+    encrypted MPI: same +28-byte wire overhead, same tamper rejection."""
+    aead = get_aead(os.urandom(32), "chacha")
+    nonce = os.urandom(12)
+    wire = nonce + aead.seal(nonce, b"payload" * 100)
+    assert len(wire) == 700 + 28
+    assert aead.open(wire[:12], wire[12:]) == b"payload" * 100
+
+
+def test_ablation_chacha_rate_pingpong_model():
+    """Replay the 2 MB Ethernet ping-pong with Libsodium's AES-GCM rate
+    (583 MB/s enc-dec) swapped for a native-ChaCha rate (~1.5 GB/s on
+    the paper's Xeon class): the overhead drops from ~170% toward the
+    BoringSSL bracket."""
+    from repro.models.network import ethernet_10g
+
+    net = ethernet_10g()
+    base = net.pingpong_oneway_time(2 * MiB)
+    overheads = {}
+    for label, encdec_rate in (("libsodium-gcm", 583e6),
+                               ("libsodium-chacha", 1500e6)):
+        added = 2 * MiB / encdec_rate
+        overheads[label] = (base + added) / base - 1.0
+    assert overheads["libsodium-chacha"] < 0.6 * overheads["libsodium-gcm"]
+

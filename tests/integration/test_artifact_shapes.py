@@ -1,0 +1,281 @@
+"""The paper's shape claims, asserted on the committed ``results/``.
+
+``results/`` is the reproduction's record: one ``<id>.txt`` and one
+``<id>.json`` per registry experiment.  ``make check-artifacts``
+regenerates them and byte-compares each with its committed file, so an
+assertion here holds for what the code produces, without re-running the
+experiment in tier-1.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.experiments.registry import list_experiments
+from repro.models.cryptolib import get_profile
+from repro.util.units import KiB, MiB
+
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
+
+
+def _load(exp_id):
+    with open(os.path.join(RESULTS_DIR, f"{exp_id}.json")) as fh:
+        return json.load(fh)
+
+
+def _row(doc, label):
+    for row in doc["rows"]:
+        if row["label"] == label:
+            return [float(c.replace(",", "")) for c in row["cells"]]
+    raise KeyError(label)
+
+
+def _series(doc):
+    return {s["label"]: dict(s["points"]) for s in doc["series"]}
+
+
+def _headline(doc, name):
+    h = doc["headlines"][name]
+    return h["measured"], h["paper"]
+
+
+@pytest.mark.parametrize("exp", list_experiments(), ids=lambda e: e.id)
+def test_every_registry_experiment_has_committed_artifacts(exp):
+    for ext in ("txt", "json"):
+        assert os.path.isfile(os.path.join(RESULTS_DIR, f"{exp.id}.{ext}")), (
+            f"results/{exp.id}.{ext} is not committed"
+        )
+    doc = _load(exp.id)
+    assert doc["experiment"] == exp.id
+    assert doc["paper_ref"] == exp.paper_ref
+
+
+# ---------------------------------------------------------------------------
+# Tables I/V and Figs. 3/10: ping-pong
+# ---------------------------------------------------------------------------
+
+
+def test_table1_pingpong_small_ethernet():
+    doc = _load("table1")
+    measured = _row(doc, "Unencrypted")
+    paper = _row(doc, "  (paper) Unencrypted")
+    # Baseline is calibrated: within 2% of every paper cell.
+    for m, p in zip(measured, paper):
+        assert m == pytest.approx(p, rel=0.02)
+    # Encrypted predictions: within 30% of each paper cell and
+    # correctly ordered (CryptoPP worst for tiny messages).
+    boring = _row(doc, "BoringSSL")
+    cpp = _row(doc, "CryptoPP")
+    paper_boring = _row(doc, "  (paper) BoringSSL")
+    for m, p in zip(boring, paper_boring):
+        assert m == pytest.approx(p, rel=0.3)
+    assert cpp[0] < boring[0]
+
+
+def test_table5_pingpong_small_infiniband():
+    doc = _load("table5")
+    boring = _row(doc, "BoringSSL")
+    paper_boring = _row(doc, "  (paper) BoringSSL")
+    for m, p in zip(boring, paper_boring):
+        assert m == pytest.approx(p, rel=0.3)
+
+
+def test_fig3_pingpong_large_ethernet():
+    measured, paper = _headline(_load("fig3"), "BoringSSL overhead @2MB %")
+    assert measured == pytest.approx(paper, abs=10)  # 78.3% headline
+
+
+def test_fig10_pingpong_large_infiniband():
+    doc = _load("fig10")
+    measured, paper = _headline(doc, "BoringSSL overhead @2MB %")
+    assert measured == pytest.approx(paper, abs=25)  # 215.2% headline
+    # InfiniBand punishes encryption far harder than Ethernet.
+    series = _series(doc)
+    gap_ib = series["Unencrypted"][2 * MiB] / series["BoringSSL"][2 * MiB]
+    assert gap_ib > 2.5
+
+
+# ---------------------------------------------------------------------------
+# Figs. 2/9: the encryption-decryption curves
+# ---------------------------------------------------------------------------
+
+
+def test_fig2_encdec_gcc():
+    series = _series(_load("fig2"))
+    # Paper anchors: BoringSSL 1381 MB/s and CryptoPP 273 MB/s at 2 MB.
+    assert series["BoringSSL"][2 * MiB] == pytest.approx(1381, rel=0.01)
+    assert series["CryptoPP"][2 * MiB] == pytest.approx(273, rel=0.01)
+    # Ranking holds at every plotted size.
+    for size in series["BoringSSL"]:
+        assert series["BoringSSL"][size] > series["Libsodium"][size]
+        assert series["Libsodium"][size] >= series["CryptoPP"][size] * 0.99
+
+
+def test_fig9_encdec_mvapich():
+    series = _series(_load("fig9"))
+    # §V-B: the MVAPICH compiler dramatically improves CryptoPP >64 KB.
+    gcc = get_profile("cryptopp", "gcc")
+    for size in (256 * KiB, 1 * MiB, 2 * MiB):
+        assert series["CryptoPP"][size] > gcc.encdec_throughput(size) / 1e6
+
+
+# ---------------------------------------------------------------------------
+# Figs. 4-6 and 11-13: OSU multiple-pair bandwidth
+# ---------------------------------------------------------------------------
+
+
+def test_fig4_multipair_1b_ethernet():
+    series = _series(_load("fig4"))
+    base = series["Unencrypted"]
+    # Fig. 4 shape: baseline keeps scaling with pairs on Ethernet.
+    assert base[8] > 3.0 * base[2]
+    # CryptoPP pays the most for tiny messages.
+    assert series["CryptoPP"][8] < series["BoringSSL"][8]
+
+
+def test_fig5_multipair_16kb_ethernet():
+    series = _series(_load("fig5"))
+    base = series["Unencrypted"]
+    # Saturates at ~2 pairs...
+    assert base[8] < 1.25 * base[2]
+    # ...and even CryptoPP reaches ~baseline at 8 pairs (§V-A).
+    assert series["CryptoPP"][8] > 0.9 * base[8]
+
+
+def test_fig6_multipair_2mb_ethernet():
+    series = _series(_load("fig6"))
+    base = series["Unencrypted"]
+    # Single-pair: CryptoPP is crypto-bound well below the wire.
+    assert series["CryptoPP"][1] < 0.6 * base[1]
+    # Multi-pair: everyone converges toward the NIC limit.
+    assert series["BoringSSL"][8] > 0.9 * base[8]
+
+
+def test_fig11_multipair_1b_infiniband():
+    series = _series(_load("fig11"))
+    base = series["Unencrypted"]
+    # Fig. 11: contention throttles the 4->8 pair step.
+    assert base[8] < 1.35 * base[4]
+
+
+def test_fig12_multipair_16kb_infiniband():
+    series = _series(_load("fig12"))
+    base = series["Unencrypted"]
+    # §V-B: BoringSSL only reaches ~82% of the baseline at 8 pairs.
+    ratio = series["BoringSSL"][8] / base[8]
+    assert 0.6 < ratio < 0.97
+
+
+def test_fig13_multipair_2mb_infiniband():
+    series = _series(_load("fig13"))
+    base = series["Unencrypted"]
+    # Single pair: BoringSSL sits visibly below the 40Gb baseline (its
+    # 2.76 GB/s serial encryption paces injection; receive-side
+    # decryption pipelines with arrivals, so the gap is ~10-25%, not
+    # the naive 2x of enc+dec in series).
+    assert series["BoringSSL"][1] < 0.95 * base[1]
+    # CryptoPP is genuinely crypto-bound alone.
+    assert series["CryptoPP"][1] < 0.55 * base[1]
+    # Eight pairs close most of the gap.
+    assert series["BoringSSL"][8] > 0.8 * base[8]
+
+
+# ---------------------------------------------------------------------------
+# Tables II/III/VI/VII and Figs. 7/8/14/15: Encrypted_Bcast and
+# Encrypted_Alltoall at 64 ranks / 8 nodes
+# ---------------------------------------------------------------------------
+
+
+def _check_collective_table(doc, rel_baseline, rel_encrypted):
+    """Baseline within *rel_baseline* of the paper; encrypted rows within
+    *rel_encrypted* at the bandwidth-dominated 4MB column, and ordered."""
+    base = _row(doc, "Unencrypted")
+    paper_base = _row(doc, "  (paper) Unencrypted")
+    assert base[2] == pytest.approx(paper_base[2], rel=rel_baseline)
+    prev = base
+    for lib in ("BoringSSL", "Libsodium", "CryptoPP"):
+        row = _row(doc, lib)
+        paper_row = _row(doc, f"  (paper) {lib}")
+        assert row[2] == pytest.approx(paper_row[2], rel=rel_encrypted), lib
+        assert row[2] > prev[2]  # each slower library costs more at 4MB
+        prev = row
+
+
+def test_table2_bcast_ethernet():
+    _check_collective_table(_load("table2"), rel_baseline=0.35, rel_encrypted=0.4)
+
+
+def test_table3_alltoall_ethernet():
+    _check_collective_table(_load("table3"), rel_baseline=0.35, rel_encrypted=0.4)
+
+
+def test_table6_bcast_infiniband():
+    _check_collective_table(_load("table6"), rel_baseline=0.45, rel_encrypted=0.5)
+
+
+def test_table7_alltoall_infiniband():
+    _check_collective_table(_load("table7"), rel_baseline=0.45, rel_encrypted=0.5)
+
+
+def _check_overhead_figure(doc):
+    series = _series(doc)
+    sizes = sorted(next(iter(series.values())))
+    big = sizes[-1]
+    # At the 4MB end the overhead ranking must match the library ranking.
+    assert series["BoringSSL"][big] < series["Libsodium"][big]
+    assert series["Libsodium"][big] < series["CryptoPP"][big]
+
+
+def test_fig7_bcast_overhead_ethernet():
+    _check_overhead_figure(_load("fig7"))
+
+
+def test_fig8_alltoall_overhead_ethernet():
+    _check_overhead_figure(_load("fig8"))
+
+
+def test_fig14_bcast_overhead_infiniband():
+    _check_overhead_figure(_load("fig14"))
+
+
+def test_fig15_alltoall_overhead_infiniband():
+    _check_overhead_figure(_load("fig15"))
+
+
+# ---------------------------------------------------------------------------
+# Tables IV/VIII: NAS class C, 64 ranks / 8 nodes
+# ---------------------------------------------------------------------------
+
+
+def _nas_headline(doc, lib):
+    return _headline(doc, f"{lib} total overhead %")
+
+
+def test_table4_nas_ethernet():
+    doc = _load("table4")
+    # The paper's headline: BoringSSL 12.75%, Libsodium 19.25%,
+    # CryptoPP 30.33% — shape gate: right ordering, right ballpark.
+    b, b_paper = _nas_headline(doc, "boringssl")
+    l, l_paper = _nas_headline(doc, "libsodium")
+    c, c_paper = _nas_headline(doc, "cryptopp")
+    assert b < l < c
+    assert b == pytest.approx(b_paper, abs=6)
+    assert l == pytest.approx(l_paper, abs=8)
+    assert c == pytest.approx(c_paper, abs=8)
+    # Encryption never makes a benchmark faster.
+    rows = {row["label"]: row["cells"] for row in doc["rows"]}
+    base = [float(x.replace(",", "")) for x in rows["Unencrypted"][:-2]]
+    for lib in ("BoringSSL", "Libsodium", "CryptoPP"):
+        enc = [float(x.replace(",", "")) for x in rows[lib][:-2]]
+        assert all(e >= 0.98 * b for e, b in zip(enc, base)), lib
+
+
+def test_table8_nas_infiniband():
+    doc = _load("table8")
+    b, b_paper = _nas_headline(doc, "boringssl")
+    l, l_paper = _nas_headline(doc, "libsodium")
+    c, c_paper = _nas_headline(doc, "cryptopp")
+    assert b < l < c
+    assert b == pytest.approx(b_paper, abs=8)
+    assert c == pytest.approx(c_paper, abs=8)

@@ -39,6 +39,21 @@ def test_token_is_canonical():
     assert FabricSpec(base="wan", jitter=0.0, seed=0).token() == "wan"
 
 
+def test_token_canonical_across_spellings_and_seeds():
+    # the alias, the spec object and the model singleton all name one
+    # fabric
+    assert parse_network_spec("eth").token() == "ethernet"
+    assert FabricSpec(base="ethernet").token() == "ethernet"
+    assert get_network("eth") is get_network("ethernet")
+    assert get_network("ethernet").name == "ethernet"
+    # a noise knob always tokens, whichever spelling carries it, and a
+    # different seed on the same knobs is a different token
+    noisy = parse_network_spec("ethernet:jitter=10%,seed=1").token()
+    assert noisy == FabricSpec(base="ethernet", jitter=0.1, seed=1).token()
+    assert noisy != "ethernet"
+    assert noisy != parse_network_spec("ethernet:jitter=10%,seed=2").token()
+
+
 def test_parse_accepts_spec_passthrough():
     spec = FabricSpec(base="wan", jitter=0.1)
     assert parse_network_spec(spec) is spec

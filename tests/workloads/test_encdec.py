@@ -39,3 +39,14 @@ def test_measured_curve_runs_on_this_host():
         assert stats.n >= 5
     # Throughput grows with size (per-call overhead amortizes).
     assert results[16 * KiB].mean > results[256].mean
+
+
+def test_encdec_measured_real_aesgcm():
+    """Honest hardware datapoint: real OpenSSL-backed AES-GCM-256."""
+    results = measured_encdec_curve(
+        sizes=(256, 16 * KiB, 1 * MiB), target_seconds=0.02
+    )
+    # Shape property shared with Fig. 2: throughput grows with size and
+    # saturates; absolute values are hardware-specific.
+    assert results[16 * KiB].mean > results[256].mean
+    assert results[1 * MiB].mean > results[256].mean

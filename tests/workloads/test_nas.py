@@ -1,5 +1,7 @@
 """NAS proxy tests (scaled-down clusters for speed; the full 64-rank
-paper-scale runs live in benchmarks/)."""
+paper-scale runs are Tables IV/VIII, whose committed artifacts
+``tests/integration/test_artifact_shapes.py`` checks against the paper
+and ``make check-artifacts-all`` regenerates)."""
 
 import pytest
 
