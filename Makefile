@@ -2,23 +2,24 @@
 
 PYTHON ?= python
 
-# gitignored scratch of the make check gates: the fast-tier campaign
-# with its cache and manifest, and the regenerated artifacts
+# gitignored scratch of the make check gates: the regenerated
+# artifacts with their campaign cache and manifest
 CHECK_DIR := .check
+# what check-artifacts regenerates sanitized and check-campaign-cache
+# re-runs warm
+CHECK_SELECTION := not-slow scale
 
 .PHONY: install check lint verify check-conformance check-artifacts \
 	check-artifacts-all test test-fast test-all bench bench-baseline \
-	trace-goldens check-tracing-overhead \
-	campaign-fast check-campaign-cache \
+	trace-goldens check-tracing-overhead check-campaign-cache \
 	experiments-fast experiments-all examples clean
 
 # The default verification flow: static misuse analysis, unit tests,
-# a parallel fast-tier campaign, the warm-cache invariant (second run
-# executes zero runners), the committed artifacts regenerated and
-# byte-compared, every example, and the static-vs-dynamic conformance
-# audit.
-check: lint verify test campaign-fast check-campaign-cache check-artifacts \
-	examples check-conformance
+# the committed artifacts regenerated (cold) and byte-compared, the
+# warm-cache invariant (the same campaign again executes zero runners),
+# every example, and the static-vs-dynamic conformance audit.
+check: lint verify test check-artifacts check-campaign-cache examples \
+	check-conformance
 
 # Static misuse analysis (MPI protocol, determinism, crypto) over the
 # tree the repo promises to keep clean; exits nonzero on any finding.
@@ -59,14 +60,16 @@ check-conformance:
 # deterministic and depends neither on the sanitizer nor on how rank
 # programs are scheduled, so any difference is drift: a regression, or
 # an intended change that must re-commit the artifact and say why.
-# --no-cache because cache hits skip runners (and thus the sanitizer).
+# Cache hits skip runners (and thus the sanitizer), so the sanitized
+# pass starts from an emptied directory: its cache is cold and every
+# runner executes, filling the cache check-campaign-cache re-reads.
 # check-artifacts-all widens the sanitized pass to every experiment
 # (the slow tier adds minutes); make check runs check-artifacts.
 check-artifacts check-artifacts-all:
 	rm -rf $(CHECK_DIR)/sanitized $(CHECK_DIR)/threads
 	$(PYTHON) -m repro.experiments campaign \
-		$(if $(filter %-all,$@),all,not-slow scale) -j 2 \
-		--no-cache --sanitize --output $(CHECK_DIR)/sanitized
+		$(if $(filter %-all,$@),all,$(CHECK_SELECTION)) -j 2 \
+		--sanitize --output $(CHECK_DIR)/sanitized
 	$(PYTHON) -m repro.experiments campaign fast cryptmpi resilience -j 2 \
 		--no-cache --runtime threads --output $(CHECK_DIR)/threads
 	@status=0; \
@@ -117,17 +120,12 @@ trace-goldens:
 check-tracing-overhead:
 	$(PYTHON) -m repro.experiments bench --check-tracing --baseline BENCH_core.json
 
-# Fast-tier campaign across 4 workers into $(CHECK_DIR)/campaign
-# (artifacts, cache, manifest); results/ keeps only the committed record.
-campaign-fast:
-	$(PYTHON) -m repro.experiments campaign fast -j 4 \
-		--output $(CHECK_DIR)/campaign
-
-# Warm-cache invariant: an immediately repeated campaign must serve every
-# cell from $(CHECK_DIR)/campaign/cache and execute zero experiment runners.
-check-campaign-cache: campaign-fast
-	$(PYTHON) -m repro.experiments campaign fast -j 4 --expect-all-cached \
-		--output $(CHECK_DIR)/campaign
+# Warm-cache invariant: repeating check-artifacts' sanitized campaign
+# must serve every cell from $(CHECK_DIR)/sanitized/cache and execute
+# zero experiment runners.
+check-campaign-cache: check-artifacts
+	$(PYTHON) -m repro.experiments campaign $(CHECK_SELECTION) \
+		--expect-all-cached --output $(CHECK_DIR)/sanitized
 
 experiments-fast:
 	$(PYTHON) -m repro.experiments run fast

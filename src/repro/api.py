@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from functools import partial, wraps
+from functools import wraps
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.defaults import job_defaults
@@ -314,7 +314,6 @@ def sweep(
     placement: str = "block",
     trace: bool | TraceRecorder | None = False,
     faults: FaultPlan | None = None,
-    parallel: int = 1,
     sanitize: bool | None = None,
     resilience: ResiliencePolicy | None = None,
     engine: EngineOptions | str | None = None,
@@ -331,11 +330,9 @@ def sweep(
     raises — each job needs its own recorder, so use
     ``trace=True`` for sweeps.
 
-    *parallel* > 1 routes the grid cells through the campaign
-    executor's fork pool (:func:`repro.experiments.campaign.run_tasks`):
-    cells run on that many worker processes and the returned list is
-    still in grid order, byte-identical to a serial sweep.  On
-    platforms without ``fork`` the sweep silently degrades to serial.
+    Cells run one after another in the calling process; for work across
+    processes, register the grid as an experiment and run it with
+    :func:`run_campaign`.
 
     *networks* entries may be bare names, fabric spec strings, or
     :class:`FabricSpec` values (see :func:`run_job`); cell labels use
@@ -351,22 +348,15 @@ def sweep(
             "use a fresh recorder per run (trace=True gives each "
             "cell its own)"
         )
-    tasks = [
-        partial(run_job, workload, nranks=nranks, security=sec, network=net,
-                cluster=cluster, placement=placement, trace=trace,
-                faults=faults, sanitize=sanitize, resilience=resilience,
-                engine=engine, stats=stats)
-        for net, sec in cells
-    ]
-    if parallel == 1:
-        results = [task() for task in tasks]
-    else:
-        from repro.experiments.campaign import run_tasks
-
-        results = run_tasks(tasks, parallel)
     return [
-        SweepPoint(network=_network_name(net), security=sec, result=result)
-        for (net, sec), result in zip(cells, results)
+        SweepPoint(
+            network=_network_name(net), security=sec,
+            result=run_job(workload, nranks=nranks, security=sec,
+                           network=net, cluster=cluster, placement=placement,
+                           trace=trace, faults=faults, sanitize=sanitize,
+                           resilience=resilience, engine=engine, stats=stats),
+        )
+        for net, sec in cells
     ]
 
 
@@ -459,67 +449,15 @@ def predict(
 
 
 def run_campaign(
-    selection: Sequence[str] | Sequence[Experiment] = ("all",),
-    *,
-    jobs: int = 1,
-    cache: bool = True,
-    resume: bool = False,
-    results_dir: str | None = "results",
-    cache_dir: str | None = None,
-    write_artifacts: bool = True,
-    write_manifest: bool = True,
-    sanitize: bool = False,
-    crypto: CryptoPlan | None = None,
-    engine: EngineOptions | str | None = None,
+    selection: Sequence[str] | Sequence[Experiment] = ("all",), **options
 ) -> "CampaignResult":
     """Run a campaign of registry experiments; the facade's batch lane.
 
-    *selection* uses the one selection grammar
-    (:func:`repro.experiments.registry.select`): tokens like ``"all"``,
-    ``"fast"``, ``"not-slow"`` or explicit ids.  Cells run across
-    *jobs* worker processes, merge deterministically in selection
-    order, and — with *cache* on — are served from the on-disk
-    content-addressed result cache under ``<results_dir>/cache`` keyed
-    by (experiment id, config digest, code fingerprint of
-    ``src/repro``), so a warm re-run executes no runners at all.  A
-    resumable manifest lands at ``<results_dir>/campaign.json``.
-
-    *sanitize* arms the runtime sanitizer for every executed cell (see
-    :func:`run_job`); sanitizer violations surface as failed cells.
-    Cache hits skip runners and therefore the sanitizer — combine with
-    ``cache=False`` for a full sanitized sweep.
-
-    *sanitize*, *crypto* and *engine* are entered as the process-wide
-    :func:`job_defaults` while cells execute, so fork-pool workers
-    inherit them.  *crypto* is a :class:`CryptoPlan`: every
-    :class:`SecurityConfig` built without an explicit plan adopts its
-    pipeline geometry (mode/chunk/helper cores), and the plan's token
-    salts every cell's cache key so serial and cryptmpi results never
-    collide.
-
-    *engine* is an :class:`EngineOptions` (or a spec string like
-    ``"coroutines"``): every simulated
-    job in every cell executes on that rank runtime, and the options'
-    token salts the cache keys — ``make check-artifacts`` runs the fast
-    tier on the thread runtime and byte-compares it with the committed
-    artifacts.
-
-    Returns a frozen
-    :class:`repro.experiments.campaign.CampaignResult`; failures never
-    raise mid-campaign, they surface in ``result.failed``.
+    Forwards *selection* and the keyword *options* to
+    :func:`repro.experiments.campaign.run_campaign`, which documents
+    them.  The executor is imported on first call, so ``import
+    repro.api`` loads neither it nor its process pool.
     """
     from repro.experiments.campaign import run_campaign as _run
 
-    return _run(
-        selection,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        results_dir=results_dir,
-        cache_dir=cache_dir,
-        write_artifacts=write_artifacts,
-        write_manifest=write_manifest,
-        sanitize=sanitize,
-        crypto=crypto,
-        engine=engine,
-    )
+    return _run(selection, **options)

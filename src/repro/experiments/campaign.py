@@ -11,25 +11,27 @@ properties:
   to ``-j 1``.
 - **Caching** — every successful cell is stored in an on-disk
   content-addressed cache keyed by ``(experiment id, cell config
-  digest, code fingerprint of src/repro)``.  A re-run after an
-  interrupt, crash, or partial selection only executes missing or
-  invalidated cells; editing any source file under ``src/repro``
-  invalidates everything (the fingerprint changes).
-- **Resumability** — a manifest (``results/campaign.json`` by default)
-  records per-cell status, runner duration, executing worker, and cache
-  hit/miss, rewritten atomically after every cell so a killed campaign
-  leaves an auditable partial record.
+  digest, code fingerprint of src/repro)``.  Re-running the same
+  campaign after an interrupt, crash, or partial selection only
+  executes missing or invalidated cells — the cache is the one resume
+  path; editing any source file under ``src/repro`` invalidates
+  everything (the fingerprint changes).
+- **The manifest** — ``<results_dir>/campaign.json`` records per-cell
+  status, runner duration, executing worker, and cache hit/miss,
+  rewritten atomically after every cell so a killed campaign leaves an
+  auditable partial record.  It is a record only; nothing reads it back.
 
-Three entry points share this executor: :func:`repro.api.run_campaign`
-(the facade), ``python -m repro.experiments campaign`` (the CLI, with
-live per-cell progress), and ``api.sweep(..., parallel=N)`` (grid cells
-through the same fork pool via :func:`run_tasks`).
+*results_dir* is the campaign's one output location: the artifacts,
+the manifest and ``cache/`` all live under it.  Callers are
+:func:`repro.api.run_campaign` (a lazy forwarder to
+:func:`run_campaign`) and ``python -m repro.experiments run`` /
+``campaign``.
 
-Worker strategy: on platforms with ``fork`` the pool inherits the
-parent's loaded modules, so workers only receive an experiment id
-(always picklable) and :func:`run_tasks` can even ship closures.  Where
-fork is unavailable the executor degrades to spawn semantics for
-registry cells and to serial execution for closure grids.
+Worker strategy: this module's process pool is the only one in the
+package.  On platforms with ``fork`` it inherits the parent's loaded
+modules and :func:`repro.defaults.job_defaults`, so workers only
+receive an experiment id (always picklable).  Where fork is
+unavailable the pool degrades to spawn semantics.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class CellOutcome:
 
     experiment_id: str
     status: str  # "ok" | "failed"
-    #: True when the artifact came from the cache or a resumed manifest
+    #: True when the artifact came from the cache (no runner executed)
     cached: bool
     #: content address of the cell ("" when caching was disabled)
     key: str
@@ -310,11 +312,7 @@ def run_campaign(
     *,
     jobs: int = 1,
     cache: bool = True,
-    resume: bool = False,
     results_dir: str | None = "results",
-    cache_dir: str | None = None,
-    write_artifacts: bool = True,
-    write_manifest: bool = True,
     sanitize: bool = False,
     crypto: Any = None,
     engine: Any = None,
@@ -327,12 +325,14 @@ def run_campaign(
     :func:`repro.experiments.registry.select`) or resolved
     :class:`Experiment` objects.  Cells execute on a process pool
     (``jobs`` workers) but merge in selection order, so results are
-    byte-identical to a serial run.  With *cache* on, cells whose
-    content address already exists on disk are served from the cache
-    without executing any runner; with *resume* on, cells recorded
-    ``ok`` in an existing manifest (same code fingerprint) whose
-    exported artifact files still exist are reused even without a cache
-    entry.
+    byte-identical to a serial run.
+
+    *results_dir* receives every ok cell's ``<id>.txt``/``<id>.json``
+    and the ``campaign.json`` manifest; with *cache* on, cells whose
+    content address already exists under ``<results_dir>/cache`` are
+    served from it without executing any runner, so re-running an
+    interrupted campaign executes only the missing cells.  ``None``
+    writes nothing and needs ``cache=False``.
 
     *on_start(exp, index, total)* fires when a cell is dispatched (in
     selection order); *on_cell(outcome, done_count, total)* fires as
@@ -346,7 +346,8 @@ def run_campaign(
     job runs with the runtime sanitizer armed; sanitizer failures
     surface as failed cells like any other runner exception.  Note
     that cache hits skip runners entirely and therefore skip the
-    sanitizer; pass ``cache=False`` for a full sanitized sweep.
+    sanitizer; a cold cache (a fresh *results_dir*) or ``cache=False``
+    gives a full sanitized sweep.
 
     *crypto* (a :class:`repro.encmpi.plan.CryptoPlan`) overlays its
     pipeline geometry on every config built without a plan, and salts
@@ -367,6 +368,8 @@ def run_campaign(
     JobDefaults(sanitize=sanitize, crypto=crypto, engine=engine)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cache and results_dir is None:
+        raise ValueError("cache=True needs a results_dir to hold the cache")
     requested = list(selection)
     if all(isinstance(s, str) for s in requested):
         exps: list[Experiment] = select(requested)
@@ -376,55 +379,16 @@ def run_campaign(
             for e in requested
         ]
     fingerprint = code_fingerprint()
-    store: ResultCache | None = None
-    if cache:
-        if cache_dir is None:
-            if results_dir is None:
-                raise ValueError("cache=True needs results_dir or cache_dir")
-            cache_dir = os.path.join(results_dir, CACHE_DIR_NAME)
-        store = ResultCache(cache_dir)
-    manifest_path: str | None = None
-    if write_manifest:
-        if results_dir is None:
-            raise ValueError("write_manifest=True needs results_dir")
-        manifest_path = os.path.join(results_dir, MANIFEST_NAME)
+    store = (ResultCache(os.path.join(results_dir, CACHE_DIR_NAME))
+             if cache else None)
+    manifest_path = (None if results_dir is None
+                     else os.path.join(results_dir, MANIFEST_NAME))
 
     total = len(exps)
     keys = {e.id: cell_key(e.id, experiment_config_digest(e, crypto, engine),
                            fingerprint)
             for e in exps}
     outcomes: dict[str, CellOutcome] = {}
-
-    # -- previous manifest (resume) ----------------------------------------
-    previous: dict = {}
-    if resume and manifest_path and os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as fh:
-                prev_doc = json.load(fh)
-        except (OSError, ValueError):
-            prev_doc = {}
-        if prev_doc.get("code_fingerprint") == fingerprint:
-            previous = prev_doc.get("cells", {})
-
-    def from_resume(exp: Experiment) -> CellOutcome | None:
-        rec = previous.get(exp.id)
-        if not rec or rec.get("status") != "ok" or results_dir is None:
-            return None
-        txt_path = os.path.join(results_dir, f"{exp.id}.txt")
-        json_path = os.path.join(results_dir, f"{exp.id}.json")
-        try:
-            with open(txt_path) as fh:
-                text = fh.read().rstrip("\n")
-            with open(json_path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        return CellOutcome(
-            experiment_id=exp.id, status="ok", cached=True,
-            key=keys[exp.id], seconds=float(rec.get("seconds", 0.0)),
-            worker=-1, artifact=doc, text=text,
-        )
-
     manifest_doc: dict = {
         "schema": SCHEMA,
         "code_fingerprint": fingerprint,
@@ -450,11 +414,11 @@ def run_campaign(
         manifest_doc["cells"][outcome.experiment_id] = cell_rec
         if manifest_path:
             _write_json_atomic(manifest_path, manifest_doc)
-        if outcome.ok and write_artifacts and results_dir is not None:
-            write_artifact_files(
-                results_dir, outcome.experiment_id, outcome.text,
-                outcome.artifact,
-            )
+            if outcome.ok:
+                write_artifact_files(
+                    results_dir, outcome.experiment_id, outcome.text,
+                    outcome.artifact,
+                )
         if on_cell is not None:
             on_cell(outcome, len(outcomes), total)
 
@@ -488,25 +452,18 @@ def run_campaign(
             error=payload["error"],
         )
 
-    # -- phase 1: satisfy cells from cache / resume ------------------------
+    # -- phase 1: satisfy cells from the cache -----------------------------
     pending: list[tuple[int, Experiment]] = []
     for i, exp in enumerate(exps):
-        hit: CellOutcome | None = None
-        if store is not None:
-            entry = store.get(keys[exp.id])
-            if entry is not None:
-                hit = CellOutcome(
-                    experiment_id=exp.id, status="ok", cached=True,
-                    key=keys[exp.id],
-                    seconds=float(entry.get("seconds", 0.0)), worker=-1,
-                    artifact=entry["artifact"], text=entry["text"],
-                )
-        if hit is None and resume:
-            hit = from_resume(exp)
-        if hit is not None:
-            record(hit)
-        else:
+        entry = store.get(keys[exp.id]) if store is not None else None
+        if entry is None:
             pending.append((i, exp))
+        else:
+            record(CellOutcome(
+                experiment_id=exp.id, status="ok", cached=True,
+                key=keys[exp.id], seconds=float(entry.get("seconds", 0.0)),
+                worker=-1, artifact=entry["artifact"], text=entry["text"],
+            ))
 
     # -- phase 2: execute the rest -----------------------------------------
     if pending:
@@ -551,46 +508,3 @@ def run_campaign(
         code_fingerprint=fingerprint,
         manifest_path=manifest_path,
     )
-
-
-# ---------------------------------------------------------------------------
-# the shared fork pool for arbitrary task grids (api.sweep(parallel=N))
-# ---------------------------------------------------------------------------
-
-#: task table inherited by fork children; index-addressed so only ints
-#: cross the pipe (closures never need pickling)
-_FORK_TASKS: Sequence[Callable[[], Any]] | None = None
-
-
-def _run_fork_task(index: int):
-    assert _FORK_TASKS is not None
-    return _FORK_TASKS[index]()
-
-
-def run_tasks(tasks: Sequence[Callable[[], Any]], jobs: int) -> list[Any]:
-    """Run zero-argument *tasks* across a fork pool; results come back
-    in task order (the parallel-equals-serial merge rule).
-
-    Tasks may be closures: children inherit the task table through
-    fork, so only their indices are pickled.  Each task's *return
-    value* must still pickle (JobResults, recorders, and plain data
-    do).  Without fork (or with ``jobs=1``) execution is serial in the
-    calling process.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = list(tasks)
-    ctx = _fork_context()
-    if jobs == 1 or len(tasks) <= 1 or ctx is None:
-        return [task() for task in tasks]
-    global _FORK_TASKS
-    if _FORK_TASKS is not None:
-        # nested run_tasks (a task spawning a grid) — run serially
-        # rather than fork from inside a pool worker
-        return [task() for task in tasks]
-    _FORK_TASKS = tasks
-    try:
-        with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-            return pool.map(_run_fork_task, range(len(tasks)))
-    finally:
-        _FORK_TASKS = None

@@ -7,11 +7,12 @@ Commands:
 - ``run <selection>`` — regenerate the selected artifacts serially and
   print them; the selection grammar is shared with ``campaign``
   (``all``, ``fast``, ``medium``, ``slow``, ``not-slow``, explicit
-  ids).  ``run all`` is an alias for ``campaign -j 1 --no-cache``
-  minus the manifest;
+  ids).  ``run all`` is ``campaign -j 1 --no-cache`` that writes
+  nothing unless ``--output DIR`` is given;
 - ``campaign <selection>`` — run a selection across ``-j`` worker
   processes with the content-addressed result cache, live per-cell
-  progress, artifact exports, and a resumable manifest;
+  progress, artifact exports, and a manifest; re-running it resumes
+  an interrupted campaign from the cache;
 - ``trace`` — capture a structured event trace of a canonical workload
   (export as JSONL or a ``chrome://tracing`` file) or regenerate the
   golden-trace fixture with ``--write-goldens``;
@@ -70,21 +71,32 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    """Serial, uncached execution — ``campaign -j 1 --no-cache`` with
-    the classic rendered-artifact output and no manifest."""
-    from repro.experiments.campaign import run_campaign
-
-    exps = select(args.ids)
+def _selection(args):
+    """The selection and spec flags ``run`` and ``campaign`` share:
+    ``(experiments, crypto, engine)``, or None after printing a
+    one-line usage error (the command exits 2)."""
+    try:
+        exps = select(args.ids)
+    except ValueError as exc:  # an unknown id
+        print(exc, file=sys.stderr)
+        return None
     if not exps:
         print("no experiments selected", file=sys.stderr)
-        return 2
+        return None
     specs = _spec_flags(args, "crypto", "runtime")
-    if specs is None:
+    return None if specs is None else (exps, *specs)
+
+
+def _cmd_run(args) -> int:
+    """Serial, uncached execution — ``campaign -j 1 --no-cache`` with
+    the classic rendered-artifact output; writes only with --output."""
+    from repro.experiments.campaign import run_campaign
+
+    chosen = _selection(args)
+    if chosen is None:
         return 2
-    crypto, engine = specs
-    out_dir = getattr(args, "output", None)
-    as_json = getattr(args, "json", False)
+    exps, crypto, engine = chosen
+    as_json = args.json
     json_docs: list[dict] = []
 
     def on_start(exp, _index, _total) -> None:
@@ -104,9 +116,7 @@ def _cmd_run(args) -> int:
         exps,
         jobs=1,
         cache=False,
-        results_dir=out_dir,
-        write_artifacts=bool(out_dir),
-        write_manifest=False,
+        results_dir=args.output,
         sanitize=args.sanitize,
         crypto=crypto,
         engine=engine,
@@ -131,19 +141,21 @@ def _cmd_run(args) -> int:
 def _cmd_campaign(args) -> int:
     from repro.experiments.campaign import run_campaign
 
-    exps = select(args.ids)
-    if not exps:
-        print("no experiments selected", file=sys.stderr)
+    chosen = _selection(args)
+    if chosen is None:
         return 2
-    specs = _spec_flags(args, "crypto", "runtime")
-    if specs is None:
+    exps, crypto, engine = chosen
+    if args.jobs < 1:
+        print(f"-j must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    crypto, engine = specs
+    if args.no_cache and args.expect_all_cached:
+        print("--expect-all-cached needs the cache; drop --no-cache",
+              file=sys.stderr)
+        return 2
     cache = not args.no_cache
     print(
         f"--- campaign: {len(exps)} cells, {args.jobs} worker(s), "
         f"cache {'on' if cache else 'off'}"
-        + (", resume" if args.resume else "")
         + (", sanitize" if args.sanitize else "")
         + f" -> {args.output} ---"
     )
@@ -168,7 +180,6 @@ def _cmd_campaign(args) -> int:
         exps,
         jobs=args.jobs,
         cache=cache,
-        resume=args.resume,
         results_dir=args.output,
         sanitize=args.sanitize,
         crypto=crypto,
@@ -418,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--output",
         metavar="DIR",
-        help="also write <id>.txt and structured <id>.json into DIR",
+        help="also write <id>.txt, structured <id>.json and the "
+        "campaign.json manifest into DIR",
     )
     run.add_argument(
         "--json",
@@ -446,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     campaign = sub.add_parser(
         "campaign",
         help="run a selection across N workers with the result cache "
-        "and a resumable manifest",
+        "(re-running resumes an interrupted campaign) and a manifest",
     )
     campaign.add_argument(
         "ids",
@@ -465,12 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         help="execute every cell even if a cached result exists",
     )
     campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cells recorded ok in an existing manifest (same "
-        "code fingerprint) whose artifact files are still present",
-    )
-    campaign.add_argument(
         "--output",
         metavar="DIR",
         default="results",
@@ -486,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         "--sanitize",
         action="store_true",
         help="arm the runtime sanitizer in every executed cell (cache "
-        "hits skip it; combine with --no-cache for full coverage)",
+        "hits skip it; a fresh --output or --no-cache covers every cell)",
     )
     campaign.add_argument(
         "--crypto",

@@ -29,10 +29,9 @@ statement that the simulation's observable behavior changed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.simmpi.tracing import TraceRecorder
 
@@ -188,39 +187,6 @@ def golden_summary(name: str, backend: str = "auto") -> dict:
         "events": len(rec.events),
         "description": GOLDEN_RUNS[name].description,
     }
-
-
-#: default selection hashed by :func:`campaign_digest` — cheap cells
-#: spanning a figure and a table artifact
-CAMPAIGN_DIGEST_SELECTION = ("fig2", "table1")
-
-
-def campaign_digest(
-    selection: Sequence[str] = CAMPAIGN_DIGEST_SELECTION, jobs: int = 1
-) -> str:
-    """SHA-256 over the canonical artifact JSON of a campaign selection.
-
-    The cross-worker determinism probe: the digest covers every cell's
-    structured artifact in selection order, so it must be identical for
-    any worker count (``jobs=1`` vs ``jobs=4``), for repeated runs, and
-    across cache cold/warm states.  ``tests/experiments/test_campaign.py``
-    pins parallel == serial through this function.
-    """
-    from repro.experiments.campaign import run_campaign
-
-    result = run_campaign(
-        list(selection), jobs=jobs, cache=False,
-        results_dir=None, write_artifacts=False, write_manifest=False,
-    )
-    if result.failed:
-        raise RuntimeError(f"campaign digest cells failed: {result.failed}")
-    h = hashlib.sha256()
-    for cell in result.cells:
-        h.update(cell.experiment_id.encode())
-        h.update(b"\0")
-        h.update(json.dumps(cell.artifact, sort_keys=True).encode())
-        h.update(b"\0")
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -35,35 +35,26 @@ def pipeline_waves(nchunks: int, cores: int) -> int:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """Static description of the simulated cluster.
+    """Static description of the simulated cluster: its node shape.
 
-    ``fabric`` optionally names the interconnect the spec was written
-    for (``"ethernet"``/``"ib"``); it is carried verbatim into
-    :meth:`token` — and thus campaign cache keys — but the network a
-    job actually uses still comes from the ``network=`` argument.
+    The network a job uses comes from its ``network=`` argument.
     """
 
     nodes: int
     cores_per_node: int
-    fabric: str | None = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1 or self.cores_per_node < 1:
             raise ValueError(f"invalid cluster shape {self}")
-        if self.fabric is not None and (
-            not isinstance(self.fabric, str) or not self.fabric.strip()
-        ):
-            raise ValueError(f"fabric must be a non-empty string, got {self.fabric!r}")
 
     @property
     def total_cores(self) -> int:
         return self.nodes * self.cores_per_node
 
     def token(self) -> str:
-        """Canonical ``"NODESxCORES[:fabric]"`` form (stable: the
-        campaign digests cluster shapes through it)."""
-        base = f"{self.nodes}x{self.cores_per_node}"
-        return f"{base}:{self.fabric}" if self.fabric is not None else base
+        """Canonical ``"NODESxCORES"`` form (stable: the campaign
+        digests cluster shapes through it)."""
+        return f"{self.nodes}x{self.cores_per_node}"
 
     def validate_ranks(self, nranks: int) -> None:
         if nranks < 1:
@@ -210,25 +201,23 @@ class CoreAllocator:
 
 
 def parse_cluster_spec(spec: str) -> ClusterSpec:
-    """Parse ``"NODESxCORES[:fabric]"`` into a :class:`ClusterSpec`.
+    """Parse ``"NODESxCORES"`` into a :class:`ClusterSpec`.
 
     The string form of the cluster shape.  It is positional, so it
     keeps this parser instead of the ``key=value`` grammar of
     :mod:`repro.util.specs`::
 
         parse_cluster_spec("8x8")       # the paper's testbed
-        parse_cluster_spec("2x8:ib")    # two nodes, written for IB
+        parse_cluster_spec("2x8")       # two nodes of eight cores
 
     Round-trips with :meth:`ClusterSpec.token`.  Malformed shapes raise
     :class:`ValueError` describing the grammar.
     """
-    body, _sep, fabric = spec.strip().partition(":")
-    fabric = fabric.strip() or None
-    nodes_s, sep, cores_s = body.partition("x")
+    nodes_s, sep, cores_s = spec.strip().partition("x")
     if not sep:
         raise ValueError(
-            f"malformed cluster spec {spec!r} (need 'NODESxCORES[:fabric]', "
-            "e.g. '8x8' or '2x8:ib')"
+            f"malformed cluster spec {spec!r} (need 'NODESxCORES', "
+            "e.g. '8x8' or '2x8')"
         )
     try:
         nodes, cores = int(nodes_s), int(cores_s)
@@ -237,7 +226,7 @@ def parse_cluster_spec(spec: str) -> ClusterSpec:
             f"malformed cluster spec {spec!r}: nodes and cores must be "
             "integers (e.g. '8x8')"
         ) from None
-    return ClusterSpec(nodes=nodes, cores_per_node=cores, fabric=fabric)
+    return ClusterSpec(nodes=nodes, cores_per_node=cores)
 
 
 #: The paper's testbed.

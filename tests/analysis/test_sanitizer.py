@@ -230,8 +230,7 @@ def test_campaign_sets_and_restores_default(monkeypatch):
     monkeypatch.setattr(campaign_mod, "_execute_experiment", fake_execute)
     exps = api.list_experiments()[:2]
     result = campaign_mod.run_campaign(
-        exps, jobs=1, cache=False, results_dir=None,
-        write_artifacts=False, write_manifest=False, sanitize=True,
+        exps, jobs=1, cache=False, results_dir=None, sanitize=True,
     )
     assert observed == [True, True]
     assert current_defaults().sanitize is False

@@ -5,8 +5,13 @@ SecurityConfig produces exactly the virtual timings and results of the
 direct simmpi/encmpi invocation it replaces.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import api
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec
@@ -110,14 +115,17 @@ def test_get_experiment_reexport():
         api.get_experiment("nope")
 
 
-def test_top_level_lazy_exports():
-    import repro
-
-    assert repro.run_job is api.run_job
-    assert repro.sweep is api.sweep
-    assert repro.JobResult is api.JobResult
-    with pytest.raises(AttributeError):
-        repro.not_a_real_name
+def test_api_import_leaves_the_campaign_executor_unloaded():
+    """run_campaign forwards lazily: importing the facade loads neither
+    the executor nor its process-pool machinery."""
+    probe = ("import sys, repro.api; print(sorted(m for m in sys.modules "
+             "if m in ('repro.experiments.campaign', 'multiprocessing', "
+             "'concurrent.futures')))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("security", [None, SecurityConfig()])

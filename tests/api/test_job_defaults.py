@@ -2,8 +2,8 @@
 
 It holds exactly the sanitize flag, the crypto plan and the engine
 options; a ``with`` block sets them and restores the enclosing value
-on exit, and jobs on rank threads and in fork-pool workers started
-inside the block see them.
+on exit, and jobs on rank threads and in the campaign's fork-pool
+workers started inside the block see them.
 """
 
 import dataclasses
@@ -16,6 +16,9 @@ import pytest
 import repro
 from repro import api
 from repro.defaults import JobDefaults, current_defaults, job_defaults
+from repro.experiments import registry
+from repro.experiments.report import Artifact
+from repro.util.tables import Table
 
 TAG_PING = 3
 
@@ -64,11 +67,26 @@ def test_rank_threads_see_the_default():
     assert job.results == [True, True]
 
 
-def test_fork_workers_inherit_the_default():
-    with job_defaults(sanitize=True):
-        points = api.sweep(pingpong, nranks=2,
-                           networks=("ethernet", "infiniband"), parallel=2)
-    assert [p.result.sanitizer is not None for p in points] == [True, True]
+def _sanitize_probe():
+    """A registry runner noting whether its job ran sanitized."""
+    armed = api.run_job(pingpong, nranks=2).sanitizer is not None
+    return Artifact("probe", "sanitize probe", Table("probe", []),
+                    notes=[f"sanitizer armed: {armed}"])
+
+
+def test_fork_workers_inherit_the_default(monkeypatch):
+    """The campaign's fork pool is the one forked path: its workers run
+    every cell inside the campaign's job_defaults block."""
+    probes = ["probe-a", "probe-b"]
+    for exp_id in probes:
+        monkeypatch.setitem(registry.EXPERIMENTS, exp_id, registry.Experiment(
+            exp_id, "-", "sanitize probe", _sanitize_probe, "fast"))
+    result = api.run_campaign(probes, jobs=2, cache=False, results_dir=None,
+                              sanitize=True)
+    assert result.ok
+    assert all(cell.worker != os.getpid() for cell in result.cells)
+    assert [cell.artifact["notes"] for cell in result.cells] == \
+        [["sanitizer armed: True"]] * 2
     assert current_defaults().sanitize is False
 
 

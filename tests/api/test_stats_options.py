@@ -1,5 +1,5 @@
 """StatsSpec through the facade: samples and CIs, spec strings,
-repetition determinism, and sweep/parallel replay."""
+repetition determinism, and sweep replay."""
 
 import pytest
 
@@ -98,20 +98,3 @@ def test_sweep_cells_get_independent_but_identical_rep_streams():
         resilience=POLICY, stats=StatsSpec(reps=3),
     )
     assert [p.result.stats for p in again] == [p.result.stats for p in points]
-
-
-def test_parallel_sweep_matches_serial():
-    serial = api.sweep(
-        _exchange_many, nranks=2, cluster=CLUSTER,
-        networks=(NOISY, FabricSpec(base="iot", jitter=0.2, seed=3)),
-        resilience=POLICY, stats=StatsSpec(reps=3),
-    )
-    threaded = api.sweep(
-        _exchange_many, nranks=2, cluster=CLUSTER,
-        networks=(NOISY, FabricSpec(base="iot", jitter=0.2, seed=3)),
-        resilience=POLICY, stats=StatsSpec(reps=3), parallel=2,
-    )
-    assert [p.result.stats for p in threaded] == \
-        [p.result.stats for p in serial]
-    assert [p.result.duration for p in threaded] == \
-        [p.result.duration for p in serial]

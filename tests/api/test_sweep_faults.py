@@ -1,4 +1,4 @@
-"""sweep() fault injection and parallel-grid semantics.
+"""sweep() fault injection across grid cells.
 
 A sweep forwards ``faults=`` to every cell, and a :class:`FaultPlan`
 gives each cell a fresh seeded injector; a stateful injector instance
@@ -71,36 +71,6 @@ def test_sweep_rejects_non_injector_non_factory():
                   cluster=CLUSTER, faults="corrupt-everything")
 
 
-def test_parallel_sweep_matches_serial_byte_for_byte():
-    def workload(ctx):
-        comm = ctx.enc if ctx.enc is not None else ctx.comm
-        peer = 1 - ctx.rank
-        rreq = comm.irecv(peer, tag=1)
-        sreq = comm.isend(b"\x07" * 512, peer, tag=1)
-        got = rreq.wait()
-        sreq.wait()
-        ctx.comm.barrier()
-        return len(got)
-
-    kwargs = dict(
-        nranks=2,
-        networks=("ethernet", "infiniband"),
-        securities=(None, SECURITY),
-        cluster=CLUSTER,
-        trace=True,
-    )
-    serial = api.sweep(workload, **kwargs)
-    parallel = api.sweep(workload, parallel=2, **kwargs)
-    assert [p.label for p in parallel] == [p.label for p in serial]
-    for s_point, p_point in zip(serial, parallel):
-        assert p_point.result.results == s_point.result.results
-        assert p_point.result.duration == s_point.result.duration
-        assert p_point.result.spans == s_point.result.spans
-        # the structured traces agree digest-for-digest across workers
-        if s_point.result.trace is not None:
-            assert p_point.result.trace.digest() == s_point.result.trace.digest()
-
-
 def test_parallel_sweep_with_faults_uses_fresh_injector_per_cell():
     points = api.sweep(
         _enc_exchange,
@@ -108,7 +78,6 @@ def test_parallel_sweep_with_faults_uses_fresh_injector_per_cell():
         networks=("ethernet", "infiniband"),
         securities=(SECURITY,),
         cluster=CLUSTER,
-        parallel=2,
         faults=CORRUPT_ROUTE,
     )
     assert [p.result.results for p in points] == [["sent", "rejected"]] * 2

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments import goldens, registry
+from repro.experiments import registry
 from repro.experiments.campaign import CampaignResult, run_campaign
 
 FAST_CHEAP = ["fig2", "fig9", "table1", "table5"]  # sub-second runners
@@ -15,8 +15,6 @@ def _bare(selection, **kw):
     """run_campaign without touching the filesystem."""
     kw.setdefault("results_dir", None)
     kw.setdefault("cache", False)
-    kw.setdefault("write_artifacts", False)
-    kw.setdefault("write_manifest", False)
     return run_campaign(selection, **kw)
 
 
@@ -49,11 +47,6 @@ def test_parallel_campaign_is_byte_identical_to_serial():
             p_cell.artifact, sort_keys=True
         )
         assert s_cell.text == p_cell.text
-
-
-def test_campaign_digest_identical_across_worker_counts():
-    """The goldens-style cross-worker determinism probe."""
-    assert goldens.campaign_digest(jobs=1) == goldens.campaign_digest(jobs=2)
 
 
 def test_mixed_fast_medium_parallel_vs_serial_byte_equality(tmp_path):
@@ -104,7 +97,6 @@ def test_callbacks_fire_in_order_for_serial_runs():
     started, finished = [], []
     result = run_campaign(
         ["fig2", "table1"], jobs=1, cache=False, results_dir=None,
-        write_artifacts=False, write_manifest=False,
         on_start=lambda exp, i, n: started.append((exp.id, i, n)),
         on_cell=lambda cell, done, n: finished.append((cell.experiment_id,
                                                        done, n)),
@@ -141,8 +133,7 @@ def test_exported_artifacts_match_run_output_exports(tmp_path):
     run_dir = tmp_path / "via_run"
     camp_dir = tmp_path / "via_campaign"
     assert main(["run", "fig2", "--output", str(run_dir)]) == 0
-    run_campaign(["fig2"], jobs=1, cache=False, results_dir=str(camp_dir),
-                 write_manifest=False)
+    run_campaign(["fig2"], jobs=1, cache=False, results_dir=str(camp_dir))
     for suffix in (".json", ".txt"):
         assert (run_dir / f"fig2{suffix}").read_bytes() == (
             camp_dir / f"fig2{suffix}"

@@ -1,6 +1,7 @@
 """Content-addressed result cache tests: key derivation (hit on
 identical config, miss on any config change), code-fingerprint
-invalidation, warm runs executing zero runners, resume semantics."""
+invalidation, warm runs executing zero runners, resuming an interrupted
+campaign from the cache."""
 
 import json
 
@@ -122,26 +123,6 @@ def test_failed_cells_are_not_cached(tmp_path, monkeypatch):
     second = run_campaign(["flaky"], jobs=1, results_dir=str(tmp_path))
     assert not first.ok and not second.ok
     assert calls["n"] == 2  # the failure was re-executed, not served
-
-
-def test_resume_reuses_manifest_cells_without_cache(tmp_path):
-    """--resume restores finished cells from the manifest + exported
-    artifact files even when the content cache is disabled."""
-    cold = run_campaign(["fig2", "table1"], jobs=1, cache=False,
-                        results_dir=str(tmp_path))
-    assert cold.misses == 2
-    resumed = run_campaign(["fig2", "table1"], jobs=1, cache=False,
-                           resume=True, results_dir=str(tmp_path))
-    assert resumed.hits == 2 and resumed.misses == 0
-    assert resumed.cells[0].artifact == cold.cells[0].artifact
-    assert resumed.cells[0].text == cold.cells[0].text
-    # a stale manifest (different code fingerprint) is ignored
-    doc = json.loads((tmp_path / "campaign.json").read_text())
-    doc["code_fingerprint"] = "0000000000000000"
-    (tmp_path / "campaign.json").write_text(json.dumps(doc))
-    invalidated = run_campaign(["fig2"], jobs=1, cache=False, resume=True,
-                               results_dir=str(tmp_path))
-    assert invalidated.misses == 1
 
 
 def test_interrupted_campaign_resumes_only_missing_cells(tmp_path,

@@ -58,9 +58,21 @@ def test_run_table_output_json(tmp_path, capsys):
     assert "Unencrypted" in labels and "  (paper) CryptoPP" in labels
 
 
-def test_run_unknown_experiment():
-    with pytest.raises(ValueError):
-        main(["run", "table42"])
+def test_run_unknown_experiment(capsys):
+    assert main(["run", "table42"]) == 2
+    assert "unknown experiment 'table42'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table42"], "unknown experiment 'table42'"),
+    (["fig2", "-j", "0"], "-j must be >= 1"),
+    # the pair can never pass, so it fails before running any cell
+    (["fig2", "--no-cache", "--expect-all-cached"], "--expect-all-cached"),
+], ids=["unknown-id", "zero-jobs", "no-cache-expect-all-cached"])
+def test_campaign_usage_error_exits_2(args, message, tmp_path, capsys):
+    assert main(["campaign", *args, "--output", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_requires_subcommand():

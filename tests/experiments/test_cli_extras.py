@@ -74,6 +74,8 @@ def test_run_resilience_artifacts_identical_on_both_runtimes(tmp_path,
     written = sorted(p.name for p in (tmp_path / "threads").iterdir())
     assert written == sorted(p.name for p in (tmp_path / "coroutines").iterdir())
     assert "resilience.json" in written
-    for name in written:
+    # the campaign.json manifest records host times and pids, so only
+    # the artifacts are compared, as make check-artifacts does
+    for name in ("resilience.txt", "resilience.json"):
         assert (tmp_path / "threads" / name).read_bytes() == \
             (tmp_path / "coroutines" / name).read_bytes(), name
