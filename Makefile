@@ -9,17 +9,17 @@ CHECK_DIR := .check
 # re-runs warm
 CHECK_SELECTION := not-slow scale
 
-.PHONY: install check lint verify check-conformance check-artifacts \
+.PHONY: install check lint verify check-artifacts \
 	check-artifacts-all test test-fast test-all bench bench-baseline \
 	trace-goldens check-tracing-overhead check-campaign-cache \
 	experiments-fast experiments-all examples clean
 
-# The default verification flow: static misuse analysis, unit tests,
-# the committed artifacts regenerated (cold) and byte-compared, the
-# warm-cache invariant (the same campaign again executes zero runners),
-# every example, and the static-vs-dynamic conformance audit.
-check: lint verify test check-artifacts check-campaign-cache examples \
-	check-conformance
+# The default verification flow: static misuse analysis, unit tests
+# (the static-vs-dynamic conformance audit among them), the committed
+# artifacts regenerated (cold) and byte-compared, the warm-cache
+# invariant (the same campaign again executes zero runners), and every
+# example.
+check: lint verify test check-artifacts check-campaign-cache examples
 
 # Static misuse analysis (MPI protocol, determinism, crypto) over the
 # tree the repo promises to keep clean; exits nonzero on any finding.
@@ -37,18 +37,6 @@ lint:
 # already recorded in lint-baseline.json are forgiven; new ones fail.
 verify:
 	$(PYTHON) -m repro.analysis verify --baseline lint-baseline.json
-
-# Static-vs-dynamic conformance: the verifier's predicted comm graph
-# diffed against recorded traces of the fast-tier goldens — zero
-# unexplained dynamic ops — and the report itself must be byte-identical
-# across two runs (the verifier and the simulator are deterministic).
-check-conformance:
-	rm -rf results/conformance
-	mkdir -p results/conformance
-	$(PYTHON) -m repro.analysis conformance > results/conformance/run-a.txt
-	$(PYTHON) -m repro.analysis conformance > results/conformance/run-b.txt
-	diff results/conformance/run-a.txt results/conformance/run-b.txt
-	@echo "check-conformance: fast-tier goldens conform, byte-identical"
 
 # The committed results/ are the reproduction's record, and this is its
 # gate.  It regenerates the not-slow tier plus scale with the runtime
@@ -141,5 +129,5 @@ examples:
 # Removes build and check byproducts; the committed results/ stay.
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache $(CHECK_DIR) \
-		results/cache results/campaign.json results/conformance
+		results/cache results/campaign.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

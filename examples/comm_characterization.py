@@ -30,7 +30,7 @@ def characterize(library: str | None):
                     crypto=CryptoPlan(library=library, bytework="modeled")
                 ),
             )
-        yield from bench.skeleton(ctx, 0)  # one iteration
+        yield from bench.skeleton(ctx)  # one iteration
 
     result = run_program(NRANKS, prog, cluster=CLUSTER, trace=True)
     return result.trace

@@ -64,7 +64,7 @@ class SymExpr:
     expressions in rank programs actually need: integer arithmetic and
     bit operators.  Evaluation under a concrete environment is exact;
     rendering is deterministic (used in findings and ``--json`` graph
-    dumps, which `make check-conformance` diffs byte-for-byte).
+    dumps, which must be byte-identical across runs).
     """
 
     __slots__ = ("op", "args")

@@ -12,7 +12,7 @@ Two directions, two failure modes:
 - **unexplained dynamic ops** — the wire carried a user-tag message the
   static graph never predicted: the verifier under-approximated, and
   its "verified clean" stamps are weaker than claimed.  This is the
-  number ``make check-conformance`` gates on (must be zero).
+  number the conformance gate checks (must be zero).
 - **unrealized static ops** — the verifier predicted traffic that never
   happened: over-approximation; harmless for soundness but reported.
 
@@ -24,8 +24,8 @@ expected and counted, not diffed.
 
 The report renders deterministically (the simulator's schedules are
 reproducible and all aggregation is sorted), so running it twice must
-produce byte-identical output — ``make check-conformance`` does exactly
-that.
+produce byte-identical output — ``tests/analysis/test_conformance.py``
+asserts exactly that over the fast tier.
 """
 
 from __future__ import annotations

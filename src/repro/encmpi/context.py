@@ -3,7 +3,7 @@
 Every outgoing message is framed as ``nonce || Enc(K, nonce, M)`` —
 ℓ+28 bytes on the wire — and every incoming message is parsed and
 decrypted, per Algorithm 1.  The configured library's calibrated cost
-is charged to the rank's core; in ``crypto_mode="real"`` the AEAD work
+is charged to the rank's core; under ``bytework="real"`` the AEAD work
 is additionally performed on the actual bytes, so tampering anywhere in
 the simulated fabric is detected exactly as on the paper's clusters.
 """
@@ -204,7 +204,7 @@ class EncryptedComm:
             where = {} if chunk is None else {"chunk": chunk}
             rec.emit("aead", "seal", self.rank, backend=self._aead.name,
                      bytes=stop - start, dur=dur, **where)
-        if self.config.crypto_mode == "real":
+        if self.config.crypto.bytework == "real":
             body = plaintext if window is None \
                 else memoryview(plaintext)[start:stop]
             return prefix + nonce + self._aead.seal(nonce, body, prefix + aad)
@@ -228,7 +228,7 @@ class EncryptedComm:
             if isinstance(wire, OpaquePayload):
                 # Zero-copy modeled frame: the plaintext rides inside.
                 plain = wire.body
-            elif self.config.crypto_mode == "real":
+            elif self.config.crypto.bytework == "real":
                 plain = self._aead.open(wire[len(prefix):start], wire[start:],
                                         prefix + aad)
             else:

@@ -444,7 +444,7 @@ class ChunkPipeline:
         frames carry no tag, so their header is trusted.
         """
         enc = self.enc
-        if isinstance(wire, OpaquePayload) or enc.config.crypto_mode != "real":
+        if isinstance(wire, OpaquePayload) or enc.config.crypto.bytework != "real":
             return True
         if len(wire) < HEADER_SIZE + WIRE_OVERHEAD:
             return False

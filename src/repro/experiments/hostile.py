@@ -62,15 +62,14 @@ LOSS_CELLS = (("2%", 0.02), ("8%", 0.08))
 
 LIBRARIES = ("boringssl", "libsodium")
 
-#: Backoff discipline is the variable; generous retries + plain
-#: fallback keep every cell terminating even on iot @ 8% loss.
+#: Backoff discipline is the variable; a message that exhausts its
+#: retry budget fails the cell, and 6 retries suffice even on iot @ 8%
+#: loss.
 POLICY_CELLS = (
     ("expo", ResiliencePolicy(max_retries=6, timeout=5e-3,
-                              backoff="exponential",
-                              escalation="plain_fallback")),
+                              backoff="exponential")),
     ("fixed", ResiliencePolicy(max_retries=6, timeout=5e-3,
-                               backoff="fixed",
-                               escalation="plain_fallback")),
+                               backoff="fixed")),
 )
 
 #: Pinned serial plan: the sweep measures fabric hostility, not the
@@ -190,7 +189,8 @@ def hostile() -> Artifact:
         "fabrics: wan = 15 ms / ~110 MB/s + 10% jitter, 5% wobble; "
         "iot = 40 ms / ~0.45 MB/s + 20% jitter, 10% wobble; loss is "
         "iid per delivery and feeds the FaultPlan/ReliabilityManager "
-        "machinery (retransmit, NACK, plain fallback after 6 tries)",
+        "machinery (retransmit, NACK; a message still lost after 6 "
+        "retries fails the cell)",
         f"every cell: {REPS} seeded repetitions (fabric seed offset "
         "per rep, shared across cells for paired comparisons); "
         "latency = median with percentile-bootstrap CI, goodput = "

@@ -75,8 +75,7 @@ FAULT_RATES = (0.06, 0.10, 0.14, 0.18)
 FAULT_BACKOFFS = ("exponential", "fixed")
 FAULT_ITERS = 96
 FAULT_SEED = 23
-FAULT_POLICY = dict(max_retries=6, timeout=2e-4,
-                    escalation="plain_fallback")
+FAULT_POLICY = dict(max_retries=6, timeout=2e-4)
 
 
 def _off_anchor_sizes(anchored: set[int]) -> list[int]:

@@ -44,15 +44,13 @@ FAULT_CELLS = (
     ("30%", FaultPlan(drop=0.21, corrupt=0.09, seed=1109)),
 )
 
-#: policies under comparison: backoff discipline is the variable;
-#: plain_fallback keeps the sweep total even at absurd fault rates
+#: policies under comparison: backoff discipline is the variable; a
+#: message that exhausts its retry budget fails the cell
 POLICY_CELLS = (
     ("exponential", ResiliencePolicy(max_retries=6, timeout=2e-4,
-                                     backoff="exponential",
-                                     escalation="plain_fallback")),
+                                     backoff="exponential")),
     ("fixed", ResiliencePolicy(max_retries=6, timeout=2e-4,
-                               backoff="fixed",
-                               escalation="plain_fallback")),
+                               backoff="fixed")),
 )
 
 _SECURITY = SecurityConfig(
@@ -109,7 +107,7 @@ def resilience() -> Artifact:
     )
     table = Table(
         title,
-        ["goodput MB/s", "latency x", "retransmits", "nacks", "fallbacks"],
+        ["goodput MB/s", "latency x", "retransmits", "nacks"],
     )
     baseline: dict[str, float] = {}
     headlines: dict[str, tuple[float, float | None]] = {}
@@ -123,8 +121,7 @@ def resilience() -> Artifact:
             slowdown = job.duration / baseline[pol_label]
             table.add_row(
                 f"{pol_label} @ {rate_label} faults",
-                [goodput, slowdown, rep.retransmits, rep.nacks,
-                 rep.fallbacks],
+                [goodput, slowdown, rep.retransmits, rep.nacks],
             )
             if rate_label == FAULT_CELLS[-1][0]:
                 headlines[f"latency_x_{pol_label}_30pct"] = (slowdown, None)
@@ -135,7 +132,7 @@ def resilience() -> Artifact:
         "has no lossy-fabric numbers (extension)",
         "corrupted frames fail AEAD authentication and are NACKed; "
         "every retransmission is re-sealed with a fresh nonce",
-        "fallbacks column counts plain_fallback escalations (0 means "
-        "the retry budget always sufficed)",
+        "a message still lost after 6 retries fails the cell; there "
+        "is no plaintext fallback",
     ]
     return Artifact("resilience", title, table, notes, headlines)

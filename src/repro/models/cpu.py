@@ -97,11 +97,6 @@ class ClusterSpec:
             r for r in range(nranks) if self.node_of(r, nranks, placement) == node
         ]
 
-    def helpers_on_node(self, node: int, nranks: int, placement: str = "block") -> int:
-        """Cores of *node* not pinned to a rank — the helper pool the
-        pipelined-encryption extension schedules chunk work onto."""
-        return self.cores_per_node - len(self.ranks_on_node(node, nranks, placement))
-
     def core_allocator(
         self,
         scheduler: "Scheduler",

@@ -111,8 +111,7 @@ CRYPTMPI_CAPPED_GEOMS = (
 FAULT_HOLDOUT_CELLS = ((2 * KIB, "exponential"), (96 * KIB, "fixed"))
 FAULT_HOLDOUT_RATE = 0.1
 FAULT_HOLDOUT_ITERS = 96
-FAULT_HOLDOUT_POLICY = dict(max_retries=6, timeout=2e-4,
-                            escalation="plain_fallback")
+FAULT_HOLDOUT_POLICY = dict(max_retries=6, timeout=2e-4)
 
 #: no holdout family may claim a tighter bound than this (two anchors
 #: per family cannot certify sub-2% accuracy)

@@ -16,7 +16,6 @@ Public surface:
 - :data:`ANY_SOURCE` / :data:`ANY_TAG` wildcards.
 """
 
-from repro.simmpi import ops
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG
 from repro.simmpi.request import Request, Status
 from repro.simmpi.world import RankContext, SimResult, run_program
@@ -29,5 +28,4 @@ __all__ = [
     "RankContext",
     "SimResult",
     "run_program",
-    "ops",
 ]

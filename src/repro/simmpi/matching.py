@@ -109,10 +109,6 @@ class MatchingEngine:
 
     # -- introspection (sanitizer reports) -----------------------------------
 
-    def posted_ops(self) -> list[tuple[int, int]]:
-        """(source, tag) of every still-posted receive, in post order."""
-        return [(p.source, p.tag) for p in self._posted]
-
     def unexpected_ops(self) -> list[tuple[int, int]]:
         """(src, tag) of every never-consumed envelope, in arrival order."""
         return [(e.src, e.tag) for e in self._unexpected]

@@ -32,7 +32,7 @@ TAG_COPY_FACES = 41  # + axis (occupies 41..42)
 TAG_SOLVE_BASE = 43  # + 2*direction + phase (occupies 43..48)
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     rows, cols = grid2d(p)

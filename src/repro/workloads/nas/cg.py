@@ -24,7 +24,7 @@ TAG_ROW_REDUCE = 11
 TAG_TRANSPOSE = 12
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     rows, cols = grid2d(p)

@@ -1,7 +1,7 @@
 """NAS proxy infrastructure: skeleton spec, auto-calibration, runner.
 
-A skeleton is a generator rank program, ``skeleton(ctx, iteration)``,
-that performs one iteration's communication through
+A skeleton is a generator rank program, ``skeleton(ctx)``, that
+performs one iteration's communication through
 ``comm = ctx.enc or ctx.comm`` — the convention of
 :func:`repro.api.run_job` workloads: ``ctx.enc`` is the rank's
 :class:`~repro.encmpi.context.EncryptedComm` on encrypted runs and None
@@ -71,8 +71,8 @@ def co_allreduce_bytes(ctx: RankContext, nbytes: int):
 class NasBenchmark:
     """One NAS proxy: name, class-C iteration count, and the skeleton.
 
-    ``skeleton(ctx, iteration)`` is a generator rank program that
-    performs exactly one iteration's communication through
+    ``skeleton(ctx)`` is a generator rank program that performs
+    exactly one iteration's communication through
     ``ctx.enc or ctx.comm``.  ``payload_kind`` selects the crypto
     slowdown class:
     ``"contiguous"`` payloads (vectors, alltoall blocks) encrypt at
@@ -83,7 +83,7 @@ class NasBenchmark:
 
     name: str
     iterations: int
-    skeleton: Callable[[RankContext, int], Generator]
+    skeleton: Callable[[RankContext], Generator]
     description: str
     payload_kind: str = "contiguous"
 
@@ -146,13 +146,12 @@ def _simulate_comm_time(
     network: str | FabricSpec,
     nranks: int,
     cluster: ClusterSpec,
-    sim_iters: int,
     plan: CryptoPlan | None = None,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
 ) -> float:
-    """Virtual seconds for `sim_iters` iterations of pure communication;
-    *plan* encrypts every rank's traffic (None = the plain baseline)."""
+    """Virtual seconds for one iteration of pure communication; *plan*
+    encrypts every rank's traffic (None = the plain baseline)."""
     bench = get_benchmark(name)
 
     def program(ctx):
@@ -163,8 +162,7 @@ def _simulate_comm_time(
             )
         yield from ctx.comm.co_barrier()
         t0 = ctx.now
-        for it in range(sim_iters):
-            yield from bench.skeleton(ctx, it)
+        yield from bench.skeleton(ctx)
         yield from ctx.comm.co_barrier()
         return ctx.now - t0
 
@@ -183,7 +181,6 @@ def _comm_time(
     fabric: FabricSpec,
     nranks: int,
     cluster: ClusterSpec,
-    sim_iters: int,
     plan: CryptoPlan | None = None,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -191,12 +188,10 @@ def _comm_time(
     """Memoized :func:`_simulate_comm_time`: every cell, the clean
     baseline included, has one key shape, so a baseline cell and the
     calibration run of an encrypted cell share one simulation."""
-    key = (name, fabric.token(), nranks, cluster, sim_iters, plan, faults,
-           resilience)
+    key = (name, fabric.token(), nranks, cluster, plan, faults, resilience)
     if key not in _comm_time_cache:
         _comm_time_cache[key] = _simulate_comm_time(
-            name, fabric, nranks, cluster, sim_iters, plan, faults,
-            resilience,
+            name, fabric, nranks, cluster, plan, faults, resilience,
         )
     return _comm_time_cache[key]
 
@@ -208,7 +203,6 @@ def run_nas(
     library: str | None = None,
     nranks: int = 64,
     cluster: ClusterSpec = PAPER_CLUSTER,
-    sim_iters: int = 1,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
     crypto: CryptoPlan | None = None,
@@ -240,15 +234,13 @@ def run_nas(
     # crypto at all, so they memoize independently of any plan).
     plan = modeled_plan(library, crypto)
     comm_total = _comm_time(
-        name, fabric, nranks, cluster, sim_iters, plan, faults, resilience,
-    ) / sim_iters * bench.iterations
+        name, fabric, nranks, cluster, plan, faults, resilience,
+    ) * bench.iterations
 
     # Compute budget: calibrated from the *baseline* run at the paper's
     # scale; reused unchanged for encrypted runs (encryption does not
     # change the numerical work).
-    base_comm_total = _comm_time(
-        name, fabric, nranks, cluster, sim_iters,
-    ) / sim_iters * bench.iterations
+    base_comm_total = _comm_time(name, fabric, nranks, cluster) * bench.iterations
     # The paper only publishes baselines for its two fabrics; hostile
     # fabrics fall through to the nominal-compute branch below.
     paper_total = PAPER_BASELINE_SECONDS.get(fabric.base, {}).get(name.lower())

@@ -22,7 +22,7 @@ DOUBLE = 8
 ITERS = 1  # a single terminal reduction phase
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     # sx, sy sums and the 10-bin annulus counts: three small allreduces.
     yield from co_allreduce_bytes(ctx, 2 * DOUBLE)
     yield from co_allreduce_bytes(ctx, 10 * DOUBLE)

@@ -15,7 +15,7 @@ COMPLEX = 16
 ITERS = 20
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     per_pair = (GRID ** 3 * COMPLEX) // (p * p)

@@ -16,7 +16,7 @@ BUCKETS = 1024
 ITERS = 10
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     yield from co_allreduce_bytes(ctx, BUCKETS * KEY_BYTES)

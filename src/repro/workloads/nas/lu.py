@@ -30,7 +30,7 @@ TAG_EXCHANGE3 = 33
 BLOCK_COMPUTE_SECONDS = 150e-6
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     rows, cols = grid2d(p)

@@ -20,7 +20,7 @@ SMOOTHS_PER_LEVEL = 4
 TAG_HALO = 21  # + dimension (occupies 21..23)
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     nx, ny, nz = grid3d(p)

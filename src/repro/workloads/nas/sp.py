@@ -21,7 +21,7 @@ TAG_COPY_FACES = 51  # + axis (occupies 51..52)
 TAG_SOLVE_BASE = 53  # + 2*direction + phase (occupies 53..58)
 
 
-def _skeleton(ctx, _iteration: int):
+def _skeleton(ctx):
     comm = ctx.enc or ctx.comm
     p = ctx.size
     rows, cols = grid2d(p)

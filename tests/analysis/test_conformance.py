@@ -37,8 +37,7 @@ def test_collective_traffic_explained_not_diffed():
 
 
 def test_report_runs_twice_byte_identical():
-    assert conformance_report(["pingpong"]) \
-        == conformance_report(["pingpong"])
+    assert conformance_report() == conformance_report()
 
 
 # ------------------------------------------------- report mechanics

@@ -115,17 +115,29 @@ def test_get_experiment_reexport():
         api.get_experiment("nope")
 
 
-def test_api_import_leaves_the_campaign_executor_unloaded():
-    """run_campaign forwards lazily: importing the facade loads neither
-    the executor nor its process-pool machinery."""
+def _modules_after_api_import(condition: str) -> str:
+    """Sorted names of the modules matching *condition* (a Python
+    expression over ``m``) that a fresh ``import repro.api`` loads."""
     probe = ("import sys, repro.api; print(sorted(m for m in sys.modules "
-             "if m in ('repro.experiments.campaign', 'multiprocessing', "
-             "'concurrent.futures')))")
+             f"if {condition}))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_api_import_leaves_the_campaign_executor_unloaded():
+    """run_campaign forwards lazily: importing the facade loads neither
+    the executor nor its process-pool machinery."""
+    assert _modules_after_api_import(
+        "m in ('repro.experiments.campaign', 'multiprocessing', "
+        "'concurrent.futures')") == "[]"
+
+
+def test_api_import_leaves_numpy_unloaded():
+    """The package imports no numpy: it is a test-only dependency."""
+    assert _modules_after_api_import("m.split('.')[0] == 'numpy'") == "[]"
 
 
 @pytest.mark.parametrize("security", [None, SecurityConfig()])

@@ -20,6 +20,10 @@ def test_registered_as_medium_tier():
     assert exp.runner is hostile_mod.hostile
 
 
+def test_exhausted_retries_fail_rather_than_fall_back_to_plaintext():
+    assert {p.escalation for _, p in hostile_mod.POLICY_CELLS} == {"fail"}
+
+
 @pytest.mark.slow
 def test_hostile_is_byte_deterministic(capped_reps):
     exp = get_experiment("hostile")

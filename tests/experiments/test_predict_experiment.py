@@ -11,6 +11,8 @@ from repro.experiments import predict as exp
 from repro.experiments.cli import main
 from repro.experiments.registry import get_experiment
 from repro.models.cpu import ClusterSpec
+from repro.models.predict import FAULT_HOLDOUT_POLICY
+from repro.simmpi.resilience import ResiliencePolicy
 
 
 def test_off_anchor_sizes_exclude_anchored():
@@ -35,6 +37,11 @@ def test_registry_entry():
     assert entry.cost == "medium"
     assert entry.cluster == ClusterSpec(nodes=2, cores_per_node=8)
     assert entry.runner is exp.predict_validation
+
+
+def test_fault_cells_fail_rather_than_fall_back_to_plaintext():
+    assert {ResiliencePolicy(**policy).escalation for policy in
+            (exp.FAULT_POLICY, FAULT_HOLDOUT_POLICY)} == {"fail"}
 
 
 def test_runner_calibrates_without_the_anchor_cache(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """The registered ``resilience`` experiment: fault-rate x policy sweep."""
 
+from repro.experiments import resilience as resilience_mod
 from repro.experiments.registry import get_experiment
 from repro.experiments.report import artifact_dict
 
@@ -10,6 +11,10 @@ def test_registered_with_medium_cost():
     exp = get_experiment("resilience")
     assert exp.cost == "medium"
     assert "retransmit" in exp.title or "faults" in exp.title
+
+
+def test_exhausted_retries_fail_rather_than_fall_back_to_plaintext():
+    assert {p.escalation for _, p in resilience_mod.POLICY_CELLS} == {"fail"}
 
 
 def test_two_runs_render_byte_identical():
