@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import threading
 from types import GeneratorType
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.des.engine import Engine
 
@@ -413,22 +413,6 @@ class Scheduler:
         ev = self.event()
         self.engine.schedule(delay, ev.succeed, None)
         return ev
-
-    def any_of(self, events: Iterable[SimEvent]) -> SimEvent:
-        """An event that succeeds when the first of *events* completes."""
-        events = list(events)
-        combined = self.event()
-
-        def on_done(ev: SimEvent) -> None:
-            if not combined.done:
-                combined.succeed(ev)
-
-        for ev in events:
-            if ev.done:
-                on_done(ev)
-                break
-            ev.callbacks.append(on_done)
-        return combined
 
     # -- handoff internals ---------------------------------------------------
 

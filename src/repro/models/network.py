@@ -41,10 +41,25 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.models import calibration
 from repro.models.interp import LogLogCurve
 from repro.util.specs import FRACTION, INT, Grammar, Spec, Value
+
+
+class WireCosts(NamedTuple):
+    """The per-size constants of one inter-node message."""
+
+    #: at most the eager threshold: the payload leaves at once, with no
+    #: rendezvous handshake
+    eager: bool
+    send_overhead: float
+    recv_overhead: float
+    #: wire latency plus the protocol residual, paid after the transfer
+    tail: float
+    #: unloaded serialization time at the stream bandwidth
+    transfer: float
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,21 @@ class NetworkModel:
         if size > self.eager_threshold:
             ideal += self.rendezvous_handshake()
         memo[key] = v = max(0.0, self.pingpong_oneway_time(size) - ideal)
+        return v
+
+    def wire_costs(self, size: int) -> WireCosts:
+        """Every per-size cost of an inter-node message, in one lookup."""
+        memo = self._memo
+        key = ("wire", size)
+        v = memo.get(key)
+        if v is None:
+            memo[key] = v = WireCosts(
+                self.is_eager(size),
+                self.send_overhead(size),
+                self.recv_overhead(size),
+                self.latency + self.proto_delay(size),
+                size / self.stream_bandwidth(size) if size else 0.0,
+            )
         return v
 
     def rendezvous_handshake(self) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from repro.des.process import Scheduler, _Sleep, blocking
+from repro.des.process import Scheduler, blocking
 from repro.simmpi import collectives as _coll
 from repro.simmpi.message import (
     ANY_SOURCE,
@@ -149,9 +149,7 @@ class CommHandle:
             san.note_post(req, kind="send", rank=env.src, peer=env.dst,
                           tag=tag, nbytes=len(payload),
                           now=self._comm.scheduler.now)
-        yield from self._comm.transport.co_isend(
-            env, lambda: req.complete(None)
-        )
+        yield from self._comm.transport.co_isend(env, req.complete)
         return req
 
     isend = blocking(co_isend)
@@ -180,65 +178,40 @@ class CommHandle:
         self._check_tag(tag, _internal, allow_any=True)
         sched = self._comm.scheduler
         req = Request(sched, "recv")
-        req._match_env = None  # set on match; read by the postprocess hook
         rec = self._comm.recorder
         my_global = self._global_rank(self.rank)
-        if rec is not None:
-            rec.emit("transport", "recv_posted", my_global,
-                     src=source if source == ANY_SOURCE
-                     else self._global_rank(source),
-                     tag=tag)
-
-        def status_of(env: Envelope) -> Status:
-            return Status(
-                source=self._local_rank(env.src),
-                tag=env.tag,
-                count=len(env.payload),
-            )
-
-        def on_match(env: Envelope) -> None:
-            req._match_env = env
-            if rec is not None:
-                rec.emit("transport", "match", my_global, src=env.src,
-                         tag=env.tag, bytes=env.payload_bytes)
-            trigger = env.info.get("rendezvous_trigger")
-            if trigger is not None:
-                trigger()
-                data_ready = env.info["data_ready"]
-
-                def finish(_ev) -> None:
-                    req.complete(env.payload, status_of(env))
-
-                if data_ready.done:
-                    finish(None)
-                else:
-                    data_ready.callbacks.append(finish)
-            else:
-                req.complete(env.payload, status_of(env))
-
         match_source = (
             source if source == ANY_SOURCE else self._global_rank(source)
         )
+        if rec is not None:
+            rec.emit("transport", "recv_posted", my_global, src=match_source,
+                     tag=tag)
+
+        def on_match(env: Envelope) -> None:
+            req._match_env = env  # Request.co_wait charges its recv_overhead
+            if rec is not None:
+                rec.emit("transport", "match", my_global, src=env.src,
+                         tag=env.tag, bytes=env.payload_bytes)
+            status = Status(self._local_rank(env.src), env.tag,
+                            len(env.payload))
+            trigger = env.info.get("rendezvous_trigger")
+            if trigger is None:
+                req.complete(env.payload, status)
+                return
+            # The payload follows the CTS, so it arrives strictly later.
+            trigger(env)
+            env.info["data_ready"].callbacks.append(
+                lambda _ev: req.complete(env.payload, status)
+            )
+
         san = self._comm.sanitizer
         if san is not None:
             san.note_post(req, kind="recv", rank=my_global,
                           peer=match_source, tag=tag, nbytes=0,
                           now=sched.now)
-        self._comm.transport.engines[self._global_rank(self.rank)].post_recv(
+        self._comm.transport.engines[my_global].post_recv(
             match_source, tag, self._comm_id, on_match, require_id=_require_id
         )
-
-        def postprocess(payload: bytes):
-            # Receiver-side per-message CPU cost (matching / copy-out),
-            # charged in the waiting rank's context (generator hook:
-            # Request.co_wait drives it under either runtime).
-            env = req._match_env
-            overhead = env.info.get("recv_overhead", 0.0) if env is not None else 0.0
-            if overhead:
-                yield _Sleep(overhead)
-            return payload
-
-        req.set_postprocess(postprocess)
         return req
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,

@@ -66,14 +66,15 @@ class MatchingEngine:
         """An envelope arrived: match a posted recv or queue unexpected."""
         if env.dst != self.rank:
             raise ValueError(f"envelope for rank {env.dst} delivered to {self.rank}")
-        # Probes observe the message without consuming it.
-        still_waiting = []
-        for probe in self._probes:
-            if probe.comm_id == env.comm_id and env.matches(probe.source, probe.tag):
-                probe.on_match(env)
-            else:
-                still_waiting.append(probe)
-        self._probes = still_waiting
+        if self._probes:
+            # Probes observe the message without consuming it.
+            still_waiting = []
+            for probe in self._probes:
+                if probe.comm_id == env.comm_id and env.matches(probe.source, probe.tag):
+                    probe.on_match(env)
+                else:
+                    still_waiting.append(probe)
+            self._probes = still_waiting
         for i, posted in enumerate(self._posted):
             if posted.satisfies(env):
                 del self._posted[i]

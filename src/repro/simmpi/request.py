@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import GeneratorType
-from typing import Any, Callable
+from typing import Any
 
-from repro.des.process import Scheduler, SimEvent, blocking
+from repro.des.process import Scheduler, SimEvent, _Sleep, blocking
 
 
 @dataclass(frozen=True)
@@ -22,24 +21,26 @@ class Request:
     """Handle for a pending isend/irecv.
 
     ``wait()`` blocks the calling rank until completion and returns the
-    received payload (irecv) or None (isend).  A post-processing hook
-    lets the encrypted layer decrypt *inside wait* — the paper's §IV
-    notes their Encrypted_IRecv does exactly that to preserve the
-    non-blocking property.
+    received payload (irecv) or None (isend).  The first wait on a
+    receive charges the matched envelope's receiver-side CPU cost
+    (matching and copy-out) in the waiting rank's context.  The
+    encrypted layer's ``EncryptedRequest`` wraps a plain request and
+    decrypts after its wait.
     """
 
     #: sanitizer bookkeeping (a repro.analysis.sanitize.PendingOp);
     #: stays None — a class attribute, zero per-request cost — unless
     #: the job runs sanitized
     _san_op = None
+    #: the envelope a receive matched, set by the comm layer on match
+    _match_env = None
 
     def __init__(self, scheduler: Scheduler, kind: str):
         if kind not in ("send", "recv"):
             raise ValueError(f"bad request kind {kind!r}")
         self.kind = kind
         self._scheduler = scheduler
-        self._event: SimEvent = scheduler.event()
-        self._postprocess: Callable[[Any], Any] | None = None
+        self._event = SimEvent(scheduler)
         self._waited = False
         self.status: Status | None = None
 
@@ -55,17 +56,6 @@ class Request:
 
     # -- user side ------------------------------------------------------------
 
-    def set_postprocess(self, fn: Callable[[Any], Any]) -> None:
-        """Install a hook run (once) in the waiting rank after completion.
-
-        The hook may be a plain function or a generator function (one
-        that charges virtual time by yielding ``_Sleep``/events) — the
-        encrypted layer decrypts there, and decryption costs time.
-        """
-        if self._postprocess is not None:
-            raise RuntimeError("postprocess hook already set")
-        self._postprocess = fn
-
     @property
     def completed(self) -> bool:
         """MPI_Test semantics: has the operation finished (no blocking)?"""
@@ -78,14 +68,11 @@ class Request:
             self._san_op.mark_waited()
         if not self._waited:
             self._waited = True
-            if self._postprocess is not None:
-                out = self._postprocess(value)
-                if isinstance(out, GeneratorType):
-                    out = yield from out
-                value = out
-                self._cached = value
-        elif self._postprocess is not None:
-            value = self._cached
+            env = self._match_env
+            if env is not None:
+                overhead = env.info.get("recv_overhead", 0.0)
+                if overhead:
+                    yield _Sleep(overhead)
         return value
 
     wait = blocking(co_wait)

@@ -447,8 +447,8 @@ class ReliabilityManager:
         wire = env.wire_bytes
         if self.transport.cluster.same_node(env.src, env.dst):
             return net.shm_msg_overhead + net.shm_delivery_delay(wire)
-        transfer = wire / net.stream_bandwidth(wire) if wire else 0.0
-        return net.latency + net.proto_delay(wire) + transfer
+        costs = net.wire_costs(wire)
+        return costs.tail + costs.transfer
 
     def report(self) -> ResilienceReport:
         """Frozen job-wide summary (attached to SimResult/JobResult)."""

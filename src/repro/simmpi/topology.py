@@ -43,6 +43,9 @@ class ClusterRuntime:
     #: allocators emit their core_busy events through it
     recorder: Any = None
     nodes: list[Node] = field(init=False)
+    #: rank -> its Node, resolved once: the placement is fixed per job
+    #: (index it only with ranks already checked against ``nranks``)
+    rank_nodes: tuple[Node, ...] = field(init=False)
     flownet: FlowNetwork = field(init=False)
     _pair_caps: dict[tuple[int, int], Capacity] = field(init=False, default_factory=dict)
 
@@ -62,12 +65,18 @@ class ClusterRuntime:
             )
             for i in range(self.spec.nodes)
         ]
+        self.rank_nodes = tuple(
+            self.nodes[self.spec.node_of(r, self.nranks, self.placement)]
+            for r in range(self.nranks)
+        )
 
     def node_of(self, rank: int) -> Node:
-        return self.nodes[self.spec.node_of(rank, self.nranks, self.placement)]
+        if not 0 <= rank < self.nranks:
+            raise ValueError(f"rank {rank} out of range for {self.nranks} ranks")
+        return self.rank_nodes[rank]
 
     def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a).index == self.node_of(b).index
+        return self.node_of(a) is self.node_of(b)
 
     def pair_capacity(self, src: int, dst: int, size: int) -> Capacity:
         """Per-ordered-pair stream cap: in-flight messages of one

@@ -1,6 +1,6 @@
 """The transport: moves envelopes between ranks and charges virtual time.
 
-Three paths, selected per message:
+Three paths; each message's route class picks one, once:
 
 - **intra-node (shm)** — sender overhead, then delivery after the
   shared-memory latency + copy time;
@@ -11,9 +11,16 @@ Three paths, selected per message:
   protocol residual;
 - **inter-node rendezvous** (above the threshold) — an RTS header
   travels to the receiver and enters the matching engine; when a recv
-  matches it, a CTS returns to the sender and the payload transfer
-  begins.  The sender's request completes when the payload has left its
-  buffer (flow completion), the receiver's when the payload arrives.
+  matches it, the receive side calls the envelope's
+  ``rendezvous_trigger`` (:meth:`Transport._rendezvous_trigger`): a
+  CTS returns to the sender and the payload transfer begins.  The
+  sender's request completes when the payload has left its buffer
+  (flow completion), the receiver's when the payload arrives (the
+  envelope's ``data_ready`` event).
+
+Each step after injection is a transport method handed the envelope
+as an argument, never a closure over it, so a delivered envelope is
+freed by reference counting rather than left to the cyclic collector.
 
 Payload transfers of at least :data:`FLOW_CUTOFF` bytes run through the
 max-min fair flow network (sharing NIC egress/ingress and the per-pair
@@ -30,12 +37,14 @@ cannot pass the previous message's last byte on the wire).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.des.process import Scheduler, SimEvent, _Sleep
+from repro.models.network import WireCosts
 from repro.simmpi.matching import MatchingEngine
 from repro.simmpi.message import Envelope
-from repro.simmpi.topology import ClusterRuntime
+from repro.simmpi.topology import ClusterRuntime, Node
 
 #: Messages at or above this many wire bytes go through the fluid flow
 #: network; below it bandwidth sharing is irrelevant (the NIC message
@@ -81,14 +90,16 @@ class Transport:
         injection; rendezvous: when the payload transfer completes).
         """
         size = env.wire_bytes
+        nodes = self.cluster.rank_nodes
+        node = nodes[env.src]
+        if node is nodes[env.dst]:
+            costs = None
+            path = "shm"
+        else:
+            costs = self.net.wire_costs(size)
+            path = "eager" if costs.eager else "rendezvous"
         rec = self.recorder
         if rec is not None:
-            if self.cluster.same_node(env.src, env.dst):
-                path = "shm"
-            elif self.net.is_eager(size):
-                path = "eager"
-            else:
-                path = "rendezvous"
             rec.emit(
                 "transport", "send_posted", env.src, dst=env.dst,
                 tag=env.tag, bytes=env.payload_bytes, wire=size, path=path,
@@ -97,34 +108,33 @@ class Transport:
         # order is decided by *send* order, not by which transfer
         # finishes first.
         route = (env.src, env.dst)
-        env.info["prev_delivery"] = self._route_tail.get(route)
-        env.info["delivery_done"] = self.sched.event()
-        self._route_tail[route] = env.info["delivery_done"]
+        info = env.info
+        info["prev_delivery"] = self._route_tail.get(route)
+        info["delivery_done"] = self._route_tail[route] = SimEvent(self.sched)
         if self.resilience is not None:
             self.resilience.track(env)
-        if self.cluster.same_node(env.src, env.dst):
+        if costs is None:
             yield from self._co_send_shm(env, size, on_sent)
-        elif self.net.is_eager(size):
-            yield from self._co_send_eager(env, size, on_sent)
         else:
-            yield from self._co_send_rendezvous(env, size, on_sent)
+            yield from self._co_send_wire(env, size, node, costs, on_sent)
 
     # -- shared memory ---------------------------------------------------
 
     def _co_send_shm(self, env: Envelope, size: int, on_sent: Callable[[], None]):
-        yield _Sleep(self.net.shm_msg_overhead)
-        env.info["recv_overhead"] = self.net.shm_msg_overhead
+        net = self.net
+        yield _Sleep(net.shm_msg_overhead)
+        env.info["recv_overhead"] = net.shm_msg_overhead
         self._emit_wire_start(env, size)
-        self._deliver_after(env, self.net.shm_delivery_delay(size))
+        self._deliver_after(env, net.shm_delivery_delay(size))
         on_sent()
 
-    # -- eager -------------------------------------------------------------
+    # -- inter-node: eager and rendezvous -----------------------------------
 
-    def _co_send_eager(self, env: Envelope, size: int, on_sent: Callable[[], None]):
-        node = self.cluster.node_of(env.src)
+    def _co_send_wire(self, env: Envelope, size: int, node: Node,
+                      costs: WireCosts, on_sent: Callable[[], None]):
         node.active_senders += 1
         try:
-            yield _Sleep(self.net.send_overhead(size))
+            yield _Sleep(costs.send_overhead)
             yield from node.nic_engine.co_acquire()
             try:
                 yield _Sleep(self.net.nic_service_time(node.active_senders))
@@ -132,90 +142,70 @@ class Transport:
                 node.nic_engine.release()
         finally:
             node.active_senders -= 1
-        env.info["recv_overhead"] = self.net.recv_overhead(size)
-        tail = self.net.latency + self.net.proto_delay(size)
+        info = env.info
+        # matching, plus the copy-out of an eager payload
+        info["recv_overhead"] = costs.recv_overhead
+        if not costs.eager:
+            info["data_ready"] = SimEvent(self.sched)
+            info["on_sent"] = on_sent  # fires from _rendezvous_drained
+            info["rendezvous_trigger"] = self._rendezvous_trigger
+            # The RTS header is a small control message: it enters the
+            # receiver's matching engine after one wire latency.
+            self._deliver_after(env, self.net.latency)
+            return
         self._emit_wire_start(env, size)
         if size >= FLOW_CUTOFF:
             flow_done = self._start_flow(env, size)
             flow_done.callbacks.append(
-                lambda _ev: self._deliver_after(env, tail)
+                lambda _ev: self._deliver_after(env, costs.tail)
             )
         else:
-            transfer = size / self.net.stream_bandwidth(size) if size else 0.0
-            self._deliver_after(env, transfer + tail)
+            self._deliver_after(env, costs.transfer + costs.tail)
         on_sent()
 
-    # -- rendezvous ---------------------------------------------------------
+    def _rendezvous_trigger(self, env: Envelope) -> None:
+        """A recv matched the RTS (called from any context): the CTS
+        travels back to the sender, one latency."""
+        self.sched.engine.schedule(self.net.latency, self._rendezvous_transfer, env)
 
-    def _co_send_rendezvous(
-        self, env: Envelope, size: int, on_sent: Callable[[], None]
-    ):
-        node = self.cluster.node_of(env.src)
-        node.active_senders += 1
-        try:
-            yield _Sleep(self.net.send_overhead(size))
-            yield from node.nic_engine.co_acquire()
-            try:
-                yield _Sleep(self.net.nic_service_time(node.active_senders))
-            finally:
-                node.nic_engine.release()
-        finally:
-            node.active_senders -= 1
+    def _rendezvous_transfer(self, env: Envelope) -> None:
+        """The CTS reached the sender: the payload flows."""
+        size = env.wire_bytes
+        self._emit_wire_start(env, size)
+        self._start_flow(env, size).callbacks.append(
+            partial(self._rendezvous_drained, env)
+        )
 
-        env.info["recv_overhead"] = self.net.msg_overhead  # no eager copy-out
-        data_ready: SimEvent = self.sched.event()
-        env.info["data_ready"] = data_ready
+    def _rendezvous_drained(self, env: Envelope, _ev: SimEvent) -> None:
+        """The flow drained the sender's buffer, which completes the
+        send; the receiver sees the data one more latency plus the
+        protocol residual later."""
+        env.info.pop("on_sent")()
+        self.sched.engine.schedule(
+            self.net.wire_costs(env.wire_bytes).tail,
+            self._rendezvous_arrived, env,
+        )
+
+    def _rendezvous_arrived(self, env: Envelope) -> None:
         rec = self.recorder
         if rec is not None:
-            def emit_payload_arrival(_ev: SimEvent) -> None:
-                rec.emit("transport", "wire_end", env.dst, src=env.src,
-                         tag=env.tag, wire=env.wire_bytes)
-
-            data_ready.callbacks.append(emit_payload_arrival)
-
-        def trigger() -> None:
-            """Called when a recv matches the RTS (any context).
-
-            CTS travels back (one latency), then the payload flows; the
-            receiver sees the data one more latency + protocol residual
-            after the flow drains the sender's buffer.
-            """
-            self.sched.engine.schedule(self.net.latency, start_transfer)
-
-        def start_transfer() -> None:
-            self._emit_wire_start(env, size)
-            flow_done = self._start_flow(env, size)
-
-            def on_flow_done(_ev: SimEvent) -> None:
-                on_sent()
-                self.sched.engine.schedule(
-                    self.net.latency + self.net.proto_delay(size),
-                    data_ready.succeed,
-                    None,
-                )
-
-            flow_done.callbacks.append(on_flow_done)
-
-        env.info["rendezvous_trigger"] = trigger
-        # The RTS header is a small control message: it enters the
-        # receiver's matching engine after one wire latency.
-        self._deliver_after(env, self.net.latency)
-        # NOTE: on_sent fires from the flow completion above, not here.
+            rec.emit("transport", "wire_end", env.dst, src=env.src,
+                     tag=env.tag, wire=env.wire_bytes)
+        env.info["data_ready"].succeed(None)
 
     # -- shared pieces -----------------------------------------------------
 
     def _start_flow(self, env: Envelope, size: int) -> SimEvent:
-        src_node = self.cluster.node_of(env.src)
-        dst_node = self.cluster.node_of(env.dst)
         cap = self.net.stream_bandwidth(size)
         if size >= FLOW_CUTOFF:
+            nodes = self.cluster.rank_nodes
             constraints = (
-                src_node.egress,
-                dst_node.ingress,
+                nodes[env.src].egress,
+                nodes[env.dst].ingress,
                 self.cluster.pair_capacity(env.src, env.dst, size),
             )
             return self.cluster.flownet.transfer(size, cap, constraints)
-        done = self.sched.event()
+        done = SimEvent(self.sched)
         self.sched.engine.schedule(size / cap if size else 0.0, done.succeed, None)
         return done
 

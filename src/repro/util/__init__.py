@@ -9,7 +9,7 @@ from repro.util.units import (
     format_time,
     parse_size,
 )
-from repro.util.stats import RunStats, SeriesStats, paper_methodology_mean
+from repro.util.stats import RunStats, paper_methodology_mean
 
 __all__ = [
     "KiB",
@@ -20,6 +20,5 @@ __all__ = [
     "format_time",
     "parse_size",
     "RunStats",
-    "SeriesStats",
     "paper_methodology_mean",
 ]

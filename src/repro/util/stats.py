@@ -16,7 +16,7 @@ for randomized-workload runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 # Two-sided 99% z critical value; sample counts here are large enough
@@ -103,32 +103,6 @@ def paper_methodology_mean(
             if len(samples) >= max_runs:
                 return stats
         samples.append(measure())
-
-
-@dataclass
-class SeriesStats:
-    """A labelled series of RunStats, e.g. one line in a figure.
-
-    ``points`` maps x-value (message size, pair count, ...) to the stats
-    of the measured y-value at that x.
-    """
-
-    label: str
-    points: dict[int, RunStats] = field(default_factory=dict)
-
-    def add(self, x: int, stats: RunStats) -> None:
-        if x in self.points:
-            raise ValueError(f"duplicate x={x} in series {self.label!r}")
-        self.points[x] = stats
-
-    def xs(self) -> list[int]:
-        return sorted(self.points)
-
-    def means(self) -> list[float]:
-        return [self.points[x].mean for x in self.xs()]
-
-    def mean_at(self, x: int) -> float:
-        return self.points[x].mean
 
 
 def overhead_percent(encrypted: float, baseline: float) -> float:

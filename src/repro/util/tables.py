@@ -130,18 +130,3 @@ def _x_label(x: int) -> str:
     if x < 512 and x in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         return str(x)
     return format_bytes(x)
-
-
-def comparison_table(
-    title: str,
-    col_headers: list[str],
-    measured: dict[str, list[float]],
-    paper: dict[str, list[float]] | None = None,
-) -> Table:
-    """Build a table interleaving measured rows with paper-reference rows."""
-    table = Table(title, col_headers)
-    for label, cells in measured.items():
-        table.add_row(label, cells)
-        if paper and label in paper:
-            table.add_row(f"  (paper) {label}", paper[label])
-    return table

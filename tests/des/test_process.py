@@ -157,19 +157,6 @@ def test_timeout_event():
     assert log == [4.0]
 
 
-def test_any_of_wakes_on_first_completion():
-    sched = Scheduler()
-    log = []
-
-    def prog():
-        first = sched.any_of([sched.timeout(10.0), sched.timeout(2.0)]).wait()
-        log.append((sched.now, first.done))
-
-    sched.spawn(prog)
-    sched.run(until=20.0)
-    assert log == [(2.0, True)]
-
-
 def test_spawn_from_within_process():
     sched = Scheduler()
     log = []

@@ -1,11 +1,14 @@
 """Point-to-point semantics tests for the simulated MPI."""
 
+import dataclasses
+
 import pytest
 
 from repro.des.engine import DeadlockError
-from repro.des.process import ProcessFailed
+from repro.des.process import ProcessFailed, Scheduler
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_program
+from repro.simmpi.request import Status
 from repro.util.units import KiB, MiB
 
 SMALL_CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
@@ -248,3 +251,42 @@ def test_intra_node_faster_than_inter_node():
     intra = run_program(8, make(0, 1), cluster=spec).results[0]
     inter = run_program(8, make(0, 4), cluster=spec).results[0]
     assert intra < inter
+
+
+def test_status_is_a_frozen_dataclass():
+    status = Status(source=1, tag=2, count=3)
+    assert dataclasses.is_dataclass(status)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        status.count = 4
+
+
+def test_every_rank_step_enters_through_wake_now(monkeypatch):
+    """``Scheduler.wake_now`` is the one wake entry point (host-time
+    tracing wraps it): every coroutine step of a job with shm, eager and
+    rendezvous messages runs inside it."""
+    inside, steps = [], []
+    wake_now, step_coro = Scheduler.wake_now, Scheduler._step_coro
+
+    def wake(sched, proc):
+        inside.append(proc)
+        try:
+            return wake_now(sched, proc)
+        finally:
+            inside.pop()
+
+    def step(sched, proc):
+        steps.append(bool(inside) and inside[-1] is proc)
+        return step_coro(sched, proc)
+
+    monkeypatch.setattr(Scheduler, "wake_now", wake)
+    monkeypatch.setattr(Scheduler, "_step_coro", step)
+
+    def program(ctx):
+        for size in (64, 1 << 20):
+            for peer in (ctx.rank ^ 1, ctx.rank ^ 2):  # same node, other node
+                req = ctx.comm.irecv(peer, 0)
+                yield from ctx.comm.co_send(b"x" * size, peer, 0)
+                yield from req.co_wait()
+
+    run_program(4, program, cluster=ClusterSpec(2, 2))
+    assert steps and all(steps)

@@ -130,6 +130,31 @@ def test_consecutive_drops_follow_backoff_schedule():
     assert faulty.resilience.retransmits == 3
 
 
+@pytest.mark.parametrize("drops", [1, 2, 3])
+def test_backoff_gap_is_the_difference_of_the_schedules(drops):
+    """*drops* leading drops of one message cost exactly the first
+    *drops* waits of the backoff schedule: the makespans under
+    exponential and fixed backoff differ by the difference of the two
+    schedules' prefix sums (0 at one drop, then 1 ms, then 4 ms)."""
+    def one_message(ctx):
+        if ctx.rank == 0:
+            yield from ctx.comm.co_send(b"\xab" * 64, 1, tag=TAG_DATA)
+        else:
+            yield from ctx.comm.co_recv(0, TAG_DATA)
+
+    makespan, waited = {}, {}
+    for backoff in ("exponential", "fixed"):
+        pol = ResiliencePolicy(max_retries=4, timeout=1e-3, backoff=backoff,
+                               backoff_factor=2.0)
+        res = run_program(2, one_message, cluster=ClusterSpec(2, 1),
+                          fault_injector=_drop_first_n(drops), resilience=pol)
+        assert res.resilience.retransmits == drops
+        makespan[backoff] = res.duration
+        waited[backoff] = sum(pol.retry_schedule()[:drops])
+    assert makespan["exponential"] - makespan["fixed"] == pytest.approx(
+        waited["exponential"] - waited["fixed"], rel=1e-12, abs=1e-15)
+
+
 def test_retry_and_ack_events_recorded():
     rec = TraceRecorder()
     run_program(

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.des.process import Scheduler
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.models.network import ethernet_10g
 from repro.simmpi import run_program
+from repro.simmpi.topology import ClusterRuntime
 from repro.simmpi.transport import FLOW_CUTOFF
 from repro.util.units import KiB, MiB
 
@@ -128,3 +130,18 @@ def test_self_message_stays_cheap():
 
     res = run_program(1, prog, cluster=ClusterSpec(1, 2))
     assert res.results[0] < 10e-6
+
+
+@pytest.mark.parametrize("rank", [-1, 2])
+def test_rank_node_table_rejects_out_of_range_ranks(rank):
+    """The rank -> node table is a plain sequence, where -1 would
+    silently pick the last node; lookups check the bounds first."""
+    cluster = ClusterRuntime(Scheduler(), ClusterSpec(2, 1), ethernet_10g(), 2)
+    assert [cluster.node_of(r).index for r in (0, 1)] == [0, 1]
+    named = f"rank {rank} out of range"
+    with pytest.raises(ValueError, match=named):
+        cluster.node_of(rank)
+    with pytest.raises(ValueError, match=named):
+        cluster.same_node(0, rank)
+    with pytest.raises(ValueError, match=named):
+        cluster.same_node(rank, 1)

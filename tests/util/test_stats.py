@@ -6,7 +6,6 @@ import pytest
 
 from repro.util.stats import (
     RunStats,
-    SeriesStats,
     overhead_percent,
     paper_methodology_mean,
     total_time_overhead_percent,
@@ -75,17 +74,6 @@ def test_bad_run_bounds():
         paper_methodology_mean(lambda: 1.0, min_runs=0)
     with pytest.raises(ValueError):
         paper_methodology_mean(lambda: 1.0, min_runs=10, escalation_runs=5)
-
-
-def test_series_stats():
-    s = SeriesStats("BoringSSL")
-    s.add(1024, RunStats((2.0,)))
-    s.add(16, RunStats((1.0,)))
-    assert s.xs() == [16, 1024]
-    assert s.means() == [1.0, 2.0]
-    assert s.mean_at(16) == 1.0
-    with pytest.raises(ValueError):
-        s.add(16, RunStats((9.0,)))
 
 
 def test_overhead_percent():

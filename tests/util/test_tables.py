@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import Figure, Table, comparison_table
+from repro.util.tables import Figure, Table
 
 
 def test_table_renders_aligned():
@@ -55,11 +55,3 @@ def test_figure_pair_count_axis():
     f.add_series("base", [(1, 1.0), (2, 2.0), (8, 8.0)])
     out = f.render()
     assert "| 1 |" in out or " 1 " in out
-
-
-def test_comparison_table_interleaves_paper_rows():
-    t = comparison_table(
-        "cmp", ["x"], {"A": [1.0]}, paper={"A": [2.0]}
-    )
-    out = t.render()
-    assert "(paper) A" in out
