@@ -154,30 +154,29 @@ def check_set_iteration(mod: ModuleContext):
                 yield (node.iter, "comprehension over a set expression")
 
 
-#: modules whose every code path is a calibration/fit path of the
-#: analytical prediction engine (matched against the lint path)
-_FIT_PATH_PARTS = ("models/predict",)
+#: modules whose every code path is the analytical prediction model
+#: (matched against the lint path)
+_MODEL_PATH_PARTS = ("models/predict",)
 
 
 @rule(
     "DET004",
-    "wall clock in a prediction fit path",
+    "wall clock in the prediction model",
     severity="error",
-    summary="the prediction engine reads the host's wall clock — "
-            "fitted coefficients must be pure functions of the anchor "
-            "cells, or the frozen model differs run to run",
-    hint="derive every fitted quantity from simulated anchor values; "
-         "timestamps belong to the caller, stamped after calibrate() "
-         "returns",
-    grounding="PredictionModel.token() is hashed into a committed "
-              "golden digest and `make check-artifacts` byte-compares "
-              "a fresh calibrate-and-validate run with the committed "
-              "artifact",
+    summary="the prediction model reads the host's wall clock — a "
+            "prediction must be a pure function of the query and the "
+            "simulator's cost objects, or its answer differs run to run",
+    hint="derive every predicted quantity from the query and the cost "
+         "model; timestamps belong to the caller, stamped after "
+         "predict() returns",
+    grounding="`make check-artifacts` byte-compares a fresh "
+              "predict-and-validate run with the committed "
+              "results/predict.*",
 )
 def check_predict_wall_clock(mod: ModuleContext):
     path = mod.path.replace("\\", "/")
-    if not any(part in path for part in _FIT_PATH_PARTS):
+    if not any(part in path for part in _MODEL_PATH_PARTS):
         return
     calls = (n for n in ast.walk(mod.tree) if isinstance(n, ast.Call))
     for node, what in _wall_clock_calls(mod, calls):
-        yield (node, f"{what} in a prediction fit path")
+        yield (node, f"{what} in the prediction model")

@@ -47,7 +47,7 @@ from repro.experiments.registry import (
 from repro.experiments.stats import JobStats, StatsSpec, parse_stats_spec
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec, parse_cluster_spec
 from repro.models.network import FabricSpec, NetworkModel, parse_network_spec
-from repro.models.predict import Prediction, PredictionModel
+from repro.models.predict import Prediction, predict
 from repro.simmpi.faults import FaultPlan, parse_fault_plan
 from repro.simmpi.resilience import (
     ResiliencePolicy,
@@ -71,13 +71,11 @@ __all__ = [
     "JobStats",
     "PAPER_CLUSTER",
     "Prediction",
-    "PredictionModel",
     "ResiliencePolicy",
     "ResilienceReport",
     "SecurityConfig",
     "StatsSpec",
     "SweepPoint",
-    "calibrate_predictor",
     "get_experiment",
     "job_defaults",
     "lint_job",
@@ -397,55 +395,6 @@ def verify_job(workload: Callable[[RankContext], Any], *,
     from repro.analysis.dataflow import verify_callable
 
     return verify_callable(workload, sizes=tuple(sizes)).findings
-
-
-def calibrate_predictor(
-    *, cache_dir: str | None = "results/cache", force: bool = False
-) -> PredictionModel:
-    """Fit (or fetch) the analytical prediction engine; the facade's
-    entry to :func:`repro.models.predict.calibrate`.
-
-    Runs the deterministic anchor-cell set through the simulator (each
-    cell memoized in the campaign result cache under *cache_dir*;
-    ``None`` simulates fresh), fits the per-library crypto curves, the
-    Hockney-style wire curves, the max-min-fair pair-sharing factors,
-    and the pipelined-mode corrections, and returns a frozen
-    :class:`PredictionModel`.  The fitted model is memoized per
-    process; *force* refits.  Two calibrations from the same anchors
-    produce byte-identical :meth:`PredictionModel.token` strings.
-    """
-    from repro.models.predict import calibrate
-
-    return calibrate(cache_dir=cache_dir, force=force)
-
-
-def predict(
-    *,
-    library: str | None = None,
-    fabric: str | FabricSpec = "ethernet",
-    size: int = 1,
-    pairs: int = 1,
-    plan: CryptoPlan | None = None,
-    faults: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-    cache_dir: str | None = "results/cache",
-) -> Prediction:
-    """Answer one cell analytically — microseconds, no simulation.
-
-    Calibrates the prediction engine on first use (simulating the
-    anchor cells once, cached under *cache_dir*), then evaluates the
-    closed-form model: ``pairs == 1`` predicts the ping-pong mean
-    one-way time, ``pairs > 1`` the multipair steady-state goodput;
-    *plan* selects serial vs cryptmpi pipelined sealing; *faults* +
-    *resilience* add the expected-retransmission overhead.  Every
-    :class:`Prediction` carries a confidence bound validated against
-    held-out simulated cells (see the ``predict`` registry experiment).
-    """
-    model = calibrate_predictor(cache_dir=cache_dir)
-    return model.predict(
-        library=library, fabric=fabric, size=size, pairs=pairs,
-        plan=plan, faults=faults, resilience=resilience,
-    )
 
 
 def run_campaign(

@@ -19,7 +19,9 @@ runtime.
 
     ceil(nchunks / ncores) waves x per-chunk cost
 
-that the analytical predictor shares (:func:`repro.models.cpu.pipeline_waves`).
+of :func:`repro.models.cpu.pipeline_waves`.  The analytical predictor
+(:mod:`repro.models.predict`) follows the schedule itself instead:
+chunk i's seal waits for chunk i - cap's, on the helpers.
 """
 
 from __future__ import annotations

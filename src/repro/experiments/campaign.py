@@ -108,14 +108,11 @@ def experiment_config_digest(
     entries.  *engine* (a :class:`repro.des.options.EngineOptions`)
     salts the same way — runtimes are byte-equivalent by construction,
     but a cache key must never *assume* an invariant the parity checks
-    exist to enforce.  The experiment's own ``cluster`` override — when
-    set — joins through its canonical :meth:`~ClusterSpec.token`."""
+    exist to enforce."""
     doc: dict[str, Any] = {
         "kind": "experiment", "id": exp.id, "paper_ref": exp.paper_ref,
         "cost": exp.cost,
     }
-    if exp.cluster is not None:
-        doc["cluster"] = exp.cluster.token()
     if crypto is not None:
         doc["crypto"] = crypto.token()
     if engine is not None:

@@ -274,7 +274,7 @@ def _cmd_nas(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.experiments.analysis import crossover_size, explain_pingpong
+    from repro.models.predict import crossover_size, explain_pingpong
     from repro.util.units import format_bytes, parse_size
 
     specs = _spec_flags(args, "network")
@@ -321,19 +321,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from repro.models import predict as engine
+    from repro.models.predict import predict
     from repro.util.units import format_rate, parse_size
 
-    if args.write_golden is not None:
-        path = args.write_golden or engine.GOLDEN_FIXTURE
-        doc = engine.write_golden(path, cache_dir=args.cache_dir)
-        print(f"model digest {doc['digest']} "
-              f"({doc['anchor_cells']} anchor cells)")
-        print(f"wrote {path}")
-        return 0
     if args.size is None:
-        print("give a message size (e.g. 2MB), or pass --write-golden",
-              file=sys.stderr)
+        print("give a message size (e.g. 2MB)", file=sys.stderr)
         return 2
     try:
         size = parse_size(args.size)
@@ -344,9 +336,8 @@ def _cmd_predict(args) -> int:
     if specs is None:
         return 2
     crypto, faults, policy = specs
-    model = engine.calibrate(cache_dir=args.cache_dir)
     try:
-        pred = model.predict(
+        pred = predict(
             library=args.library, fabric=args.network, size=size,
             pairs=args.pairs, plan=crypto, faults=faults, resilience=policy,
         )
@@ -356,40 +347,30 @@ def _cmd_predict(args) -> int:
     if args.json:
         import json
 
-        lo, hi = pred.latency_bounds
         print(json.dumps({
             "fabric": args.network,
             "library": args.library,
             "size": size,
             "pairs": args.pairs,
             "latency_s": pred.latency,
-            "latency_bounds_s": [lo, hi],
             "goodput_Bps": pred.goodput,
             "per_pair_goodput_Bps": pred.per_pair_goodput,
-            "confidence": pred.confidence,
             "family": pred.family,
-            "model_digest": model.digest(),
         }, indent=2))
         return 0
-    lo, hi = pred.latency_bounds
     what = ("one-way latency" if args.pairs == 1
             else "per-message interval")
     print(
         f"{args.network} / {args.library or 'plain'} / {args.size} "
         f"/ pairs={args.pairs}"
     )
-    print(
-        f"  {what:20s} {pred.latency * 1e6:,.2f} us   "
-        f"[{lo * 1e6:,.2f}, {hi * 1e6:,.2f}] "
-        f"(+-{100 * pred.confidence:.1f}%)"
-    )
+    print(f"  {what:20s} {pred.latency * 1e6:,.2f} us")
     print(
         f"  {'goodput':20s} {format_rate(pred.goodput)}"
         + (f"   (per pair {format_rate(pred.per_pair_goodput)})"
            if args.pairs > 1 else "")
     )
-    print(f"  {'model family':20s} {pred.family}   "
-          f"[digest {model.digest()}]")
+    print(f"  {'model family':20s} {pred.family}")
     return 0
 
 
@@ -607,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     predict.add_argument(
         "size",
         nargs="?",
-        help="message size, e.g. 2MB (omit only with --write-golden)",
+        help="message size, e.g. 2MB",
     )
     predict.add_argument("--network", default="ethernet",
                          choices=["ethernet", "infiniband"])
@@ -645,22 +626,8 @@ def main(argv: list[str] | None = None) -> int:
         help="ack/retransmit policy, e.g. 'retries=6,timeout=0.001,"
         "backoff=exponential' (see repro.simmpi.resilience)",
     )
-    predict.add_argument(
-        "--cache-dir",
-        default="results/cache",
-        metavar="DIR",
-        help="anchor-cell result cache (default: results/cache)",
-    )
     predict.add_argument("--json", action="store_true",
                          help="emit the prediction as JSON")
-    predict.add_argument(
-        "--write-golden",
-        nargs="?",
-        const="",
-        metavar="PATH",
-        help="regenerate the golden model-digest fixture (default: "
-        "tests/goldens/predict_model.json) instead of predicting",
-    )
     predict.set_defaults(func=_cmd_predict)
     sub.add_parser(
         "encdec-measured", help="measure real AES-GCM throughput locally"

@@ -20,8 +20,7 @@ from repro.experiments.hostile import hostile
 from repro.experiments.predict import predict_validation
 from repro.experiments.resilience import resilience
 from repro.experiments.scalability import scalability
-from repro.experiments.scale import SCALE_CLUSTER, scale
-from repro.models.cpu import ClusterSpec, parse_cluster_spec
+from repro.experiments.scale import scale
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,6 @@ class Experiment:
     #: rough single-run wall-clock on one core: "fast" < 10 s,
     #: "medium" < 2 min, "slow" >= 2 min
     cost: str
-    #: cluster shape the runner simulates when it deviates from the
-    #: paper's 8x8 testbed; part of the campaign cache key
-    #: (repro.experiments.campaign.experiment_config_digest)
-    cluster: ClusterSpec | None = None
 
 
 def _reg() -> dict[str, Experiment]:
@@ -90,7 +85,6 @@ def _reg() -> dict[str, Experiment]:
             "Pipelined (CryptMPI-style) vs serial encryption",
             cryptmpi,
             "medium",
-            cluster=parse_cluster_spec("2x8"),
         ),
         Experiment(
             "scale",
@@ -98,7 +92,6 @@ def _reg() -> dict[str, Experiment]:
             "Encrypted_Alltoall to 4096 ranks, fluid model, coroutines",
             scale,
             "slow",
-            cluster=SCALE_CLUSTER,
         ),
         Experiment(
             "hostile",
@@ -106,15 +99,13 @@ def _reg() -> dict[str, Experiment]:
             "Hostile fabrics (WAN/IoT + jitter/loss), bootstrap CIs",
             hostile,
             "medium",
-            cluster=parse_cluster_spec("2x8"),
         ),
         Experiment(
             "predict",
             "§V ext.",
-            "Analytical predictor vs simulator, off-anchor grid",
+            "Analytical predictor vs simulator",
             predict_validation,
             "medium",
-            cluster=parse_cluster_spec("2x8"),
         ),
     ]
     return {e.id: e for e in entries}

@@ -12,7 +12,9 @@ figures, tables, and inline numbers — becomes model input:
 - :mod:`repro.models.cpu` — node/core model of the testbed,
 - :mod:`repro.models.calibration` — the digitized data itself, with
   provenance notes tying every anchor to a sentence or cell in the
-  paper.
+  paper,
+- :mod:`repro.models.predict` — the simulator's cost model in closed
+  form: a benchmark cell answered without simulating it.
 
 Everything *encrypted* that comes out of the simulator is a prediction
 of these models, compared against the paper in EXPERIMENTS.md.

@@ -18,11 +18,10 @@ if TYPE_CHECKING:
 def pipeline_waves(nchunks: int, cores: int) -> int:
     """Waves of the chunked-crypto pipeline: ``ceil(nchunks / cores)``.
 
-    The *one* wave formula shared by the simulator's pipeline planner
-    (:func:`repro.encmpi.pipeline.plan_pipeline`) and the analytical
-    predictor (:mod:`repro.models.predict`) — extracting it here is what
-    keeps the two from drifting (pinned by
-    ``tests/models/test_cpu.py::test_wave_formula_shared``).  ``cores``
+    The *one* wave formula shared by the static pipeline planner
+    (:func:`repro.encmpi.pipeline.plan_pipeline`) and the fluid
+    collectives (:mod:`repro.simmpi.collectives.fluid`), pinned by
+    ``tests/models/test_cpu.py::test_wave_formula_shared``.  ``cores``
     is the number of cores concurrently sealing/opening chunks; with
     one core every chunk is its own wave.
     """

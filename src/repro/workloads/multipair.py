@@ -24,6 +24,9 @@ MULTIPAIR_CLUSTER = parse_cluster_spec("2x8")
 DEFAULT_WINDOW = 64
 DEFAULT_ITERS = 2
 
+#: the short reply that closes each window
+REPLY_BYTES = 4
+
 
 def multipair_aggregate_throughput(
     size: int,
@@ -87,7 +90,8 @@ def multipair_aggregate_throughput(
             for _ in range(iters + 1):
                 yield from comm.co_waitall(
                     [comm.irecv(peer, 0) for _ in range(window)])
-                sreq = yield from comm.co_isend(b"\x00" * 4, peer, tag=0)
+                sreq = yield from comm.co_isend(b"\x00" * REPLY_BYTES, peer,
+                                                tag=0)
                 yield from sreq.co_wait()
 
     run_program(

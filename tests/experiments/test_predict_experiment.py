@@ -1,5 +1,5 @@
-"""The ``predict`` experiment's grid discipline, registry entry, and
-the ``predict`` CLI subcommand (the full validation sweep itself is
+"""The ``predict`` experiment's grid, registry entry, and the
+``predict`` CLI subcommand (the full validation sweep itself is
 regenerated and byte-compared with ``results/predict.*`` by ``make
 check-artifacts``)."""
 
@@ -10,67 +10,25 @@ import pytest
 from repro.experiments import predict as exp
 from repro.experiments.cli import main
 from repro.experiments.registry import get_experiment
-from repro.models.cpu import ClusterSpec
-from repro.models.predict import FAULT_HOLDOUT_POLICY
 from repro.simmpi.resilience import ResiliencePolicy
 
 
-def test_off_anchor_sizes_exclude_anchored():
-    anchored = {512, 1024, 4096, 65536}
-    sizes = exp._off_anchor_sizes(anchored)
-    assert sizes == sorted(sizes)
-    assert not anchored & set(sizes)
-    assert sizes[0] >= exp.SIZE_MIN
-    assert sizes[-1] <= exp.SIZE_MIN * 2 ** exp.SIZE_OCTAVES
-
-
-def test_grid_is_larger_than_anchor_floor():
-    # every anchored ping-pong size removed still leaves a dense grid
-    from repro.models.predict import anchor_cells
-
-    anchored = {c.size for c in anchor_cells() if c.kind == "pingpong"}
-    assert len(exp._off_anchor_sizes(anchored)) > 80
+def test_grid_is_the_full_size_ladder():
+    # nothing is anchored, so every ladder size is a validation cell
+    assert len(exp.GRID_SIZES) == \
+        exp.SIZE_OCTAVES * exp.SIZE_STEPS_PER_OCTAVE + 1
+    assert exp.GRID_SIZES[0] == exp.SIZE_MIN
+    assert exp.GRID_SIZES[-1] == exp.SIZE_MIN * 2 ** exp.SIZE_OCTAVES
 
 
 def test_registry_entry():
     entry = get_experiment("predict")
     assert entry.cost == "medium"
-    assert entry.cluster == ClusterSpec(nodes=2, cores_per_node=8)
     assert entry.runner is exp.predict_validation
 
 
 def test_fault_cells_fail_rather_than_fall_back_to_plaintext():
-    assert {ResiliencePolicy(**policy).escalation for policy in
-            (exp.FAULT_POLICY, FAULT_HOLDOUT_POLICY)} == {"fail"}
-
-
-def test_runner_calibrates_without_the_anchor_cache(monkeypatch, tmp_path):
-    """The registry runner simulates its anchors itself: a warm on-disk
-    anchor cache must not stand in for a run the campaign asked for
-    uncached or sanitized, and the runner writes no cache of its own."""
-    from repro.experiments import campaign
-    from repro.models import predict as engine
-
-    class FitReached(Exception):
-        pass
-
-    def fit(cells, values):
-        raise FitReached(len(values))
-
-    opened = []
-
-    class RecordingCache(campaign.ResultCache):
-        def __init__(self, path):
-            opened.append(path)
-            super().__init__(str(tmp_path))
-
-    monkeypatch.setattr(campaign, "ResultCache", RecordingCache)
-    monkeypatch.setattr(engine.AnchorCell, "simulate", lambda self: 1.0)
-    monkeypatch.setattr(engine, "_fit_model", fit)
-    monkeypatch.setattr(engine, "_MODEL_CACHE", {})
-    with pytest.raises(FitReached):
-        exp.predict_validation()
-    assert opened == []
+    assert ResiliencePolicy(**exp.FAULT_POLICY).escalation == "fail"
 
 
 # ------------------------------------------------------------ CLI surface
@@ -90,9 +48,6 @@ def test_cli_predict_json_multipair(capsys):
     assert doc["library"] is None
     assert doc["goodput_Bps"] == pytest.approx(
         4 * doc["per_pair_goodput_Bps"])
-    lo, hi = doc["latency_bounds_s"]
-    assert lo <= doc["latency_s"] <= hi
-    assert 0.0 < doc["confidence"] <= 0.95
 
 
 def test_cli_predict_bad_size(capsys):

@@ -20,8 +20,8 @@ from repro.simmpi.collectives.fluid import fluid_alltoall_phases
 def test_registry_entry_is_slow_tier_with_the_scale_cluster():
     exp = get_experiment("scale")
     assert exp.cost == "slow"
-    assert exp.cluster is scale_mod.SCALE_CLUSTER
-    assert exp.cluster.token() == "1024x8"
+    assert exp.runner is scale_mod.scale
+    assert scale_mod.SCALE_CLUSTER.token() == "1024x8"
 
 
 def test_scale_artifact_reduced_tier_is_deterministic(monkeypatch):

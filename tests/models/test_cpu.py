@@ -89,11 +89,11 @@ def test_pipeline_waves_rejects_bad_args():
 
 def test_wave_formula_shared():
     # The pipeline planner (repro.encmpi.pipeline.plan_pipeline) and the
-    # analytical predictor (repro.models.predict) both schedule chunk
-    # seals through pipeline_waves; this pins that they cannot drift
-    # apart: the planner's wave count equals the shared formula for
-    # every geometry it pipelines, and degenerates to one wave exactly
-    # when it refuses to pipeline (one core, or nothing to chunk).
+    # fluid collectives (repro.simmpi.collectives.fluid) both count
+    # waves through pipeline_waves; this pins the planner to it: its
+    # wave count equals the shared formula for every geometry it
+    # pipelines, and degenerates to one wave exactly when it refuses
+    # to pipeline (one core, or nothing to chunk).
     from repro.encmpi.pipeline import plan_pipeline
     from repro.models.cryptolib import get_profile
 
@@ -138,19 +138,3 @@ def test_parse_cluster_spec_rejects_bad_shapes():
         parse_cluster_spec("0x8")
     with pytest.raises(ValueError):
         parse_cluster_spec("8x0")
-
-
-def test_cluster_token_used_by_campaign_digest():
-    """The campaign digests cluster shapes through token(): any shape
-    change must flip the digest; an equal spec must not."""
-    from dataclasses import replace
-
-    from repro.experiments.campaign import experiment_config_digest
-    from repro.experiments.registry import get_experiment
-
-    exp = get_experiment("cryptmpi")
-    assert exp.cluster is not None
-    base = experiment_config_digest(exp)
-    assert experiment_config_digest(exp) == base
-    retagged = replace(exp, cluster=parse_cluster_spec("4x8"))
-    assert experiment_config_digest(retagged) != base

@@ -1,156 +1,101 @@
-"""Unit tests of the prediction engine's fit primitives, plus the
-calibration round-trip: fitting twice from the same anchors must give a
-byte-identical model, pinned against a committed golden digest."""
+"""The analytical predictor against fresh simulations, its refusals,
+and its answered fabric domain.
 
-import json
-import math
-from pathlib import Path
+The predictor evaluates the simulator's own cost model, so ping-pong
+predictions equal the simulated one-way time to rounding, for every
+sealing mode, chunk size and helper cap; serial multipair lands within
+2% of the simulated aggregate.
+"""
 
 import pytest
 
+from repro.encmpi.plan import CryptoPlan
 from repro.models.network import FabricSpec
 from repro.models.predict import (
-    GOLDEN_FIXTURE,
-    PairShareCurve,
-    PiecewiseAffine,
-    Segment,
-    _affine,
-    anchor_cells,
-    calibrate,
-    fit_monotone,
+    FABRICS,
+    MULTIPAIR_WINDOW,
+    explain_pingpong,
+    predict,
 )
+from repro.simmpi.faults import FaultPlan
+from repro.simmpi.resilience import ResiliencePolicy
+from repro.util.units import KiB, MiB
+from repro.workloads.multipair import multipair_aggregate_throughput
+from repro.workloads.pingpong import pingpong_oneway_time
 
-REPO = Path(__file__).resolve().parents[2]
+# ------------------------------------------------------------ exactness
 
+#: 1-16 B (where the calibrated one-way time falls as the size grows),
+#: the eager thresholds and the flow cutoff, every chunk size below,
+#: at and one byte past each chunk, up to 4 MiB
+SIZES = (1, 2, 3, 5, 8, 15, 16, 17, 1000, 2047, 2048, 8 * KiB, 16 * KiB,
+         16 * KiB + 1, 40 * KiB, 64 * KiB, 64 * KiB + 1, 100_000,
+         256 * KiB, 256 * KiB + 1, 700_000, MiB, 4 * MiB)
 
-# ---------------------------------------------------------------- _affine
-
-def test_affine_exact_line():
-    a, b = _affine([(0.0, 1.0), (2.0, 5.0)])
-    assert a == pytest.approx(1.0)
-    assert b == pytest.approx(2.0)
-
-
-def test_affine_single_point_is_flat():
-    assert _affine([(8.0, 3.0)]) == (3.0, 0.0)
-
-
-def test_affine_negative_slope_clamped():
-    # A decreasing point cloud must not fit a decreasing cost curve.
-    a, b = _affine([(1.0, 5.0), (2.0, 3.0), (3.0, 1.0)])
-    assert b == 0.0
-    assert a == pytest.approx(3.0)  # falls back to the mean
-
-
-# --------------------------------------------------------- PiecewiseAffine
-
-def test_piecewise_needs_a_segment():
-    with pytest.raises(ValueError):
-        PiecewiseAffine(())
+#: plain, serial, and cryptmpi over chunk size x helper cap
+MODES = [(None, None), ("boringssl", CryptoPlan(library="boringssl")),
+         ("cryptopp", CryptoPlan(library="cryptopp"))]
+MODE_IDS = ["plain", "serial-boringssl", "serial-cryptopp"]
+for chunk in (16 * KiB, 64 * KiB, 256 * KiB):
+    for cores in (None, 0, 2):
+        MODES.append(("libsodium", CryptoPlan(mode="cryptmpi",
+                                              chunk_bytes=chunk,
+                                              helper_cores=cores)))
+        MODE_IDS.append(f"cryptmpi-{chunk // KiB}k-cores{cores}")
 
 
-def test_piecewise_rejects_negative_size():
-    curve = PiecewiseAffine((Segment(hi=math.inf, a=1.0, b=0.0),))
-    with pytest.raises(ValueError):
-        curve(-1)
+@pytest.mark.parametrize("fabric", FABRICS)
+@pytest.mark.parametrize("lib,plan", MODES, ids=MODE_IDS)
+def test_pingpong_prediction_equals_simulation(fabric, lib, plan):
+    for size in SIZES:
+        sim = pingpong_oneway_time(size, network=fabric, library=lib,
+                                   iters=1, crypto=plan)
+        got = predict(library=lib, fabric=fabric, size=size,
+                      plan=plan).latency
+        assert got == pytest.approx(sim, rel=1e-9), (size, sim, got)
 
 
-def test_piecewise_floors_enforce_monotonicity():
-    # The second segment would dip below the first at its left edge;
-    # the running-max floor must hold the curve at the boundary value.
-    curve = PiecewiseAffine((
-        Segment(hi=100.0, a=0.0, b=1.0),   # reaches 100 at the knee
-        Segment(hi=math.inf, a=10.0, b=0.1),  # would answer 20 at 100
-    ))
-    assert curve(100.0) == pytest.approx(100.0)
-    assert curve(150.0) == pytest.approx(100.0)  # still floored
-    assert curve(1000.0) == pytest.approx(110.0)  # segment takes over
+def test_model_agrees_with_simulator():
+    """The paper's additive estimate is the simulated serial ping-pong
+    (§V-A: encryption + the sealed frame's communication + decryption)."""
+    for network in ("ethernet", "infiniband"):
+        for size in (256, 16 * KiB, 2 * MiB):
+            model = explain_pingpong(network, "libsodium", size).total_seconds
+            sim = pingpong_oneway_time(size, network=network, library="libsodium")
+            assert sim == pytest.approx(model, rel=1e-9), (network, size)
 
 
-def test_fit_monotone_is_nondecreasing():
-    pts = [(float(s), 1e-6 * s + 5e-5) for s in
-           (256, 1024, 4096, 16384, 65536, 262144)]
-    curve = fit_monotone(pts, knees=(1024.0, 16384.0))
-    sizes = [2 ** k for k in range(6, 22)]
-    values = [curve(s) for s in sizes]
-    assert values == sorted(values)
+@pytest.mark.parametrize("fabric", FABRICS)
+@pytest.mark.parametrize("lib", (None, "boringssl", "cryptopp"),
+                         ids=("plain", "boringssl", "cryptopp"))
+def test_multipair_prediction_within_two_percent(fabric, lib):
+    plan = CryptoPlan(library=lib) if lib else None
+    for size in (KiB, 8 * KiB, 64 * KiB, 2 * MiB):
+        for pairs in (2, 4, 7):
+            sim = multipair_aggregate_throughput(
+                size, pairs, network=fabric, library=lib,
+                window=MULTIPAIR_WINDOW, iters=2, crypto=plan)
+            got = predict(library=lib, fabric=fabric, size=size,
+                          pairs=pairs).goodput
+            assert got == pytest.approx(sim, rel=0.02), (size, pairs)
 
 
-def test_fit_monotone_rejects_empty():
-    with pytest.raises(ValueError):
-        fit_monotone([], knees=(1024.0,))
+# ------------------------------------------------------------- refusals
+
+def test_multipair_with_a_pipelined_plan_is_refused():
+    with pytest.raises(ValueError, match="pipelined plan .* helper cores"):
+        predict(library="cryptopp", fabric="infiniband", size=2 * MiB,
+                pairs=7, plan=CryptoPlan(mode="cryptmpi"))
 
 
-# ----------------------------------------------------------- PairShareCurve
-
-def test_pair_share_must_start_at_one():
-    with pytest.raises(ValueError):
-        PairShareCurve(((2, 0.9),))
-
-
-def test_pair_share_rejects_zero_pairs():
-    curve = PairShareCurve(((1, 1.0), (4, 0.5)))
-    with pytest.raises(ValueError):
-        curve.share(0)
+def test_multipair_with_faults_is_refused():
+    with pytest.raises(ValueError, match="multipair with faults"):
+        predict(library="boringssl", size=24 * KiB, pairs=4,
+                faults=FaultPlan(drop=0.14, seed=23),
+                resilience=ResiliencePolicy(max_retries=6, timeout=2e-4))
 
 
-def test_pair_share_nonincreasing_and_capped():
-    curve = PairShareCurve(((1, 1.0), (2, 0.8), (4, 0.5), (8, 0.25)))
-    shares = [curve.share(p) for p in range(1, 17)]
-    for lo, hi in zip(shares[1:], shares):
-        assert lo <= hi + 1e-12
-    # beyond the last anchor the aggregate is capped: p * f(p) constant
-    assert 12 * curve.share(12) == pytest.approx(8 * 0.25)
-
-
-# ------------------------------------------------------- chunk penalty interp
-
-def test_chunk_penalty_interpolation(prediction_model):
-    kib = 1024
-    pts = prediction_model.cryptmpi_penalty["ethernet"]
-    # at and below the reference chunk the surcharge vanishes
-    assert prediction_model._chunk_penalty("ethernet", 64 * kib) == (0.0, 0.0)
-    assert prediction_model._chunk_penalty("ethernet", 4 * kib) == (0.0, 0.0)
-    # at a fitted point the surcharge is the fitted value
-    c1, d0, d1 = pts[1]
-    assert prediction_model._chunk_penalty("ethernet", c1) == \
-        pytest.approx((d0, d1))
-    # halfway between two fitted points it is the midpoint
-    c0, a0, b0 = pts[0]
-    mid = (c0 + c1) // 2
-    got = prediction_model._chunk_penalty("ethernet", mid)
-    w = (mid - c0) / (c1 - c0)
-    assert got == pytest.approx((a0 + w * (d0 - a0), b0 + w * (d1 - b0)))
-    # beyond the last point extrapolation never goes negative
-    beyond = prediction_model._chunk_penalty("ethernet", 64 * 1024 * kib)
-    assert beyond[0] >= 0.0 and beyond[1] >= 0.0
-
-
-# --------------------------------------------------- calibration round-trip
-
-def test_calibration_round_trip_byte_identical(prediction_model):
-    # Re-fitting from the same anchor simulations must reproduce every
-    # coefficient exactly — token() is the full repr-precision dump.
-    again = calibrate(cache_dir="results/cache", force=True)
-    assert again.token() == prediction_model.token()
-    assert again.digest() == prediction_model.digest()
-
-
-def test_model_digest_matches_golden_fixture(prediction_model):
-    doc = json.loads((REPO / GOLDEN_FIXTURE).read_text())
-    assert prediction_model.anchor_count == doc["anchor_cells"]
-    assert prediction_model.digest() == doc["digest"]
-
-
-def test_anchor_cells_are_deterministic():
-    cells = anchor_cells()
-    assert len(cells) == len(anchor_cells())
-    assert [c.spec() for c in cells] == [c.spec() for c in anchor_cells()]
-    # fit cells and holdouts are disjoint roles
-    assert {c.role for c in cells} == {"fit", "holdout"}
-
-
-# ------------------------------------------------------- calibrated domain
+# ------------------------------------------------------- answered domain
 
 DOMAIN = "calibrated for the noise-free fabrics ethernet, infiniband"
 
@@ -161,12 +106,9 @@ DOMAIN = "calibrated for the noise-free fabrics ethernet, infiniband"
     (FabricSpec(base="ethernet"), "ethernet"),
     ("infiniband:seed=7", "infiniband"),
 ])
-def test_predict_answers_for_clean_calibrated_fabrics(prediction_model,
-                                                      fabric, base):
-    got = prediction_model.predict(library="openssl", fabric=fabric,
-                                   size=64 * 1024)
-    assert got == prediction_model.predict(library="openssl", fabric=base,
-                                           size=64 * 1024)
+def test_predict_answers_for_clean_calibrated_fabrics(fabric, base):
+    got = predict(library="openssl", fabric=fabric, size=64 * 1024)
+    assert got == predict(library="openssl", fabric=base, size=64 * 1024)
 
 
 @pytest.mark.parametrize("fabric, reason", [
@@ -176,9 +118,8 @@ def test_predict_answers_for_clean_calibrated_fabrics(prediction_model,
     ("wan", "model not calibrated for fabric 'wan'"),
     ("token-ring", "unknown fabric 'token-ring'"),
 ])
-def test_predict_refuses_fabrics_outside_the_calibrated_domain(
-        prediction_model, fabric, reason):
+def test_predict_refuses_fabrics_outside_the_calibrated_domain(fabric,
+                                                                reason):
     with pytest.raises(ValueError, match=reason) as info:
-        prediction_model.predict(library="openssl", fabric=fabric,
-                                 size=64 * 1024)
+        predict(library="openssl", fabric=fabric, size=64 * 1024)
     assert DOMAIN in str(info.value)
