@@ -7,7 +7,7 @@ PYTHON ?= python
 CHECK_DIR := .check
 # what check-artifacts regenerates sanitized and check-campaign-cache
 # re-runs warm
-CHECK_SELECTION := not-slow scale
+CHECK_SELECTION := not-slow
 
 .PHONY: install check lint verify check-artifacts \
 	check-artifacts-all test test-fast test-all bench bench-baseline \
@@ -39,12 +39,13 @@ verify:
 	$(PYTHON) -m repro.analysis verify --baseline lint-baseline.json
 
 # The committed results/ are the reproduction's record, and this is its
-# gate.  It regenerates the not-slow tier plus scale with the runtime
-# sanitizer armed in every job (deadlock diagnosis, leaked-request
-# tracking, nonce-reuse checks), then the fast tier, cryptmpi (chunk
-# pipeline on helper cores) and resilience (seeded faults with
-# ack/retransmit) on the thread runtime, and byte-compares every
-# regenerated .txt/.json with its committed file.  Virtual time is
+# gate.  It regenerates the not-slow tier with the runtime sanitizer
+# armed in every job (deadlock diagnosis, leaked-request tracking,
+# nonce-reuse checks), then the fast tier, cryptmpi (chunk pipeline on
+# helper cores) and resilience (seeded faults with ack/retransmit) on
+# the thread runtime, and byte-compares every regenerated .txt/.json
+# with its committed file.  (scale, in the fast tier, evaluates a
+# closed form and starts no ranks on either pass.)  Virtual time is
 # deterministic and depends neither on the sanitizer nor on how rank
 # programs are scheduled, so any difference is drift: a regression, or
 # an intended change that must re-commit the artifact and say why.

@@ -18,7 +18,6 @@ from repro.analysis.astutils import (
     call_name,
     int_literals_in,
     is_rank_conditional,
-    keyword_arg,
     tag_args,
 )
 from repro.analysis.findings import rule
@@ -189,35 +188,3 @@ def check_rank_dependent_collective(mod: ModuleContext):
             yield (site, f"collective {name}() runs on only a subset of "
                          f"ranks (rank-dependent branch at line "
                          f"{node.lineno})")
-
-
-#: SecurityConfig keywords removed in favour of CryptoPlan fields
-_REMOVED_SECURITY_KWARGS = ("crypto_mode",)
-
-
-@rule(
-    "MPI005",
-    "removed crypto spelling",
-    severity="error",
-    summary="a SecurityConfig is constructed with the removed "
-            "crypto_mode= keyword, which raises TypeError when the "
-            "module runs; the rule reports it before any job starts",
-    hint="pass crypto=CryptoPlan(bytework=...) (see repro.encmpi.plan; "
-         "'real'/'modeled' is the plan's bytework field, read back as "
-         "config.crypto_mode)",
-    grounding="the CryptoPlan facade makes the pipelining discipline a "
-              "single frozen value that cache keys and campaign "
-              "defaults can reason about; one spelling per setting",
-)
-def check_removed_crypto_mode(mod: ModuleContext):
-    # module-wide walk: configs are typically built at module level
-    # (e.g. a _SECURITY constant), not only inside rank programs
-    for node in ast.walk(mod.tree):
-        if not isinstance(node, ast.Call) or \
-                call_name(node) != "SecurityConfig":
-            continue
-        for kw_name in _REMOVED_SECURITY_KWARGS:
-            if keyword_arg(node, kw_name) is not None:
-                yield (node, f"SecurityConfig({kw_name}=...) uses a "
-                             "removed keyword (TypeError); build a "
-                             "CryptoPlan instead")

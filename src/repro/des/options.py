@@ -14,7 +14,7 @@ one frozen value instead of loose keywords, exactly like
   functions are rejected), or ``"threads"`` (everything on OS threads,
   generators interpreted by :func:`repro.des.process.run_blocking`);
 - ``max_ranks`` — ceiling on ranks one job may spawn (default 4096,
-  the ``scale`` experiment's top point);
+  64 times the paper's testbed);
 - ``handoff_check`` — cheap per-wake invariant checks in the
   scheduler (off by default; parity/debug runs turn it on).
 
@@ -33,7 +33,7 @@ from repro.defaults import current_defaults
 from repro.des.process import RUNTIMES
 from repro.util.specs import INT, ON_OFF, Grammar, Spec, choice
 
-#: ceiling the scale experiment needs; anything above it is almost
+#: 64 times the paper's 64-rank testbed; anything above it is almost
 #: certainly an accidental unit error in a rank count
 DEFAULT_MAX_RANKS = 4096
 

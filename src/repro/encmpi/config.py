@@ -21,8 +21,8 @@ class SecurityConfig:
 
     How traffic is sealed is a :class:`~repro.encmpi.plan.CryptoPlan`
     passed as ``crypto=``; after construction ``config.crypto`` is
-    always a resolved plan and ``config.library``/``config.crypto_mode``
-    read its ``library``/``bytework`` fields.
+    always a resolved plan and ``config.library`` reads its ``library``
+    field.
     """
 
     library: str = "boringssl"
@@ -80,11 +80,6 @@ class SecurityConfig:
                 "replay protection requires nonce_strategy='counter' "
                 "(random nonces carry no sequence counter)"
             )
-
-    @property
-    def crypto_mode(self) -> str:
-        """How payload bytes are processed: the plan's bytework."""
-        return self.crypto.bytework
 
     def _resolve_plan(self) -> CryptoPlan:
         """One CryptoPlan from the crypto=/library= pair."""

@@ -15,31 +15,22 @@ already on the wire.  Its send and receive paths are generators, like
 every other blocking operation, so cryptmpi plans run on either rank
 runtime.
 
-:func:`plan_pipeline` is the static counterpart: the wave arithmetic
-
-    ceil(nchunks / ncores) waves x per-chunk cost
-
-of :func:`repro.models.cpu.pipeline_waves`.  The analytical predictor
-(:mod:`repro.models.predict`) follows the schedule itself instead:
-chunk i's seal waits for chunk i - cap's, on the helpers.
+Its closed form is the analytical predictor's
+(:func:`repro.models.predict.predict` with a cryptmpi plan), which
+follows this schedule chunk by chunk: chunk i's seal waits for chunk
+i - cap's on the helpers, and the chunk flows share the pair's stream
+capacity.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from repro.crypto.aead import NONCE_SIZE, WIRE_OVERHEAD
 from repro.crypto.errors import AuthenticationError
 from repro.des.process import blocking
 from repro.encmpi.replay import ReplayError
-from repro.models.cpu import pipeline_waves
-from repro.models.cryptolib import CryptoLibraryProfile
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
 from repro.simmpi.request import Status
 
-
-DEFAULT_CHUNK = 256 * 1024
 
 #: Per-chunk framing header of the cryptmpi wire protocol:
 #: ``u32 seq || u32 total_chunks || u32 chunk_index`` — authenticated
@@ -56,50 +47,6 @@ HEADER_SIZE = 12
 #: Internal tag space of sibling chunk frames — far above the
 #: collective phase tags (which grow upward from MAX_USER_TAG).
 CHUNK_TAG_BASE = 1 << 40
-
-
-@dataclass(frozen=True)
-class PipelinePlan:
-    """The schedule for one pipelined operation."""
-
-    size: int
-    chunk_bytes: int
-    cores: int
-    nchunks: int
-    waves: int
-    serial_time: float
-    parallel_time: float
-
-    @property
-    def speedup(self) -> float:
-        if self.parallel_time == 0:
-            return 1.0
-        return self.serial_time / self.parallel_time
-
-
-def plan_pipeline(
-    profile: CryptoLibraryProfile,
-    size: int,
-    cores: int,
-    chunk_bytes: int = DEFAULT_CHUNK,
-) -> PipelinePlan:
-    """Compute the chunked-parallel schedule for encrypting *size* bytes."""
-    if size < 0:
-        raise ValueError(f"negative size {size}")
-    if cores < 1:
-        raise ValueError(f"cores must be >= 1, got {cores}")
-    if chunk_bytes < 1:
-        raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-    serial = profile.encrypt_time(size)
-    if size <= chunk_bytes or cores == 1:
-        return PipelinePlan(size, chunk_bytes, cores, 1, 1, serial, serial)
-    nchunks = math.ceil(size / chunk_bytes)
-    waves = pipeline_waves(nchunks, cores)
-    # Every chunk pays the per-call framing overhead; the last chunk may
-    # be short but scheduling is dominated by the full chunks.
-    per_chunk = profile.encrypt_time(min(chunk_bytes, size))
-    parallel = waves * per_chunk
-    return PipelinePlan(size, chunk_bytes, cores, nchunks, waves, serial, parallel)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ over :class:`~repro.encmpi.config.SecurityConfig`:
 - ``chunk_bytes`` / ``helper_cores`` — the cryptmpi pipeline geometry
   (``helper_cores=None`` uses every idle helper on the node);
 - ``bytework`` — ``"real"`` performs the AEAD byte work, ``"modeled"``
-  charges only virtual time (``SecurityConfig.crypto_mode`` reads it).
+  charges only virtual time.
 
 ``parse_crypto_plan("cryptmpi:chunk=256k,cores=3")`` is the string
 form, in the shared spec grammar of :mod:`repro.util.specs`.
@@ -37,8 +37,7 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 
 CRYPTO_PLAN_MODES = ("serial", "cryptmpi")
 
-#: How payload bytes are processed (read back as
-#: ``SecurityConfig.crypto_mode``):
+#: How payload bytes are processed:
 #: - "real": every message is genuinely sealed/opened with AES-GCM
 #:   (tamper detection included) by the fastest available backend —
 #:   wall-clock cost proportional to traffic;

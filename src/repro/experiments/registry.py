@@ -89,9 +89,9 @@ def _reg() -> dict[str, Experiment]:
         Experiment(
             "scale",
             "§V ext.",
-            "Encrypted_Alltoall to 4096 ranks, fluid model, coroutines",
+            "Encrypted_Alltoall to 4096 ranks, fluid model",
             scale,
-            "slow",
+            "fast",
         ),
         Experiment(
             "hostile",

@@ -2,31 +2,24 @@
 
 The paper's testbed stops at 64 ranks / 8 nodes.  This experiment
 extends the Encrypted_Alltoall latency curve to 4096 ranks / 1024
-nodes per crypto backend, serial vs cryptmpi plan, using the fluid
-collective model (:mod:`repro.simmpi.collectives.fluid`) on the
-coroutine rank runtime — the regime the ``EngineOptions`` redesign
-exists for.  4096 OS threads is not a thing this simulator (or MPICH)
-would survive; 4096 generator coroutines are a list.
+nodes per crypto backend, serial vs cryptmpi plan, by evaluating the
+fluid collective model (:mod:`repro.models.fluid`) at each point.
+Nothing is simulated: the 36 points are closed-form arithmetic.
 
 Fidelity note: the fluid model is closed-form over the same calibrated
 network and crypto-profile curves as the message-level simulator, so
 the *shape* of the curves (crypto-bound at low rank density, wire- and
 message-rate-bound as N² traffic grows) is what this artifact pins —
-not packet-exact latencies.  Every rank of the symmetric collective
-sees identical phases, which the runner asserts: job makespan ==
-per-rank total.
+not packet-exact latencies.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.des.options import EngineOptions
 from repro.experiments.report import Artifact
 from repro.models.cpu import parse_cluster_spec
 from repro.models.cryptolib import PROFILED_LIBRARIES, profile_for_network
-from repro.simmpi.collectives.fluid import fluid_alltoall_phases, fluid_alltoall_program
-from repro.simmpi.world import run_program
+from repro.models.fluid import fluid_alltoall_phases
+from repro.models.network import get_network
 from repro.util.tables import Figure
 from repro.util.units import KiB
 
@@ -44,40 +37,18 @@ MSG_BYTES = 16 * KiB
 
 def _measure(nranks: int, network: str, library: str | None,
              pipelined: bool) -> float:
-    """One fluid Encrypted_Alltoall job; returns latency in seconds."""
+    """One fluid Encrypted_Alltoall; returns its latency in seconds."""
     profile = None
     if library is not None:
         profile = profile_for_network(library, network)
-    phases = fluid_alltoall_phases(
+    return fluid_alltoall_phases(
         nranks,
         MSG_BYTES,
         cluster=SCALE_CLUSTER,
-        network=_network_model(network),
+        network=get_network(network),
         profile=profile,
         pipelined=pipelined,
-    )
-    result = run_program(
-        nranks,
-        fluid_alltoall_program(phases),
-        network=network,
-        cluster=SCALE_CLUSTER,
-        engine=EngineOptions(runtime="coroutines", max_ranks=max(RANK_POINTS)),
-    )
-    # the collective is symmetric: every rank must report the same
-    # total, and the job makespan must equal it
-    if any(not math.isclose(r, result.duration, rel_tol=1e-12)
-           for r in result.results):
-        raise AssertionError(
-            f"fluid alltoall ranks disagree at n={nranks}: "
-            f"{sorted(set(result.results))[:3]} vs makespan {result.duration}"
-        )
-    return result.duration
-
-
-def _network_model(network: str):
-    from repro.models.network import get_network
-
-    return get_network(network)
+    ).total_seconds
 
 
 def scale(network: str = "ethernet") -> Artifact:
@@ -97,8 +68,9 @@ def scale(network: str = "ethernet") -> Artifact:
             )
     art = Artifact("scale", title, fig)
     art.notes.append(
-        "fluid (closed-form) collective model on the coroutine runtime; "
-        "curve shape, not packet-exact latency — the message-level "
-        "simulator covers the <=64-rank points of tables III/VII"
+        "fluid (closed-form) collective model, evaluated without "
+        "simulation; curve shape, not packet-exact latency — the "
+        "message-level simulator covers the <=64-rank points of "
+        "tables III/VII"
     )
     return art

@@ -10,6 +10,8 @@ figures, tables, and inline numbers — becomes model input:
 - :mod:`repro.models.network` — extended-Hockney models of the two
   fabrics, calibrated against the unencrypted baselines,
 - :mod:`repro.models.cpu` — node/core model of the testbed,
+- :mod:`repro.models.fluid` — the closed-form alltoall model of the
+  ``scale`` experiment, past the testbed's 64 ranks,
 - :mod:`repro.models.calibration` — the digitized data itself, with
   provenance notes tying every anchor to a sentence or cell in the
   paper,

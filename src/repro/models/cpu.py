@@ -18,12 +18,10 @@ if TYPE_CHECKING:
 def pipeline_waves(nchunks: int, cores: int) -> int:
     """Waves of the chunked-crypto pipeline: ``ceil(nchunks / cores)``.
 
-    The *one* wave formula shared by the static pipeline planner
-    (:func:`repro.encmpi.pipeline.plan_pipeline`) and the fluid
-    collectives (:mod:`repro.simmpi.collectives.fluid`), pinned by
-    ``tests/models/test_cpu.py::test_wave_formula_shared``.  ``cores``
-    is the number of cores concurrently sealing/opening chunks; with
-    one core every chunk is its own wave.
+    The fluid alltoall model (:mod:`repro.models.fluid`) counts its
+    cryptmpi seal and open waves with it.  ``cores`` is the number of
+    cores concurrently sealing/opening chunks; with one core every
+    chunk is its own wave.
     """
     if nchunks < 1:
         raise ValueError(f"nchunks must be >= 1, got {nchunks}")
@@ -90,28 +88,6 @@ class ClusterSpec:
         if placement == "roundrobin":
             return rank % self.nodes
         raise ValueError(f"unknown placement {placement!r}")
-
-    def ranks_on_node(self, node: int, nranks: int, placement: str = "block") -> list[int]:
-        return [
-            r for r in range(nranks) if self.node_of(r, nranks, placement) == node
-        ]
-
-    def core_allocator(
-        self,
-        scheduler: "Scheduler",
-        node: int,
-        nranks: int,
-        placement: str = "block",
-        recorder=None,
-    ) -> "CoreAllocator":
-        """Build the schedulable helper-core pool for one node."""
-        return CoreAllocator(
-            scheduler,
-            node,
-            self.cores_per_node,
-            resident_ranks=len(self.ranks_on_node(node, nranks, placement)),
-            recorder=recorder,
-        )
 
 
 class CoreAllocator:

@@ -18,14 +18,14 @@ Nothing is simulated and nothing is fitted:
   receiver's helpers, in one pass over the chunks;
 - **serial multipair** — each sender injects one message per step, a
   pair's flows share its slice of the NIC, the receiver opens in order;
-- **faults** (ping-pong only) — the expected retransmission time
-  ``sum_k loss^k * (retry_delay(k) + resend)``.
+- **faults** (serial ping-pong only) — the expected retransmission
+  time ``sum_k loss^k * (retry_delay(k) + resend)``.
 
 Ping-pong answers equal the simulator's; multipair answers land within
-2% of it.  Multipair queries with a pipelined plan or with faults are
-refused.  The ``predict`` registry experiment
-(:mod:`repro.experiments.predict`) holds every family to these claims
-against fresh simulations.
+2% of it.  Multipair queries with a pipelined plan or with faults, and
+pipelined queries with faults, are refused.  The ``predict`` registry
+experiment (:mod:`repro.experiments.predict`) holds every family to
+these claims against fresh simulations.
 """
 
 from __future__ import annotations
@@ -372,9 +372,7 @@ def _retry_overhead(net: NetworkModel, profile: CryptoLibraryProfile | None,
     an eager message, one latency for a rendezvous RTS.  A corrupted
     sealed frame costs, on top, what the NACK path charges: the open
     that failed, the NACK's latency, the re-seal, and the receive
-    overhead of the copy.  A pipelined message is charged like its
-    serial frame, one envelope: its chunks' retries overlap the
-    pipeline, and no grid cell checks that case.
+    overhead of the copy.
     """
     # plain MPI silently accepts corruption (no retransmit); encrypted
     # MPI NACKs it, so corruption costs a resend too
@@ -455,9 +453,10 @@ def predict(
 
     Refused with a ValueError naming the cause: multipair with a
     pipelined plan (the pairs then share the node's helper cores, which
-    the model does not schedule) and multipair with faults (the
-    simulated pairs desynchronize under loss, so there is no aggregate
-    to validate against).
+    the model does not schedule), multipair with faults (the simulated
+    pairs desynchronize under loss, so there is no aggregate to
+    validate against) and a pipelined plan with faults (each chunk is
+    retransmitted on its own, which the retry sum does not follow).
     """
     net = _answered_fabric(fabric)
     if size < 1:
@@ -484,6 +483,12 @@ def predict(
             "multipair with faults is not modeled: under loss the "
             "pairs' timed windows desynchronize, so the simulated "
             "aggregate is no reference; use pairs=1"
+        )
+    if pipelined and faults is not None:
+        raise ValueError(
+            "faults with a pipelined plan are not modeled: every chunk "
+            "is its own envelope with its own retransmissions, which "
+            "the one-envelope retry sum undercounts; use a serial plan"
         )
     profile = None if library is None else profile_for_network(library,
                                                                net.name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from typing import Any
@@ -52,6 +53,9 @@ class ClusterRuntime:
     def __post_init__(self) -> None:
         self.spec.validate_ranks(self.nranks)
         self.flownet = FlowNetwork(self.scheduler)
+        placed = [self.spec.node_of(r, self.nranks, self.placement)
+                  for r in range(self.nranks)]
+        residents = Counter(placed)
         self.nodes = [
             Node(
                 index=i,
@@ -59,16 +63,12 @@ class ClusterRuntime:
                 ingress=Capacity(f"node{i}.ingress", self.network.nic_capacity),
                 nic_engine=Resource(self.scheduler, 1, f"node{i}.nic"),
                 cores=Resource(self.scheduler, self.spec.cores_per_node, f"node{i}.cores"),
-                alloc=self.spec.core_allocator(
-                    self.scheduler, i, self.nranks, self.placement, self.recorder
-                ),
+                alloc=CoreAllocator(self.scheduler, i, self.spec.cores_per_node,
+                                    residents[i], recorder=self.recorder),
             )
             for i in range(self.spec.nodes)
         ]
-        self.rank_nodes = tuple(
-            self.nodes[self.spec.node_of(r, self.nranks, self.placement)]
-            for r in range(self.nranks)
-        )
+        self.rank_nodes = tuple(self.nodes[i] for i in placed)
 
     def node_of(self, rank: int) -> Node:
         if not 0 <= rank < self.nranks:

@@ -145,8 +145,8 @@ def run_program(
     for the process default of :mod:`repro.defaults`) picks the rank
     runtime: under
     ``"coroutines"`` generator programs are stepped directly in the
-    engine context (no thread handoffs — this is what lets the scale
-    experiment reach 4096 ranks); ``"threads"`` runs every rank on
+    engine context (no thread handoffs, so a job can hold 4096
+    ranks); ``"threads"`` runs every rank on
     its own OS thread (what plain blocking functions need); ``"auto"``
     (default) chooses coroutines exactly when *program* is a generator
     function.  Both runtimes produce byte-identical schedules.

@@ -166,36 +166,6 @@ def test_mpi004_matched_in_both_branches_clean():
     """) == []
 
 
-# ---------------------------------------------------------------- MPI005
-
-def test_mpi005_deprecated_crypto_mode_fires():
-    assert ids("""
-        from repro.encmpi import SecurityConfig
-
-        CFG = SecurityConfig(library="openssl", crypto_mode="modeled")
-    """) == ["MPI005"]
-
-
-def test_mpi005_fires_inside_rank_scope_too():
-    assert ids("""
-        from repro.encmpi import EncryptedComm, SecurityConfig
-
-        def step(ctx):
-            enc = EncryptedComm(ctx, SecurityConfig(crypto_mode="real"))
-    """) == ["MPI005"]
-
-
-def test_mpi005_typed_plan_is_clean():
-    assert ids("""
-        from repro.encmpi import CryptoPlan, SecurityConfig
-
-        CFG = SecurityConfig(
-            library="openssl",
-            crypto=CryptoPlan(mode="cryptmpi", bytework="modeled"),
-        )
-    """) == []
-
-
 # ---------------------------------------------------------------- DET001
 
 def test_det001_wall_clock_fires():
@@ -451,7 +421,7 @@ def test_every_rule_has_a_fixture_here():
     # module-scope (linter) rules are exercised in this file; the
     # program-scope verifier rules have their fixtures in
     # test_dataflow.py / test_taint.py
-    covered = {"MPI001", "MPI002", "MPI003", "MPI004", "MPI005",
+    covered = {"MPI001", "MPI002", "MPI003", "MPI004",
                "DET001", "DET002", "DET003", "DET004",
                "CRY001", "CRY002", "CRY003"}
     verifier = {"MPI101", "MPI102", "MPI103", "MPI104", "MPI105",

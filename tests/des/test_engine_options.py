@@ -18,6 +18,7 @@ from repro.des.options import (
     resolve_engine_options,
 )
 from repro.des.process import RUNTIMES
+from repro.models.cpu import parse_cluster_spec
 
 
 def test_api_reexports_the_engine_surface():
@@ -138,3 +139,18 @@ def test_run_options_rejects_non_engine_values():
 
 def _two_rank_noop(ctx):
     yield from ctx.comm.co_barrier()
+
+
+def _co_rank(ctx):
+    yield from ctx.co_compute(1e-6)
+    return ctx.rank
+
+
+def test_a_job_at_the_default_rank_ceiling_runs():
+    # 4096 ranks on 1024 eight-core nodes, each rank placed once at job
+    # setup; coroutines pinned, since the thread runtime would start
+    # one OS thread per rank
+    res = api.run_job(_co_rank, nranks=DEFAULT_MAX_RANKS,
+                      cluster=parse_cluster_spec("1024x8"),
+                      engine=EngineOptions(runtime="coroutines"))
+    assert res.results == list(range(DEFAULT_MAX_RANKS))

@@ -1,5 +1,5 @@
-"""Tests for the future-work extensions: key exchange, replay
-protection, pipelined encryption."""
+"""Tests for the future-work extensions: key exchange and replay
+protection."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.encmpi import EncryptedComm, SecurityConfig
 from repro.encmpi.keyexchange import establish_session_key
-from repro.encmpi.pipeline import plan_pipeline
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
-from repro.models.cryptolib import get_profile
 from repro.simmpi import run_program
-from repro.util.units import MiB
 
 
 # ---- key exchange -----------------------------------------------------------
@@ -249,33 +246,3 @@ def test_encrypted_comm_replay_guards_are_per_source():
 
     res = run_program(3, prog, cluster=TWO_NODE_CLUSTER).results
     assert res[2] == (b"\x00" * 8, b"\x01" * 8)
-
-
-# ---- pipelined encryption ----------------------------------------------------------
-
-
-def test_plan_serial_when_single_core_or_small():
-    p = get_profile("boringssl")
-    plan = plan_pipeline(p, 1 * MiB, cores=1)
-    assert plan.parallel_time == plan.serial_time
-    small = plan_pipeline(p, 1024, cores=8)
-    assert small.waves == 1
-
-
-def test_plan_speedup_scales_with_cores():
-    p = get_profile("boringssl")
-    t1 = plan_pipeline(p, 8 * MiB, cores=1).parallel_time
-    t4 = plan_pipeline(p, 8 * MiB, cores=4).parallel_time
-    t8 = plan_pipeline(p, 8 * MiB, cores=8).parallel_time
-    assert t8 < t4 < t1
-    assert plan_pipeline(p, 8 * MiB, cores=8).speedup > 4
-
-
-def test_plan_validation():
-    p = get_profile("boringssl")
-    with pytest.raises(ValueError):
-        plan_pipeline(p, -1, 2)
-    with pytest.raises(ValueError):
-        plan_pipeline(p, 100, 0)
-    with pytest.raises(ValueError):
-        plan_pipeline(p, 100, 2, chunk_bytes=0)

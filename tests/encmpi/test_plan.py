@@ -2,9 +2,8 @@
 process-wide default, and how SecurityConfig reads the plan.
 
 The frozen typed plan is the one spelling of the crypto discipline:
-``SecurityConfig.crypto_mode`` reads the plan's bytework, the old
-``crypto_mode=`` keyword is gone, and conflicting combinations are
-errors, not silent precedence.
+the old ``crypto_mode=`` keyword is gone, and conflicting combinations
+are errors, not silent precedence.
 """
 
 import pytest
@@ -100,15 +99,6 @@ def test_set_default_plan_returns_previous_and_typechecks():
         with job_defaults(crypto="cryptmpi"):
             pass
     assert current_defaults().crypto is None
-
-
-def test_crypto_mode_reads_the_plans_bytework():
-    cfg = SecurityConfig(crypto=CryptoPlan(library="openssl",
-                                           bytework="modeled"))
-    assert cfg.crypto_mode == "modeled"
-    assert SecurityConfig().crypto_mode == "real"
-    with pytest.raises(AttributeError):
-        cfg.crypto_mode = "real"
 
 
 def test_conflicting_bytework_spellings_are_an_error():

@@ -83,3 +83,10 @@ def test_cli_predict_faults_without_resilience(capsys):
     assert main(["predict", "4KB", "--library", "openssl",
                  "--faults", "drop=0.1"]) == 2
     assert "bad prediction query" in capsys.readouterr().err
+
+
+def test_cli_predict_pipelined_plan_with_faults(capsys):
+    assert main(["predict", "512KB", "--library", "boringssl",
+                 "--crypto", "cryptmpi:chunk=64k", "--faults", "drop=0.1",
+                 "--resilience", "max_retries=6,timeout=2e-4"]) == 2
+    assert "faults with a pipelined plan" in capsys.readouterr().err

@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.crypto.aead import get_aead
-from repro.encmpi.pipeline import plan_pipeline
-from repro.models.cryptolib import get_profile
+from repro.encmpi.plan import CryptoPlan
+from repro.models.predict import predict
 from repro.util.units import KiB, MiB
 from repro.workloads.pingpong import pingpong_oneway_time
 
@@ -63,19 +63,26 @@ def test_ablation_nonce_strategy():
 
 
 def test_ablation_pipeline_chunk_size():
-    """§V-C remedy: sweep the encryption chunk size on 8 cores.  Too
-    large -> no parallelism; too small -> framing overhead; the sweet
-    spot sits in between."""
-    profile = get_profile("boringssl", "mvapich")
-    plans = {
-        chunk: plan_pipeline(profile, 4 * MiB, cores=8, chunk_bytes=chunk)
-        for chunk in (4 * MiB, 1 * MiB, 256 * KiB, 64 * KiB, 4 * KiB)
+    """§V-C remedy: sweep the encryption chunk size of a 4 MiB cryptmpi
+    ping-pong on InfiniBand between 8-core nodes, with the exact
+    predictor.  Too large -> no parallelism; too small -> per-chunk
+    overhead; the sweet spot sits in between."""
+    def oneway(plan):
+        return predict(library="boringssl", fabric="infiniband",
+                       size=4 * MiB, plan=plan).latency
+
+    serial = oneway(CryptoPlan(library="boringssl"))
+    times = {
+        chunk: oneway(CryptoPlan(library="boringssl", mode="cryptmpi",
+                                 chunk_bytes=chunk))
+        for chunk in (4 * MiB, 1 * MiB, 256 * KiB, 64 * KiB, 16 * KiB)
     }
-    assert plans[4 * MiB].speedup == pytest.approx(1.0)
-    best = min(p.parallel_time for p in plans.values())
-    assert plans[256 * KiB].parallel_time == pytest.approx(best, rel=0.35)
-    # Tiny chunks pay per-call framing: slower than the sweet spot.
-    assert plans[4 * KiB].parallel_time > plans[256 * KiB].parallel_time
+    # One chunk seals on one core: no faster than the serial plan.
+    assert times[4 * MiB] == pytest.approx(serial, rel=1e-3)
+    assert min(times, key=times.get) == 64 * KiB
+    assert times[64 * KiB] < serial / 3
+    # Tiny chunks pay per-chunk overhead: slower than the sweet spot.
+    assert times[16 * KiB] > 1.1 * times[64 * KiB]
 
 
 def test_ablation_collective_algorithm_thresholds(monkeypatch):

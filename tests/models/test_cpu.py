@@ -1,9 +1,8 @@
-"""Cluster shape / rank placement tests, plus the shared wave formula."""
-
-import math
+"""Cluster shape / rank placement tests, plus the wave formula."""
 
 import pytest
 
+from repro.des.process import Scheduler
 from repro.models.cpu import (
     PAPER_CLUSTER,
     TWO_NODE_CLUSTER,
@@ -11,6 +10,8 @@ from repro.models.cpu import (
     parse_cluster_spec,
     pipeline_waves,
 )
+from repro.models.network import ethernet_10g
+from repro.simmpi.topology import ClusterRuntime
 
 
 def test_paper_cluster_shape():
@@ -51,9 +52,25 @@ def test_roundrobin_placement():
     assert nodes == [r % 8 for r in range(16)]
 
 
-def test_ranks_on_node():
-    assert PAPER_CLUSTER.ranks_on_node(1, 64) == list(range(8, 16))
-    assert TWO_NODE_CLUSTER.ranks_on_node(1, 2) == [1]
+def test_runtime_core_allocators_follow_the_placement():
+    # ClusterRuntime places each rank once; every node's allocator
+    # holds one resident core per rank placed there, the rest helpers
+    cases = [
+        (PAPER_CLUSTER, 64, "block", [8] * 8),
+        (ClusterSpec(nodes=3, cores_per_node=4), 7, "block", [3, 2, 2]),
+        (PAPER_CLUSTER, 4, "block", [1, 1, 1, 1, 0, 0, 0, 0]),
+        (PAPER_CLUSTER, 16, "roundrobin", [2] * 8),
+    ]
+    for spec, nranks, placement, residents in cases:
+        runtime = ClusterRuntime(Scheduler(), spec, ethernet_10g(), nranks,
+                                 placement=placement)
+        placed = [spec.node_of(r, nranks, placement) for r in range(nranks)]
+        assert [placed.count(i) for i in range(spec.nodes)] == residents
+        assert [node.alloc.resident_ranks for node in runtime.nodes] \
+            == residents
+        assert [node.alloc.helpers for node in runtime.nodes] \
+            == [spec.cores_per_node - n for n in residents]
+        assert [runtime.node_of(r).index for r in range(nranks)] == placed
 
 
 def test_oversubscription_rejected():
@@ -85,31 +102,6 @@ def test_pipeline_waves_rejects_bad_args():
         pipeline_waves(0, 4)
     with pytest.raises(ValueError):
         pipeline_waves(4, 0)
-
-
-def test_wave_formula_shared():
-    # The pipeline planner (repro.encmpi.pipeline.plan_pipeline) and the
-    # fluid collectives (repro.simmpi.collectives.fluid) both count
-    # waves through pipeline_waves; this pins the planner to it: its
-    # wave count equals the shared formula for every geometry it
-    # pipelines, and degenerates to one wave exactly when it refuses
-    # to pipeline (one core, or nothing to chunk).
-    from repro.encmpi.pipeline import plan_pipeline
-    from repro.models.cryptolib import get_profile
-
-    profile = get_profile("boringssl")
-    kib = 1024
-    for size in (4 * kib, 64 * kib, 100 * kib, 256 * kib, 1024 * kib,
-                 1024 * kib + 1, 4096 * kib):
-        for cores in (1, 2, 3, 7, 8):
-            for chunk in (64 * kib, 128 * kib, 256 * kib):
-                plan = plan_pipeline(profile, size, cores, chunk_bytes=chunk)
-                if size > chunk and cores > 1:
-                    nchunks = math.ceil(size / chunk)
-                    assert plan.nchunks == nchunks
-                    assert plan.waves == pipeline_waves(nchunks, cores)
-                else:
-                    assert plan.waves == 1
 
 
 # ------------------------------------------------------- parse_cluster_spec

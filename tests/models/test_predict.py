@@ -95,6 +95,16 @@ def test_multipair_with_faults_is_refused():
                 resilience=ResiliencePolicy(max_retries=6, timeout=2e-4))
 
 
+def test_pipelined_plan_with_faults_is_refused():
+    # each chunk retransmits on its own: at 512 KiB in 64 KiB chunks,
+    # 10 % drop adds 100-120 us in the simulator, 25 us in the retry sum
+    with pytest.raises(ValueError, match="faults with a pipelined plan"):
+        predict(library="boringssl", fabric="infiniband", size=512 * KiB,
+                plan=CryptoPlan(mode="cryptmpi", chunk_bytes=64 * KiB),
+                faults=FaultPlan(drop=0.1, seed=1),
+                resilience=ResiliencePolicy(max_retries=6, timeout=2e-4))
+
+
 # ------------------------------------------------------- answered domain
 
 DOMAIN = "calibrated for the noise-free fabrics ethernet, infiniband"

@@ -3,7 +3,8 @@
 The model must behave like the machine it summarizes, for every
 profiled backend and sealing mode on both fabrics:
 
-- latency never decreases as the injected fault rate grows;
+- latency never decreases as the injected fault rate grows (a
+  pipelined plan under faults is refused instead);
 - on a shared NIC, per-pair goodput never increases as pairs are added.
 
 ``pairs == 1`` answers the solitary ping-pong benchmark and
@@ -51,12 +52,14 @@ def test_latency_nondecreasing_in_fault_rate(fabric, lib, plan):
         for rate in rates:
             faults = FaultPlan(drop=rate) if rate else None
             resilience = POLICY if rate else None
-            latencies.append(
-                predict(
-                    library=lib, fabric=fabric, size=size, plan=plan,
-                    faults=faults, resilience=resilience,
-                ).latency
-            )
+            query = dict(library=lib, fabric=fabric, size=size, plan=plan,
+                         faults=faults, resilience=resilience)
+            if faults is not None and plan is not None and plan.pipelined:
+                # a pipelined plan under faults is refused, not answered
+                with pytest.raises(ValueError, match="pipelined plan"):
+                    predict(**query)
+                continue
+            latencies.append(predict(**query).latency)
         for lo, hi in zip(latencies, latencies[1:]):
             assert hi >= lo * (1.0 - 1e-12)
 
