@@ -428,28 +428,30 @@ class EncryptedComm:
 
     allgather = blocking(co_allgather)
 
-    def co_alltoall(self, chunks: Sequence[bytes]):
-        """Encrypted_Alltoall, exactly Algorithm 1: encrypt every chunk
-        with a fresh nonce, exchange, decrypt every received chunk."""
+    def _co_sealed_exchange(self, chunks: Sequence[bytes], co_exchange):
+        """Algorithm 1 around the plain exchange *co_exchange*: encrypt
+        every chunk with a fresh nonce, exchange, decrypt every received
+        chunk."""
         enc = []
         for c in chunks:
             enc.append((yield from self._co_encrypt_charged(bytes(c))))
-        received = yield from self.ctx.comm.co_alltoall(enc)
+        received = yield from co_exchange(enc)
         out = []
         for block in received:
             out.append((yield from self._co_decrypt_charged(block)))
         return out
+
+    def co_alltoall(self, chunks: Sequence[bytes]):
+        """Encrypted_Alltoall, exactly Algorithm 1."""
+        return (yield from self._co_sealed_exchange(
+            chunks, self.ctx.comm.co_alltoall))
 
     alltoall = blocking(co_alltoall)
 
     def co_alltoallv(self, chunks: Sequence[bytes]):
-        enc = []
-        for c in chunks:
-            enc.append((yield from self._co_encrypt_charged(bytes(c))))
-        received = yield from self.ctx.comm.co_alltoallv(enc)
-        out = []
-        for block in received:
-            out.append((yield from self._co_decrypt_charged(block)))
-        return out
+        """Encrypted_Alltoallv: Encrypted_Alltoall over blocks of
+        unequal size, traced as the plain ``alltoallv``."""
+        return (yield from self._co_sealed_exchange(
+            chunks, self.ctx.comm.co_alltoallv))
 
     alltoallv = blocking(co_alltoallv)

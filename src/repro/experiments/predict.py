@@ -5,8 +5,12 @@ The predictor evaluates the simulator's own cost model in closed form,
 so it has no anchors to avoid: the grid is the full 8-per-octave size
 ladder from 512 B to 4 MiB for plain and serially sealed ping-pong,
 four pipelined plans, serial multipair at 2-7 pairs, and faulted
-exchanges.  Every cell is simulated fresh and the relative error of its
-prediction is reported per model family.
+exchanges.  The library sweeps use the paper's three tabulated
+libraries: OpenSSL has BoringSSL's calibration (§V drops it for "very
+similar performance"), so its cells would repeat BoringSSL's; only
+``cryptmpi/D``, which has no BoringSSL twin, sweeps it.  Every cell is
+simulated fresh and the relative error of its prediction is reported
+per model family.
 
 Hard gates (AssertionError fails the experiment loudly):
 
@@ -23,9 +27,9 @@ Everything is deterministic, so every run renders the committed
 from __future__ import annotations
 
 from repro.encmpi.plan import CryptoPlan
+from repro.experiments import paperdata
 from repro.experiments.report import Artifact
 from repro.models import predict as model
-from repro.models.cryptolib import PROFILED_LIBRARIES
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.resilience import ResiliencePolicy
 from repro.util.tables import Table
@@ -49,10 +53,10 @@ MAX_FAMILY_ERR = 0.02
 #: which each is swept
 CRYPTMPI_SWEEPS = (
     ("cryptmpi/A", CryptoPlan(mode="cryptmpi", chunk_bytes=64 * 1024),
-     64 * 1024, ("openssl", "boringssl", "libsodium", "cryptopp")),
+     64 * 1024, paperdata.LIBS),
     ("cryptmpi/B", CryptoPlan(mode="cryptmpi", chunk_bytes=256 * 1024,
                               helper_cores=2),
-     256 * 1024, ("openssl", "boringssl", "libsodium", "cryptopp")),
+     256 * 1024, paperdata.LIBS),
     ("cryptmpi/C", CryptoPlan(mode="cryptmpi", chunk_bytes=64 * 1024,
                               helper_cores=0),
      256 * 1024, ("boringssl",)),
@@ -64,7 +68,7 @@ CRYPTMPI_SWEEPS = (
 MULTIPAIR_SIZES = (1024, 8 * 1024, 32 * 1024, 128 * 1024, 256 * 1024,
                    512 * 1024, 2 * 1024 * 1024)
 MULTIPAIR_PAIRS = (2, 3, 4, 5, 6, 7)
-MULTIPAIR_LIBS = (None, "openssl", "boringssl", "libsodium", "cryptopp")
+MULTIPAIR_LIBS = (None,) + paperdata.LIBS
 MULTIPAIR_ITERS = 2
 
 FAULT_SIZES = (3 * 1024, 24 * 1024, 192 * 1024)
@@ -85,7 +89,7 @@ def predict_validation() -> Artifact:
         )
 
     for fabric in model.FABRICS:
-        for lib in (None,) + PROFILED_LIBRARIES:
+        for lib in (None,) + paperdata.LIBS:
             plan = CryptoPlan(library=lib) if lib else None
             for s in GRID_SIZES:
                 sim = pingpong_oneway_time(s, network=fabric, library=lib,

@@ -68,7 +68,7 @@ def _reg() -> dict[str, Experiment]:
         Experiment(
             "extras",
             "§IV",
-            "Encrypted_Allgather/Alltoallv (implemented, unreported)",
+            "Encrypted_Allgather (implemented, unreported; Alltoallv is Alltoall)",
             unreported_collectives,
             "medium",
         ),

@@ -15,21 +15,6 @@ if TYPE_CHECKING:
     from repro.des.process import Scheduler, SimEvent
 
 
-def pipeline_waves(nchunks: int, cores: int) -> int:
-    """Waves of the chunked-crypto pipeline: ``ceil(nchunks / cores)``.
-
-    The fluid alltoall model (:mod:`repro.models.fluid`) counts its
-    cryptmpi seal and open waves with it.  ``cores`` is the number of
-    cores concurrently sealing/opening chunks; with one core every
-    chunk is its own wave.
-    """
-    if nchunks < 1:
-        raise ValueError(f"nchunks must be >= 1, got {nchunks}")
-    if cores < 1:
-        raise ValueError(f"cores must be >= 1, got {cores}")
-    return -(-nchunks // cores)
-
-
 @dataclass(frozen=True)
 class ClusterSpec:
     """Static description of the simulated cluster: its node shape.

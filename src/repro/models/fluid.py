@@ -15,11 +15,9 @@ node, and every phase is closed-form arithmetic over the calibrated
 contention structure the exact simulator resolves event by event is
 kept in aggregate:
 
-- every rank seals N chunks before injecting and opens N after arrival
-  (Algorithm 1 encrypts/decrypts every block, own included);
-- the cryptmpi plan overlaps seals across the rank's core plus its
-  share of the node's helper cores, in
-  :func:`repro.models.cpu.pipeline_waves` waves;
+- every rank seals N chunks on its own core before injecting and opens
+  N after arrival (Algorithm 1 encrypts/decrypts every block, own
+  included), as ``EncryptedComm.co_alltoall`` does under any plan;
 - each node's NIC carries ``rpn·(N-rpn)`` messages in each direction —
   the egress/ingress drain at ``nic_capacity`` and the serialized NIC
   message engine are both modeled, whichever is slower dominates;
@@ -37,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.aead import WIRE_OVERHEAD
-from repro.models.cpu import ClusterSpec, pipeline_waves
+from repro.models.cpu import ClusterSpec
 from repro.models.cryptolib import CryptoLibraryProfile
 from repro.models.network import NetworkModel
 
@@ -67,15 +65,11 @@ def fluid_alltoall_phases(
     cluster: ClusterSpec,
     network: NetworkModel,
     profile: CryptoLibraryProfile | None = None,
-    pipelined: bool = False,
-    helper_cores: int | None = None,
 ) -> FluidPhases:
     """Phase durations of one Encrypted_Alltoall round at *nranks*.
 
     *profile* is the crypto cost model; None models the unencrypted
-    baseline.  *pipelined* selects the cryptmpi discipline: seals
-    overlap across the rank's core plus its share of the node's helper
-    cores, capped by *helper_cores* (None = every helper in the share).
+    baseline.
     """
     if nranks < 2:
         raise ValueError(f"alltoall needs >= 2 ranks, got {nranks}")
@@ -92,17 +86,8 @@ def fluid_alltoall_phases(
     # -- crypto: N seals before, N opens after (Algorithm 1) ------------
     seal = open_ = 0.0
     if profile is not None:
-        if pipelined:
-            helpers_share = (cluster.cores_per_node - rpn) // rpn
-            if helper_cores is not None:
-                helpers_share = min(helpers_share, helper_cores)
-            cores = 1 + max(0, helpers_share)
-            waves_out = pipeline_waves(nranks, cores)
-            waves_in = pipeline_waves(nranks, cores)
-        else:
-            waves_out = waves_in = nranks
-        seal = waves_out * profile.encrypt_time(msg_bytes)
-        open_ = waves_in * profile.decrypt_time(msg_bytes)
+        seal = nranks * profile.encrypt_time(msg_bytes)
+        open_ = nranks * profile.decrypt_time(msg_bytes)
 
     # -- rank-core injection costs --------------------------------------
     inject = (

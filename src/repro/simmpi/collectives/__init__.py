@@ -7,8 +7,9 @@ for these routines):
   ring allgather for large ones;
 - ``allgather`` — recursive doubling for small power-of-two cases,
   ring otherwise;
-- ``alltoall`` — batched isend/irecv for small/medium payloads,
-  pairwise exchange for large;
+- ``alltoall`` (and ``alltoallv``, the same function) — batched
+  isend/irecv up to 32 KiB per pair, pairwise exchange above (MPICH's
+  Bruck and throttled exchanges are not modeled);
 - ``reduce`` — binomial tree;  ``allreduce`` — recursive doubling with
   a fold-in pre/post step for non-power-of-two sizes;
 - ``barrier`` — dissemination.

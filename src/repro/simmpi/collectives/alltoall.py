@@ -1,16 +1,18 @@
 """MPI_Alltoall / MPI_Alltoallv.
 
-MPICH-3.2 selection for alltoall:
+One algorithm serves both, chosen by the largest block a rank sends:
 
-- small/medium per-pair payloads: post all irecvs, all isends, waitall
-  (we use this below 32 KiB per pair — it also matches the paper's
-  observed 1 B alltoall baselines, which are dominated by the ~p
-  per-message sender overheads);
-- large payloads: pairwise exchange — p-1 phases of sendrecv with
-  partner ``rank ^ phase`` (power-of-two) or a rotation otherwise, so
-  only one large transfer per rank is in flight at a time.
+- up to ``ALLTOALL_PAIRWISE_THRESHOLD`` (32 KiB) per pair: post all
+  irecvs, all isends, waitall (it also matches the paper's observed
+  1 B alltoall baselines, which are dominated by the ~p per-message
+  sender overheads);
+- above it: pairwise exchange — p-1 phases of sendrecv with partner
+  ``rank ^ phase`` (power-of-two) or a rotation otherwise, so only one
+  large transfer per rank is in flight at a time.
 
-alltoallv always uses the batched isend/irecv scheme, as MPICH does.
+Blocks may differ in size, so ``alltoallv`` is ``alltoall`` under its
+MPI name.  MPICH's Bruck algorithm for small blocks and its throttled
+medium-size exchange are not modeled.
 """
 
 from __future__ import annotations
@@ -23,44 +25,25 @@ from repro.simmpi.message import OpaquePayload
 ALLTOALL_PAIRWISE_THRESHOLD = 32 * 1024
 
 
-def _check_chunks(handle, chunks: Sequence[bytes]) -> list:
+def alltoall(handle, chunks: Sequence[bytes]):
+    """Chunk i of *chunks* goes to rank i; returns the received chunks."""
     if len(chunks) != handle.size:
         raise ValueError(
             f"alltoall needs exactly {handle.size} chunks, got {len(chunks)}"
         )
     # OpaquePayload frames pass through untouched (zero-copy fan-out);
     # everything else is normalized to immutable bytes.
-    return [c if isinstance(c, OpaquePayload) else bytes(c) for c in chunks]
-
-
-def alltoall(handle, chunks: Sequence[bytes]):
-    """Chunk i of *chunks* goes to rank i; returns the received chunks."""
-    chunks = _check_chunks(handle, chunks)
+    chunks = [c if isinstance(c, OpaquePayload) else bytes(c) for c in chunks]
     tag = handle._next_coll_tag()
-    size, rank = handle.size, handle.rank
-    if size == 1:
+    if handle.size == 1:
         return [chunks[0]]
-    per_pair = max(len(c) for c in chunks)
-    if per_pair <= ALLTOALL_PAIRWISE_THRESHOLD:
+    if max(len(c) for c in chunks) <= ALLTOALL_PAIRWISE_THRESHOLD:
         return (yield from _alltoall_batched(handle, chunks, tag))
     return (yield from _alltoall_pairwise(handle, chunks, tag))
 
 
-def alltoallv(handle, chunks: Sequence[bytes]):
-    """Alltoall with per-destination sizes (MPI_Alltoallv).
-
-    MPICH's alltoallv batches isend/irecv with a bounded number of
-    outstanding requests; for large chunks the NIC serializes the
-    transfers regardless, so we use the pairwise exchange there (same
-    timing, linear instead of quadratic simulation state).
-    """
-    chunks = _check_chunks(handle, chunks)
-    tag = handle._next_coll_tag()
-    if handle.size == 1:
-        return [chunks[0]]
-    if max(len(c) for c in chunks) > ALLTOALL_PAIRWISE_THRESHOLD:
-        return (yield from _alltoall_pairwise(handle, chunks, tag))
-    return (yield from _alltoall_batched(handle, chunks, tag))
+#: MPI_Alltoallv: the same selection over blocks of unequal size
+alltoallv = alltoall
 
 
 def _alltoall_batched(handle, chunks: list[bytes], tag: int):

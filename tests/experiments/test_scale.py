@@ -12,7 +12,7 @@ import pytest
 from repro.experiments import scale as scale_mod
 from repro.experiments.registry import get_experiment
 from repro.experiments.report import artifact_dict
-from repro.models.cryptolib import PROFILED_LIBRARIES, profile_for_network
+from repro.models.cryptolib import profile_for_network
 from repro.models.fluid import fluid_alltoall_phases
 from repro.models.network import get_network
 
@@ -32,22 +32,17 @@ def test_scale_artifact_reduced_tier_is_deterministic():
     doc = json.loads(first)
     assert doc["kind"] == "figure"
     labels = [s["label"] for s in doc["series"]]
-    assert labels[0] == "baseline"
-    for lib in PROFILED_LIBRARIES:
-        assert f"{lib}/serial" in labels
-        assert f"{lib}/cryptmpi" in labels
-    # ordering the paper's story rests on, at every rank point:
-    # encryption costs something, and the cryptmpi plan claws part of
-    # it back
+    # OpenSSL has BoringSSL's calibration, so it has no curve of its own
+    assert labels == ["baseline", "boringssl", "libsodium", "cryptopp"]
+    # the ordering the paper's story rests on, at every rank point:
+    # encryption costs something, and the libraries keep the enc-dec
+    # ranking of Fig. 2
     by_label = {s["label"]: dict((x, y) for x, y in s["points"])
                 for s in doc["series"]}
     assert sorted(by_label["baseline"]) == list(scale_mod.RANK_POINTS)
     for n in scale_mod.RANK_POINTS:
-        base = by_label["baseline"][n]
-        for lib in PROFILED_LIBRARIES:
-            serial = by_label[f"{lib}/serial"][n]
-            pipelined = by_label[f"{lib}/cryptmpi"][n]
-            assert base <= pipelined < serial, (lib, n)
+        curve = [by_label[label][n] for label in labels]
+        assert all(a < b for a, b in zip(curve, curve[1:])), (n, curve)
 
 
 # ---------------------------------------------------------- fluid phases
@@ -66,8 +61,8 @@ def test_fluid_phases_validation():
 
 
 def test_fluid_crypto_scales_with_rank_count():
-    """Serial sealing is one wave per peer: doubling N doubles the seal
-    phase exactly (same per-chunk cost, closed form)."""
+    """Each rank seals one block per peer on its own core: doubling N
+    doubles the seals (same per-block cost, closed form)."""
     cluster = scale_mod.SCALE_CLUSTER
     net = get_network("ethernet")
     profile = profile_for_network("boringssl", "ethernet")
@@ -79,16 +74,3 @@ def test_fluid_crypto_scales_with_rank_count():
     seal_large = large.cpu_send_seconds
     assert seal_large > seal_small
     assert large.total_seconds > small.total_seconds
-
-
-def test_fluid_pipelined_never_slower_than_serial():
-    cluster = scale_mod.SCALE_CLUSTER
-    net = get_network("ethernet")
-    profile = profile_for_network("libsodium", "ethernet")
-    for nranks in (64, 1024, 4096):
-        serial = fluid_alltoall_phases(
-            nranks, 16384, cluster=cluster, network=net, profile=profile)
-        piped = fluid_alltoall_phases(
-            nranks, 16384, cluster=cluster, network=net, profile=profile,
-            pipelined=True)
-        assert piped.total_seconds <= serial.total_seconds

@@ -1,4 +1,4 @@
-"""Cluster shape / rank placement tests, plus the wave formula."""
+"""Cluster shape / rank placement tests."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.models.cpu import (
     TWO_NODE_CLUSTER,
     ClusterSpec,
     parse_cluster_spec,
-    pipeline_waves,
 )
 from repro.models.network import ethernet_10g
 from repro.simmpi.topology import ClusterRuntime
@@ -87,21 +86,6 @@ def test_validation():
         PAPER_CLUSTER.node_of(0, 0)
     with pytest.raises(ValueError):
         PAPER_CLUSTER.node_of(0, 16, "random")
-
-
-def test_pipeline_waves_values():
-    assert pipeline_waves(1, 4) == 1
-    assert pipeline_waves(4, 4) == 1
-    assert pipeline_waves(5, 4) == 2
-    assert pipeline_waves(16, 7) == 3
-    assert pipeline_waves(9, 1) == 9
-
-
-def test_pipeline_waves_rejects_bad_args():
-    with pytest.raises(ValueError):
-        pipeline_waves(0, 4)
-    with pytest.raises(ValueError):
-        pipeline_waves(4, 0)
 
 
 # ------------------------------------------------------- parse_cluster_spec
