@@ -20,20 +20,13 @@ Two halves:
 
 See ``ANALYSIS.md`` at the repository root for the rule catalog and the
 suppression syntax.
+
+The package re-exports only the sanitizer, which every simulated job
+loads; the linter and the verifier are imported from their modules
+(:mod:`repro.analysis.linter`, :mod:`repro.analysis.dataflow`,
+:mod:`repro.analysis.findings`), so a job does not load them.
 """
 
-from repro.analysis.findings import Finding, Rule, all_rules, get_rule
-from repro.analysis.linter import (
-    lint_callable,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.dataflow import (
-    VerifyResult,
-    verify_callable,
-    verify_paths,
-    verify_source,
-)
 from repro.analysis.sanitize import (
     DeadlockDiagnosis,
     Sanitizer,
@@ -43,18 +36,7 @@ from repro.analysis.sanitize import (
 
 __all__ = [
     "DeadlockDiagnosis",
-    "Finding",
-    "Rule",
     "Sanitizer",
     "SanitizerError",
     "SanitizerReport",
-    "VerifyResult",
-    "all_rules",
-    "get_rule",
-    "lint_callable",
-    "lint_paths",
-    "lint_source",
-    "verify_callable",
-    "verify_paths",
-    "verify_source",
 ]

@@ -364,14 +364,14 @@ def lint_job(workload: Callable[[RankContext], Any]):
     Runs the :mod:`repro.analysis` rule set (MPI protocol, determinism,
     crypto misuse) over the function's source with its top-level
     definitions treated as rank code.  Returns the list of
-    :class:`repro.analysis.Finding` (empty when clean), line numbers
+    :class:`repro.analysis.findings.Finding` (empty when clean), line numbers
     anchored to the defining file::
 
         findings = api.lint_job(my_rank_fn)
         for f in findings:
             print(f.format())
     """
-    from repro.analysis import lint_callable
+    from repro.analysis.linter import lint_callable
 
     return lint_callable(workload)
 
@@ -385,7 +385,7 @@ def verify_job(workload: Callable[[RankContext], Any], *,
     checks send/recv match completeness, tag consistency, collective
     call-order agreement, deadlock cycles, and crypto taint hygiene
     (the MPI1xx/CRY1xx rules — ``python -m repro.analysis rules``).
-    Returns the list of :class:`repro.analysis.Finding`, line numbers
+    Returns the list of :class:`repro.analysis.findings.Finding`, line numbers
     anchored to the defining file; a ``# verify-sizes:`` pragma in the
     defining module overrides *sizes*::
 

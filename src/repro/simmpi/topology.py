@@ -90,8 +90,8 @@ class ClusterRuntime:
         cap = self._pair_caps.get(key)
         limit = self.network.stream_bandwidth(size)
         if cap is None:
-            cap = Capacity(f"pair{src}->{dst}", limit)
+            cap = Capacity(f"pair{src}->{dst}", limit, pair=True)
             self._pair_caps[key] = cap
-        elif not cap.bundles and cap.limit != limit:
+        elif cap.limit != limit and not cap.bundles:
             cap.limit = limit
         return cap

@@ -10,7 +10,7 @@ ones.
 
 import textwrap
 
-from repro.analysis import verify_source
+from repro.analysis.dataflow import verify_source
 
 
 def findings(source: str, *, sizes=(2,)):

@@ -4,7 +4,7 @@ that the repo's own workloads and examples lint clean."""
 import pytest
 
 from repro import api
-from repro.analysis import lint_callable, lint_paths
+from repro.analysis.linter import lint_callable, lint_paths
 
 TAG_DATA = 9
 

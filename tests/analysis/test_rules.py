@@ -8,7 +8,8 @@ missing id on the bad twin or a phantom id on the good twin.
 
 import textwrap
 
-from repro.analysis import all_rules, lint_source
+from repro.analysis.findings import all_rules
+from repro.analysis.linter import lint_source
 
 
 def ids(source: str) -> list[str]:

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import lint_source
+from repro.analysis.linter import lint_source
 
 
 def ids(source: str) -> list[str]:
@@ -143,7 +143,7 @@ def test_unknown_id_alone_suppresses_nothing():
 # ------------------------------- verifier rules share the grammar
 
 def verify_ids(source: str) -> list[str]:
-    from repro.analysis import verify_source
+    from repro.analysis.dataflow import verify_source
 
     result = verify_source(textwrap.dedent(source), "<fx>", sizes=(2,))
     return sorted({f.rule for f in result.findings})

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import verify_source
+from repro.analysis.dataflow import verify_source
 
 
 def rule_ids(source: str, *, sizes=(2,)) -> list[str]:

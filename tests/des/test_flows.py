@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.flows import Bundle, Capacity, Flow, FlowNetwork, _progressive_fill
+from repro.des.flows import Bundle, Capacity, Flow, FlowNetwork, _place, _progressive_fill
 from repro.des.process import Scheduler
 
 
@@ -178,17 +178,19 @@ class _FakeEvent:
 
 
 def _make_bundles(caps, specs):
-    """One bundle per spec: (constraint names, rate cap, member flows)."""
+    """One bundle per spec: (constraint names, rate cap, member flows),
+    placed in classes as :meth:`FlowNetwork.transfer` places them;
+    returns the bundles and the classes."""
     bundles = []
+    classes = {}
     for cap_limit_names, rate_cap, members in specs:
         b = Bundle(rate_cap, tuple(caps[n] for n in cap_limit_names))
         for _ in range(members):
             f = Flow(1.0, rate_cap, b.constraints, _FakeEvent())  # type: ignore[arg-type]
             b.flows[f] = None
-        for c in b.constraints:
-            c.bundles.add(b)
+        _place(classes, b)
         bundles.append(b)
-    return bundles
+    return bundles, list(classes.values())
 
 
 def _members(c):
@@ -210,9 +212,9 @@ def test_progressive_fill_feasible_and_cap_respecting(limits, flow_specs):
     caps = {i: Capacity(f"c{i}", lim) for i, lim in enumerate(limits)}
     specs = [([i for i in names if i < len(limits)] or [0], cap, members)
              for names, cap, members in flow_specs]
-    bundles = _make_bundles(caps, specs)
+    bundles, classes = _make_bundles(caps, specs)
     flows = [f for b in bundles for f in b.flows]
-    rates = _progressive_fill(bundles)
+    rates = dict(_progressive_fill(classes).items())
     assert set(rates) == set(flows)
 
     # 1. No flow exceeds its own cap.

@@ -1,9 +1,12 @@
-"""The bundle fill against the per-flow fill it replaced, and bundle lifetime.
+"""The class fill against the per-flow fill it replaced, and the
+lifetime of bundles and classes.
 
 A bundle is the set of active flows sharing one rate cap and one
-constraint tuple; the solver fills one rate per bundle.  The contract is
-bit-exactness: for any flows, the bundled fill must return the rates
-the per-flow fill returns, to the last bit.  ``_per_flow_fill`` below is
+constraint tuple; a class holds the bundles with one rate cap, the same
+shared capacities and private pair capacities of equal limits, and the
+solver fills one rate per class and member count.  The contract is
+bit-exactness: for any flows, the class fill must return the rates the
+per-flow fill returns, to the last bit.  ``_per_flow_fill`` below is
 that per-flow kernel, kept verbatim as the reference.
 """
 
@@ -12,7 +15,8 @@ import math
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from repro.des.flows import _EPS, Bundle, Capacity, Flow, FlowNetwork, _progressive_fill
+from repro.des.flows import (_EPS, Bundle, Capacity, Flow, FlowNetwork, _place,
+                             _progressive_fill)
 from repro.des.process import Scheduler
 from repro.models.cpu import ClusterSpec
 from repro.models.network import get_network
@@ -73,10 +77,12 @@ class _FakeEvent:
     pass
 
 
-def _bundled(limits, keys, picks):
+def _bundled(limits, keys, picks, pairs=()):
     """Flows keyed by ``keys[i] = (constraint ids, rate cap)``, grouped
-    into bundles the way :meth:`FlowNetwork.transfer` groups them."""
-    caps = [Capacity(f"c{i}", limit) for i, limit in enumerate(limits)]
+    into bundles the way :meth:`FlowNetwork.transfer` groups them; the
+    capacities whose ids are in *pairs* are per-pair stream capacities."""
+    caps = [Capacity(f"c{i}", limit, pair=i in pairs)
+            for i, limit in enumerate(limits)]
     bundles: dict[tuple, Bundle] = {}
     for k in picks:
         ids, rate_cap = keys[k]
@@ -86,6 +92,15 @@ def _bundled(limits, keys, picks):
             b = bundles[(rate_cap, constraints)] = Bundle(rate_cap, constraints)
         b.flows[Flow(1.0, rate_cap, constraints, _FakeEvent())] = None
     return list(bundles.values())
+
+
+def _fill(bundles):
+    """The fill of *bundles*, placed in classes in birth order the way
+    :meth:`FlowNetwork.transfer` places them."""
+    classes = {}
+    for b in bundles:
+        _place(classes, b)
+    return _progressive_fill(classes.values())
 
 
 @st.composite
@@ -119,7 +134,7 @@ def test_bundled_fill_matches_per_flow_fill_bit_for_bit(inputs):
     limits, keys, picks = inputs
     bundles = _bundled(limits, keys, picks)
     flows = {f for b in bundles for f in b.flows}
-    rates = _progressive_fill(bundles)
+    rates = dict(_fill(bundles).items())
     reference = _per_flow_fill(flows)
     # steer the search toward multi-round fills (one rate level per round)
     target(float(len(set(reference.values()))), label="rate levels")
@@ -129,7 +144,7 @@ def test_bundled_fill_matches_per_flow_fill_bit_for_bit(inputs):
 def test_multi_round_fill_gives_each_level_its_rate():
     bundles = _bundled([100.0], [([0], 10.0), ([0], 15.0), ([0], 1e3)],
                        [0, 0, 1, 2, 2, 2])
-    rates = _progressive_fill(bundles)
+    rates = dict(_fill(bundles).items())
     by_cap = {b.rate_cap: {rates[f] for f in b.flows} for b in bundles}
     # 6 flows grow by 10 (cap 10 freezes), 4 by 5 (cap 15 freezes),
     # then 3 share the last 20 of the nic
@@ -138,11 +153,87 @@ def test_multi_round_fill_gives_each_level_its_rate():
     assert _bits(rates) == _bits(_per_flow_fill(set(rates)))
 
 
+@st.composite
+def _symmetric_inputs(draw):
+    """A few shared NIC-like capacities and many pair capacities whose
+    limits and rate caps come from small sets, so classes hold many
+    bundles; mixed member counts, pairs carrying a second message size,
+    and at times a tuple naming one capacity twice and an empty tuple."""
+    nics = draw(st.lists(st.floats(1.0, 1e4), min_size=1, max_size=3))
+    pair_limits = draw(st.lists(st.floats(1.0, 1e4), min_size=1, max_size=2))
+    rate_caps = st.sampled_from(
+        draw(st.lists(st.floats(0.5, 1e4), min_size=1, max_size=2)))
+    npairs = draw(st.integers(1, 12))
+    limits = nics + [draw(st.sampled_from(pair_limits)) for _ in range(npairs)]
+    nic = st.integers(0, len(nics) - 1)
+    keys = [((draw(nic), draw(nic), len(nics) + p), draw(rate_caps))
+            for p in range(npairs)]
+    for p in draw(st.lists(st.integers(0, npairs - 1), max_size=2)):
+        keys.append((keys[p][0], draw(rate_caps)))
+    if draw(st.booleans()):
+        # a nic, a stream's pair capacity, or a pair capacity of its own
+        twice = draw(st.integers(0, len(limits)))
+        if twice == len(limits):
+            limits.append(draw(st.sampled_from(pair_limits)))
+        keys.append(((twice, twice), draw(rate_caps)))
+    if draw(st.booleans()):
+        keys.append(((), draw(rate_caps)))
+    picks = [k for k in range(len(keys)) for _ in range(draw(st.integers(1, 3)))]
+    return limits, keys, draw(st.permutations(picks)), range(len(nics), len(limits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_inputs())
+# one class of three bundles on two nics: groups of one and of two members
+@example(([1e3, 2e3, 250.0, 250.0, 250.0],
+          [((0, 1, 2), 400.0), ((0, 1, 3), 400.0), ((0, 1, 4), 400.0)],
+          [0, 1, 1, 2, 2], (2, 3, 4)))
+# a pair capacity named twice after its stream claimed it, and an empty tuple
+@example(([1e3, 300.0, 300.0],
+          [((0, 0, 1), 200.0), ((0, 0, 2), 200.0), ((1, 1), 50.0), ((), 7.0)],
+          [0, 1, 2, 3, 1], (1, 2)))
+# a free pair capacity named twice stays shared: it loses the increment
+# twice per member flow
+@example(([1e3, 100.0], [((0, 1, 1), 400.0)], [0, 0], (1,)))
+def test_class_fill_matches_per_flow_fill_on_symmetric_inputs(inputs):
+    limits, keys, picks, pairs = inputs
+    bundles = _bundled(limits, keys, picks, pairs)
+    flows = {f for b in bundles for f in b.flows}
+    fill = _fill(bundles)
+    # steer the search toward large classes
+    target(float(max(len(members) for _, members in fill.groups)),
+           label="bundles per fill unit")
+    assert len(fill) == len(flows)
+    assert _bits(dict(fill.items())) == _bits(_per_flow_fill(flows))
+
+
+def test_classes_never_span_components():
+    """Streams on private pair capacities of one limit, with no shared
+    capacity, are separate components and separate classes.  Filled
+    together, the one-flow stream would grow by L/3 in the round that
+    freezes the three-flow stream, then by L - L/3: not L for this
+    limit."""
+    limit = 7418.128105618033
+    assert limit / 3 + (limit - limit / 3) != limit
+    sched = Scheduler()
+    net = FlowNetwork(sched)
+    alone = Capacity("alone", limit, pair=True)
+    crowded = Capacity("crowded", limit, pair=True)
+    times = []
+    net.transfer(1e4, 1e6, (alone,)).callbacks.append(
+        lambda _ev: times.append(sched.now))
+    for _ in range(3):
+        net.transfer(1e4, 1e6, (crowded,))
+    assert len(net._classes) == 2
+    sched.run()
+    assert times == [1e4 / limit]
+
+
 def test_drained_network_holds_no_bundles():
     sched = Scheduler()
     net = FlowNetwork(sched)
     egress, ingress, pair = (Capacity("egress", 1e9), Capacity("ingress", 1e9),
-                             Capacity("pair", 5e8))
+                             Capacity("pair", 5e8, pair=True))
     stream = (egress, ingress, pair)
     seen = []
 
@@ -157,6 +248,9 @@ def test_drained_network_holds_no_bundles():
     net.transfer(5e6, 4e8, (egress, ingress)).callbacks.append(snapshot)
     assert sorted(len(b.flows) for b in net._bundles.values()) == [1, 1, 3]
     assert len(pair.bundles) == 2 and len(egress.bundles) == 3
+    # the second rate cap on the pair capacity made it shared: no two
+    # bundles can share a class
+    assert len(net._classes) == 3 and len(pair.classes) == 2
     sched.run()
     # each completion leaves its bundle and an emptied bundle is gone:
     # 1 MB first, then the flow off the pair capacity, 2 MB, 3 MB, 4 MB
@@ -164,6 +258,9 @@ def test_drained_network_holds_no_bundles():
     assert net.active_flows == 0
     assert net._bundles == {}
     assert not (egress.bundles or ingress.bundles or pair.bundles)
+    # and no classes: every capacity's class map is empty
+    assert net._classes == {}
+    assert not (egress.classes or ingress.classes or pair.classes)
 
 
 def test_pair_capacity_retargets_only_when_idle():

@@ -1,8 +1,8 @@
 """Differential tests: the incremental max-min solver vs exact refill.
 
-``FlowNetwork(exact=True)`` seeds every rebalance with *all* flows (the
-historical behavior); the default incremental network re-fills only the
-dirty connected components.  The two must agree **bit for bit** on
+``FlowNetwork(exact=True)`` seeds every rebalance with *all* classes
+(the historical behavior); the default incremental network re-fills
+only the dirty connected components.  The two must agree **bit for bit** on
 every completion time for any schedule — that is the contract the
 incremental solver's component argument makes, and what lets fig6 run
 2.6x faster without regenerating a single golden.
@@ -32,11 +32,36 @@ def _random_schedule(seed: int, nflows: int = 40, ncaps: int = 5):
     return caps, flows
 
 
-def _run_schedule(caps_limits, flow_specs, *, exact: bool) -> list[float]:
-    """Drive one schedule through a FlowNetwork; returns completion times."""
+def _alltoall_schedule(nodes: int = 4, per_node: int = 4):
+    """Every rank streams to every rank on another node, through the
+    sender's egress, the receiver's ingress and a per-pair stream
+    capacity of one limit, with staggered starts; some pairs carry a
+    second message size.  Returns (limits, flows, pair capacity ids)."""
+    limits = [1.25e9] * (2 * nodes)  # egress of node n is n, ingress n + nodes
+    flows = []
+    nranks = nodes * per_node
+    for src in range(nranks):
+        for dst in range(nranks):
+            if src // per_node == dst // per_node:
+                continue
+            pair = len(limits)
+            limits.append(1e9)
+            picks = (src // per_node, nodes + dst // per_node, pair)
+            start = src * 1e-5 + (dst % per_node) * 3e-6
+            flows.append((start, 64 * 1024, 1.1e9, picks))
+            if (src + dst) % 5 == 0:
+                flows.append((start + 2e-5, 256 * 1024, 1.2e9, picks))
+    return limits, flows, range(2 * nodes, len(limits))
+
+
+def _run_schedule(caps_limits, flow_specs, *, exact: bool,
+                  pairs=()) -> list[float]:
+    """Drive one schedule through a FlowNetwork; returns completion
+    times.  Capacity ids in *pairs* are per-pair stream capacities."""
     sched = Scheduler()
     net = FlowNetwork(sched, exact=exact)
-    caps = [Capacity(f"c{i}", limit) for i, limit in enumerate(caps_limits)]
+    caps = [Capacity(f"c{i}", limit, pair=i in pairs)
+            for i, limit in enumerate(caps_limits)]
     finish: list[float] = [None] * len(flow_specs)
 
     def start_flow(i, size, rate_cap, picks):
@@ -68,6 +93,18 @@ def test_incremental_matches_exact_property(seed, nflows, ncaps):
     caps, flows = _random_schedule(seed, nflows=nflows, ncaps=ncaps)
     assert _run_schedule(caps, flows, exact=False) == \
         _run_schedule(caps, flows, exact=True)
+
+
+def test_symmetric_alltoall_incremental_matches_exact():
+    """Classes of many bundles (one per node pair and rate cap), pair
+    capacities turning shared and back, and ties at equal completion
+    times: both modes still agree bit for bit."""
+    limits, flows, pairs = _alltoall_schedule()
+    exact = _run_schedule(limits, flows, exact=True, pairs=pairs)
+    assert _run_schedule(limits, flows, exact=False, pairs=pairs) == exact
+    # the NICs are contended: some streams run below their own caps
+    assert any(t > start + size / min(rate_cap, 1e9)
+               for t, (start, size, rate_cap, _) in zip(exact, flows))
 
 
 def test_disjoint_components_do_not_disturb_each_other():

@@ -16,22 +16,29 @@ from repro.util.units import KiB
 from repro.workloads.osu_collectives import collective_latency
 
 TWO_NODES = parse_cluster_spec("2x8")
+EIGHT_NODES = parse_cluster_spec("8x4")
 
 #: per-pair sizes on both sides of the batched/pairwise boundary
 IDENTITY_SIZES = (1, 16 * KiB, ALLTOALL_PAIRWISE_THRESHOLD,
                   ALLTOALL_PAIRWISE_THRESHOLD + 1, 64 * KiB)
 
-#: (nranks, cluster, per-pair size, library) -> collective_latency(
-#: "alltoall", ..., iters=1) as float.hex.  The 64-rank 1 B cells are
-#: table3's 1 B cells (batched path); on 2x8, 16 KiB is batched and
-#: 64 KiB pairwise.
+#: (network, nranks, cluster, per-pair size, library) ->
+#: collective_latency("alltoall", ..., iters=1) as float.hex.  The
+#: 64-rank 1 B cells are table3's 1 B cells (batched path); on 2x8,
+#: 16 KiB is batched and 64 KiB pairwise.  The 8x4 16 KiB cells put many
+#: rank pairs of one node pair in flight at once, the flow solver's
+#: large bundle classes that otherwise only the slow tier's 64-rank
+#: cells reach.
 PIN = {
-    (64, PAPER_CLUSTER, 1, None): "0x1.3ace419dd860bp-12",
-    (64, PAPER_CLUSTER, 1, "boringssl"): "0x1.e02d224d2eef4p-12",
-    (16, TWO_NODES, 16 * KiB, None): "0x1.0b2b912cf2ae6p-10",
-    (16, TWO_NODES, 16 * KiB, "boringssl"): "0x1.479450a21879fp-10",
-    (16, TWO_NODES, 64 * KiB, None): "0x1.0496e202e4064p-8",
-    (16, TWO_NODES, 64 * KiB, "boringssl"): "0x1.53f992f1447a2p-8",
+    ("ethernet", 64, PAPER_CLUSTER, 1, None): "0x1.3ace419dd860bp-12",
+    ("ethernet", 64, PAPER_CLUSTER, 1, "boringssl"): "0x1.e02d224d2eef4p-12",
+    ("ethernet", 16, TWO_NODES, 16 * KiB, None): "0x1.0b2b912cf2ae6p-10",
+    ("ethernet", 16, TWO_NODES, 16 * KiB, "boringssl"): "0x1.479450a21879fp-10",
+    ("ethernet", 16, TWO_NODES, 64 * KiB, None): "0x1.0496e202e4064p-8",
+    ("ethernet", 16, TWO_NODES, 64 * KiB, "boringssl"): "0x1.53f992f1447a2p-8",
+    ("ethernet", 32, EIGHT_NODES, 16 * KiB, None): "0x1.ccd2ec935a669p-10",
+    ("infiniband", 32, EIGHT_NODES, 16 * KiB, "boringssl"):
+        "0x1.0fdc3b2760fa8p-10",
 }
 
 
@@ -88,13 +95,14 @@ def test_unequal_blocks_same_blocks_and_time(library, unit):
 
 
 def test_alltoall_times_pinned_under_the_sanitizer():
-    """Both selection paths, plain and sealed, keep their virtual times
-    bit for bit; the sanitizer never moves virtual time."""
+    """Both selection paths, plain and sealed, on both fabrics, keep
+    their virtual times bit for bit; the sanitizer never moves virtual
+    time."""
     got = {}
     with job_defaults(sanitize=True):
-        for nranks, cluster, size, library in PIN:
-            got[nranks, cluster, size, library] = collective_latency(
-                "alltoall", size, nranks=nranks, cluster=cluster,
-                library=library, iters=1,
+        for network, nranks, cluster, size, library in PIN:
+            got[network, nranks, cluster, size, library] = collective_latency(
+                "alltoall", size, network=network, nranks=nranks,
+                cluster=cluster, library=library, iters=1,
             ).hex()
     assert got == PIN
