@@ -10,8 +10,11 @@ Heap entries are plain ``[time, seq, callback, args]`` lists rather than
 event objects: ``heapq`` then orders them with C-level list comparison
 (time first, then the unique seq — the callback slot is never reached),
 which removes a Python-level ``__lt__`` call per comparison from the
-simulator's hottest loop.  Cancellation nulls the callback slot; the
-run loop skips such entries when they surface.
+simulator's hottest loop.  :meth:`Engine.schedule` returns nothing, so
+a fire-and-forget event costs its entry alone; only
+:meth:`Engine.schedule_at` hands out an :class:`EventHandle`, whose
+cancellation nulls the callback slot, and the run loop skips such
+entries when they surface.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ _TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
 
 
 class EventHandle:
-    """Handle returned by :meth:`Engine.schedule`; supports cancellation."""
+    """Handle returned by :meth:`Engine.schedule_at`; supports
+    cancellation.  A cancellable event at *delay* from now is
+    ``schedule_at(engine.now + delay, ...)``: the same float time that
+    :meth:`Engine.schedule` would compute."""
 
     __slots__ = ("_entry",)
 
@@ -60,9 +66,9 @@ class EventHandle:
 class Engine:
     """Virtual clock plus event heap.
 
-    The engine itself knows nothing about processes; process handoff is
-    layered on top in :mod:`repro.des.process`.  ``Engine.run`` drains
-    the heap, advancing ``now`` monotonically.
+    The engine itself knows nothing about processes; the rank runtimes
+    that step them are layered on top in :mod:`repro.des.process`.
+    ``Engine.run`` drains the heap, advancing ``now`` monotonically.
     """
 
     def __init__(self) -> None:
@@ -81,20 +87,20 @@ class Engine:
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule *callback(*args)* to run *delay* seconds from now."""
+    ) -> None:
+        """Schedule *callback(*args)* to run *delay* seconds from now
+        (not cancellable: see :meth:`schedule_at`)."""
         if delay < 0:
             raise SimTimeError(f"negative delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
-        entry = [self._now + delay, seq, callback, args]
-        heappush(self._heap, entry)
-        return EventHandle(entry)
+        heappush(self._heap, [self._now + delay, seq, callback, args])
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule *callback(*args)* at absolute virtual *time*."""
+        """Schedule *callback(*args)* at absolute virtual *time*; the
+        returned handle cancels it."""
         if time < self._now:
             raise SimTimeError(f"cannot schedule at {time} < now {self._now}")
         seq = self._seq

@@ -27,8 +27,8 @@ generators:
   ``event.wait()`` and ``yield _Sleep(d)`` into ``proc.sleep(d)``.
 
 Both runtimes issue *identical* ``engine.schedule`` call sequences (one
-entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`,
-inline continuation for already-completed events), so artifacts are
+entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`;
+completed waits return without yielding), so artifacts are
 byte-identical between them — ``make check-artifacts`` regenerates
 the fast tier on threads and byte-compares it with the committed
 artifacts.
@@ -97,12 +97,18 @@ class SimEvent:
         self._done = True
         self._value = value
         self._exc = exc
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self._scheduler.wake_soon(proc)
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        # Most events complete with nobody parked and no callback, and
+        # an empty list can stay in place.
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for proc in waiters:
+                self._scheduler.wake_soon(proc)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
 
     def wait(self) -> Any:
         """Block the calling process until completion; return the value."""

@@ -19,7 +19,7 @@ from repro.encmpi.config import SecurityConfig
 from repro.encmpi.replay import ReplayError, ReplayGuard, counter_of_nonce
 from repro.simmpi.resilience import ResilienceExhausted
 from repro.models.cryptolib import CryptoLibraryProfile, profile_for_network
-from repro.des.process import blocking
+from repro.des.process import _Sleep, blocking
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
 from repro.simmpi.request import Request, co_waitall, waitall
 from repro.simmpi.world import RankContext
@@ -121,7 +121,14 @@ class EncryptedRequest:
 
 
 class EncryptedComm:
-    """Encrypted counterpart of :class:`repro.simmpi.comm.CommHandle`."""
+    """Encrypted counterpart of :class:`repro.simmpi.comm.CommHandle`.
+
+    Every seal and open costs the library's modeled time for the message
+    size, which AES-GCM prices alike for both.  Each communicator looks
+    a size up once, in a memo that serial messages, cryptmpi chunks and
+    reliability reseals share.  A seal or open on the rank's own core is
+    one ``_Sleep`` (none when the time is zero).
+    """
 
     def __init__(
         self,
@@ -140,6 +147,9 @@ class EncryptedComm:
             ctx._cluster.network.name,
             self.config.key_bits,
         )
+        #: message size -> modeled seal or open seconds at
+        #: crypto_slowdown (see _crypto_time)
+        self._crypto_times: dict[int, float] = {}
         self._aead = get_aead(self.config.key, self.config.backend)
         self._nonces = make_nonce_source(self.config.nonce_strategy, ctx.rank)
         #: job sanitizer (repro.analysis.sanitize.Sanitizer) — when set,
@@ -244,17 +254,30 @@ class EncryptedComm:
                      bytes=plain_len, dur=dur, **where)
         return plain
 
+    def _crypto_time(self, size: int) -> float:
+        """Modeled seconds one core spends sealing, or opening, a
+        *size*-byte message: AES-GCM charges both alike (§V-A), so
+        :meth:`CryptoLibraryProfile.encrypt_time` prices either.  Looked
+        up once per size; serial messages, chunks and reseals share the
+        memo, and ``crypto_slowdown`` is fixed at construction."""
+        dur = self._crypto_times.get(size)
+        if dur is None:
+            dur = self._crypto_times[size] = self.profile.encrypt_time(
+                size, self.crypto_slowdown)
+        return dur
+
     def _co_encrypt_charged(self, plaintext: bytes, aad: bytes = b""):
         """Charge virtual encryption time and frame the message."""
-        dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
-        yield from self.ctx.co_compute(dur)
+        dur = self._crypto_time(len(plaintext))
+        if dur:
+            yield _Sleep(dur)
         return self._seal(plaintext, b"", aad, dur)
 
     def _co_decrypt_charged(self, wire, aad: bytes = b""):
         """Charge virtual decryption time and open the frame."""
-        plain_len = self._plaintext_len(wire)
-        dur = self.profile.decrypt_time(plain_len, self.crypto_slowdown)
-        yield from self.ctx.co_compute(dur)
+        dur = self._crypto_time(self._plaintext_len(wire))
+        if dur:
+            yield _Sleep(dur)
         return self._open(wire, b"", aad, dur)
 
     _decrypt_charged = blocking(_co_decrypt_charged)
@@ -311,7 +334,7 @@ class EncryptedComm:
         """
 
         def reseal():
-            dur = self.profile.encrypt_time(len(plaintext), self.crypto_slowdown)
+            dur = self._crypto_time(len(plaintext))
             return self._seal(plaintext, b"", aad, dur), dur
 
         return reseal

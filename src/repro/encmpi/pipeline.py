@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.crypto.aead import NONCE_SIZE, WIRE_OVERHEAD
 from repro.crypto.errors import AuthenticationError
-from repro.des.process import blocking
+from repro.des.process import _Sleep, blocking
 from repro.encmpi.replay import ReplayError
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
 from repro.simmpi.request import Status
@@ -232,8 +232,7 @@ class ChunkPipeline:
         if rec is not None:
             rec.emit("encmpi", "chunked_send", enc.rank, dest=dest, tag=tag,
                      bytes=len(data), chunks=total, helpers=cap)
-        durs = [enc.profile.encrypt_time(stop - start, enc.crypto_slowdown)
-                for start, stop in windows]
+        durs = [enc._crypto_time(stop - start) for start, stop in windows]
         events = []
         if cap > 0:
             # Submit every seal now; the after= chain caps this
@@ -250,9 +249,10 @@ class ChunkPipeline:
         inners = []
         for i, window in enumerate(windows):
             if cap > 0:
-                yield events[i]
-            else:
-                yield from enc.ctx.co_compute(durs[i])  # serial-chunked fallback
+                if not events[i].done:  # helper work never fails
+                    yield events[i]
+            elif durs[i]:
+                yield _Sleep(durs[i])  # serial-chunked fallback
             wire = self._seal_chunk(seq, i, total, data, window, aad_tail,
                                     durs[i])
             reseal = None
@@ -281,8 +281,7 @@ class ChunkPipeline:
         enc = self.enc
 
         def reseal():
-            dur = enc.profile.encrypt_time(window[1] - window[0],
-                                           enc.crypto_slowdown)
+            dur = enc._crypto_time(window[1] - window[0])
             return self._seal_chunk(seq, index, total, data, window,
                                     aad_tail, dur), dur
 
@@ -325,7 +324,7 @@ class ChunkPipeline:
         for i in range(total):
             wire = wires[i] = (yield from inners[i].co_wait()) if i else wire0
             plain_len = max(0, len(wire) - HEADER_SIZE - WIRE_OVERHEAD)
-            dur = enc.profile.decrypt_time(plain_len, enc.crypto_slowdown)
+            dur = enc._crypto_time(plain_len)
             if cap > 0:
                 # Schedule the open the moment the chunk arrives; it
                 # runs on a helper while later chunks are still in
@@ -336,14 +335,16 @@ class ChunkPipeline:
                     chunk=i, after=after,
                 ))
             else:
-                yield from enc.ctx.co_compute(dur)
+                if dur:
+                    yield _Sleep(dur)
                 accepted[i], plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wire, src, tag, seq, i, total, dur)
         if cap > 0:
             for i in range(total):
-                yield open_events[i]
+                if not open_events[i].done:  # helper work never fails
+                    yield open_events[i]
                 plain_len = max(0, len(wires[i]) - HEADER_SIZE - WIRE_OVERHEAD)
-                dur = enc.profile.decrypt_time(plain_len, enc.crypto_slowdown)
+                dur = enc._crypto_time(plain_len)
                 accepted[i], plains[i] = yield from self._open_chunk_reliable(
                     inners[i], wires[i], src, tag, seq, i, total, dur)
         data = _tiled_buffer(accepted)
@@ -421,7 +422,8 @@ class ChunkPipeline:
                     inner, exc, src, channel, index, attempts)
                 # Retry decrypt runs on the rank's core — the helper
                 # schedule for the happy path is already spent.
-                yield from self.enc.ctx.co_compute(dur)
+                if dur:
+                    yield _Sleep(dur)
 
     def _nack_and_repost(self, inner, exc: Exception, src: int,
                          channel: int, index: int, attempts: int):

@@ -124,8 +124,16 @@ class CommHandle:
         closure the reliability layer calls to re-frame the message with
         a fresh nonce for a retransmission.
         """
-        self._check_peer(dest)
-        self._check_tag(tag, _internal)
+        # _check_peer and _check_tag, inline on the per-message path
+        if not 0 <= dest < self.size:
+            raise ValueError(
+                f"peer rank {dest} out of range 0..{self.size - 1}")
+        if _internal:
+            if tag < 0:
+                raise ValueError(f"negative internal tag {tag}")
+        elif not 0 <= tag < MAX_USER_TAG:
+            raise ValueError(
+                f"user tag must be in [0, {MAX_USER_TAG}), got {tag}")
         if isinstance(data, OpaquePayload):
             payload = data  # zero-copy simulated frame
         elif isinstance(data, (bytes, bytearray, memoryview)):

@@ -9,23 +9,28 @@ fabric), so this also provides MPI's non-overtaking guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.simmpi.message import Envelope
 
 
-@dataclass
 class _PostedRecv:
-    source: int
-    tag: int
-    comm_id: int
-    on_match: Callable[[Envelope], None]
-    #: when set, only an envelope carrying this reliable-delivery id
-    #: (env.info["rd_id"]) matches — used by the resilience layer to
-    #: pin a re-posted receive to the retransmitted copy, so later
-    #: messages on the route cannot overtake it through this recv
-    require_id: int | None = None
+    """A posted receive (or probe), one per receive call."""
+
+    __slots__ = ("source", "tag", "comm_id", "on_match", "require_id")
+
+    def __init__(self, source: int, tag: int, comm_id,
+                 on_match: Callable[[Envelope], None],
+                 require_id: int | None = None) -> None:
+        self.source = source
+        self.tag = tag
+        self.comm_id = comm_id
+        self.on_match = on_match
+        #: when set, only an envelope carrying this reliable-delivery id
+        #: (env.info["rd_id"]) matches — used by the resilience layer to
+        #: pin a re-posted receive to the retransmitted copy, so later
+        #: messages on the route cannot overtake it through this recv
+        self.require_id = require_id
 
     def satisfies(self, env: Envelope) -> bool:
         if env.comm_id != self.comm_id or not env.matches(self.source, self.tag):

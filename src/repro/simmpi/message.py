@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 #: MPI_ANY_SOURCE / MPI_ANY_TAG wildcards for ``recv``.
@@ -13,8 +11,6 @@ ANY_TAG = -1
 #: Tags at or above this value are reserved for internal use
 #: (collective phases); user tags must stay below.
 MAX_USER_TAG = 1 << 20
-
-_seq = itertools.count()
 
 
 class OpaquePayload:
@@ -93,7 +89,6 @@ def as_bytes(payload) -> bytes:
     return bytes(payload)
 
 
-@dataclass
 class Envelope:
     """One in-flight message: routing header plus the payload bytes.
 
@@ -108,25 +103,29 @@ class Envelope:
     MPI datatype metadata, never cross the fabric — ``wire_bytes``
     already excludes them) pass the true data size so point-to-point and
     collective byte accounting agree.
+
+    One is built per message, by keyword; it is a slotted class, with no
+    per-instance ``__dict__``.
     """
 
-    src: int
-    dst: int
-    tag: int
-    comm_id: int
-    payload: bytes
-    wire_bytes: int = -1
-    payload_bytes: int = -1
-    seq: int = field(default_factory=lambda: next(_seq))
-    #: extra metadata for upper layers (encrypted MPI stores the nonce
-    #: strategy context here when needed)
-    info: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("src", "dst", "tag", "comm_id", "payload", "wire_bytes",
+                 "payload_bytes", "info")
 
-    def __post_init__(self) -> None:
-        if self.wire_bytes < 0:
-            self.wire_bytes = len(self.payload)
-        if self.payload_bytes < 0:
-            self.payload_bytes = len(self.payload)
+    def __init__(self, *, src: int, dst: int, tag: int, comm_id,
+                 payload, wire_bytes: int = -1,
+                 payload_bytes: int = -1) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.comm_id = comm_id
+        self.payload = payload
+        self.wire_bytes = len(payload) if wire_bytes < 0 else wire_bytes
+        self.payload_bytes = \
+            len(payload) if payload_bytes < 0 else payload_bytes
+        #: extra metadata for upper layers (transport route chaining,
+        #: receive overhead, rendezvous state, the reliability layer's
+        #: delivery id and reseal closure)
+        self.info: dict[str, Any] = {}
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope satisfy a recv posted for (source, tag)?"""
@@ -139,5 +138,5 @@ class Envelope:
     def __repr__(self) -> str:
         return (
             f"<Envelope {self.src}->{self.dst} tag={self.tag} "
-            f"comm={self.comm_id} {len(self.payload)}B seq={self.seq}>"
+            f"comm={self.comm_id} {len(self.payload)}B>"
         )

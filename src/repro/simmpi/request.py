@@ -21,11 +21,14 @@ class Request:
     """Handle for a pending isend/irecv.
 
     ``wait()`` blocks the calling rank until completion and returns the
-    received payload (irecv) or None (isend).  The first wait on a
-    receive charges the matched envelope's receiver-side CPU cost
-    (matching and copy-out) in the waiting rank's context.  The
-    encrypted layer's ``EncryptedRequest`` wraps a plain request and
-    decrypts after its wait.
+    received payload (irecv) or None (isend).  A wait on a request that
+    has already completed (an eager send once its injection ended, a
+    receive whose message arrived first) returns at once, without
+    suspending the rank.  The first wait on a receive charges the
+    matched envelope's receiver-side CPU cost (matching and copy-out) in
+    the waiting rank's context.  The encrypted layer's
+    ``EncryptedRequest`` wraps a plain request and decrypts after its
+    wait.
     """
 
     #: sanitizer bookkeeping (a repro.analysis.sanitize.PendingOp);
@@ -63,7 +66,13 @@ class Request:
 
     def co_wait(self):
         """Wait for completion; idempotent like MPI_Wait on a request."""
-        value = yield self._event
+        event = self._event
+        if not event._done:
+            value = yield event
+        elif event._exc is not None:
+            raise event._exc
+        else:
+            value = event._value
         if self._san_op is not None:
             self._san_op.mark_waited()
         if not self._waited:

@@ -177,7 +177,8 @@ class _Flight:
         self.delivered = False
         #: terminal: the message was abandoned (escalation drop/fail)
         self.done = False
-        #: cancellable EventHandle of the armed retransmission timer
+        #: EventHandle (Engine.schedule_at) of the armed retransmission
+        #: timer, cancelled by the ack or a re-arm
         self.timer = None
 
 
@@ -231,8 +232,9 @@ class ReliabilityManager:
         if flight.timer is not None:
             flight.timer.cancel()
         wait = delivery_delay + self.policy.retry_delay(flight.attempts + 1)
-        flight.timer = self.sched.engine.schedule(
-            wait, self._on_timeout, rd_id, flight.epoch
+        engine = self.sched.engine
+        flight.timer = engine.schedule_at(
+            engine.now + wait, self._on_timeout, rd_id, flight.epoch
         )
 
     def should_deliver(self, env: Envelope) -> bool:
@@ -449,6 +451,14 @@ class ReliabilityManager:
             return net.shm_msg_overhead + net.shm_delivery_delay(wire)
         costs = net.wire_costs(wire)
         return costs.tail + costs.transfer
+
+    def drained(self) -> None:
+        """The job's engine drained, so nothing can resend: free every
+        flight, with its envelope, reseal closure and plaintext.  (A
+        flight must outlive its ack while the job runs: a NACK can
+        follow the ack, and :meth:`should_deliver` reads the flight to
+        drop stale copies.)  The tallies stay for :meth:`report`."""
+        self._flights.clear()
 
     def report(self) -> ResilienceReport:
         """Frozen job-wide summary (attached to SimResult/JobResult)."""

@@ -244,6 +244,9 @@ def run_program(
         if sanitizer is not None:
             raise sanitizer.diagnose(scheduler) from err
         raise
+    finally:
+        if manager is not None:
+            manager.drained()
     if recorder is not None:
         recorder.emit("engine", "job_end", -1, duration=duration)
     report = None

@@ -54,10 +54,18 @@ def test_schedule_in_past_rejected():
         engine.schedule_at(1.0, lambda: None)
 
 
+def test_schedule_hands_out_no_handle():
+    """Only ``schedule_at`` builds a cancellation handle."""
+    engine = Engine()
+    assert engine.schedule(1.0, lambda: None) is None
+    handle = engine.schedule_at(2.0, lambda: None)
+    assert handle.time == 2.0 and not handle.cancelled
+
+
 def test_cancelled_events_do_not_run():
     engine = Engine()
     seen = []
-    handle = engine.schedule(1.0, seen.append, "cancelled")
+    handle = engine.schedule_at(engine.now + 1.0, seen.append, "cancelled")
     engine.schedule(2.0, seen.append, "kept")
     handle.cancel()
     assert handle.cancelled
@@ -92,7 +100,7 @@ def test_blocked_reporter_triggers_deadlock_error():
 
 def test_pending_events_counts_uncancelled():
     engine = Engine()
-    h = engine.schedule(1.0, lambda: None)
+    h = engine.schedule_at(engine.now + 1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
     assert engine.pending_events() == 2
     h.cancel()

@@ -26,8 +26,12 @@ def test_envelope_wire_bytes_defaults_to_payload():
     assert e.wire_bytes == 31
 
 
-def test_envelope_seq_monotonic():
-    assert _env().seq < _env().seq
+def test_envelope_is_slotted_and_built_by_keyword():
+    env = _env(payload=b"abcd")
+    assert not hasattr(env, "__dict__")
+    assert (env.payload_bytes, env.info) == (4, {})
+    with pytest.raises(TypeError):
+        Envelope(0, 1, 0, 0, b"x")
 
 
 def test_posted_recv_matches_later_delivery():

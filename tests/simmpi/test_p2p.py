@@ -5,10 +5,12 @@ import dataclasses
 import pytest
 
 from repro.des.engine import DeadlockError
-from repro.des.process import ProcessFailed, Scheduler
+from repro.des.process import ProcessFailed, Scheduler, _Sleep
+from repro.encmpi.context import EncryptedRequest
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_program
-from repro.simmpi.request import Status
+from repro.simmpi.message import Envelope
+from repro.simmpi.request import Request, Status
 from repro.util.units import KiB, MiB
 
 SMALL_CLUSTER = ClusterSpec(nodes=2, cores_per_node=4)
@@ -290,3 +292,49 @@ def test_every_rank_step_enters_through_wake_now(monkeypatch):
 
     run_program(4, program, cluster=ClusterSpec(2, 2))
     assert steps and all(steps)
+
+
+# -- completed waits -------------------------------------------------------
+
+
+def _returns_on_first_step(gen):
+    """The value *gen* returns on its first step (it must not yield)."""
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    return stop.value.value
+
+
+def test_completed_request_wait_ends_on_its_first_step():
+    req = Request(Scheduler(), "send")
+    req.complete("sent")
+    assert _returns_on_first_step(req.co_wait()) == "sent"
+    assert _returns_on_first_step(req.co_wait()) == "sent"  # idempotent
+
+
+def test_failed_request_wait_raises_on_its_first_step():
+    req = Request(Scheduler(), "recv")
+    req.done_event.fail(KeyError("lost"))
+    with pytest.raises(KeyError, match="lost"):
+        next(req.co_wait())
+
+
+def test_matched_receive_charges_its_overhead_once():
+    """A receive that matched before its wait yields exactly one sleep,
+    the envelope's receive overhead, and a second wait none."""
+    req = Request(Scheduler(), "recv")
+    env = Envelope(src=0, dst=1, tag=0, comm_id=0, payload=b"data")
+    env.info["recv_overhead"] = 2e-6
+    req._match_env = env
+    req.complete(env.payload, Status(0, 0, 4))
+    wait = req.co_wait()
+    sleep = next(wait)
+    assert type(sleep) is _Sleep and sleep.delay == 2e-6
+    assert _returns_on_first_step(wait) == b"data"
+    assert _returns_on_first_step(req.co_wait()) == b"data"
+
+
+def test_completed_encrypted_send_wait_ends_like_its_plain_request():
+    inner = Request(Scheduler(), "send")
+    inner.complete(None)
+    req = EncryptedRequest(inner, owner=None, kind="send")
+    assert _returns_on_first_step(req.co_wait()) is None
