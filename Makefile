@@ -5,14 +5,10 @@ PYTHON ?= python
 # gitignored scratch of the make check gates: the regenerated
 # artifacts with their campaign cache and manifest
 CHECK_DIR := .check
-# what check-artifacts regenerates sanitized and check-campaign-cache
-# re-runs warm
-CHECK_SELECTION := not-slow
 
-.PHONY: install check lint verify check-artifacts \
-	check-artifacts-all test test-fast test-all bench bench-baseline \
-	trace-goldens check-tracing-overhead check-campaign-cache \
-	experiments-fast experiments-all examples clean
+.PHONY: install check lint verify check-artifacts test bench \
+	bench-baseline trace-goldens check-tracing-overhead \
+	check-campaign-cache experiments-all examples clean
 
 # The default verification flow: static misuse analysis, unit tests
 # (the static-vs-dynamic conformance audit among them), the committed
@@ -39,27 +35,27 @@ verify:
 	$(PYTHON) -m repro.analysis verify --baseline lint-baseline.json
 
 # The committed results/ are the reproduction's record, and this is its
-# gate.  It regenerates the not-slow tier with the runtime sanitizer
+# gate.  It regenerates every experiment with the runtime sanitizer
 # armed in every job (deadlock diagnosis, leaked-request tracking,
-# nonce-reuse checks), then the fast tier, cryptmpi (chunk pipeline on
-# helper cores) and resilience (seeded faults with ack/retransmit) on
-# the thread runtime, and byte-compares every regenerated .txt/.json
-# with its committed file.  (scale, in the fast tier, evaluates a
-# closed form and starts no ranks on either pass.)  Virtual time is
-# deterministic and depends neither on the sanitizer nor on how rank
-# programs are scheduled, so any difference is drift: a regression, or
-# an intended change that must re-commit the artifact and say why.
+# nonce-reuse checks), then eleven of them on the thread runtime: the
+# enc-dec figures, the ping-pong tables and figures, the 1 B multipair
+# figures, scale, cryptmpi (chunk pipeline on helper cores) and
+# resilience (seeded faults with ack/retransmit).  It byte-compares
+# every regenerated .txt/.json with its committed file.  (scale
+# evaluates a closed form and starts no ranks on either pass.)  Virtual
+# time is deterministic and depends neither on the sanitizer nor on how
+# rank programs are scheduled, so any difference is drift: a
+# regression, or an intended change that must re-commit the artifact
+# and say why.
 # Cache hits skip runners (and thus the sanitizer), so the sanitized
 # pass starts from an emptied directory: its cache is cold and every
 # runner executes, filling the cache check-campaign-cache re-reads.
-# check-artifacts-all widens the sanitized pass to every experiment
-# (the slow tier adds minutes); make check runs check-artifacts.
-check-artifacts check-artifacts-all:
+check-artifacts:
 	rm -rf $(CHECK_DIR)/sanitized $(CHECK_DIR)/threads
-	$(PYTHON) -m repro.experiments campaign \
-		$(if $(filter %-all,$@),all,$(CHECK_SELECTION)) -j 2 \
+	$(PYTHON) -m repro.experiments campaign all -j 2 \
 		--sanitize --output $(CHECK_DIR)/sanitized
-	$(PYTHON) -m repro.experiments campaign fast cryptmpi resilience -j 2 \
+	$(PYTHON) -m repro.experiments campaign fig2 fig9 table1 fig3 table5 \
+		fig10 fig4 fig11 scale cryptmpi resilience -j 2 \
 		--no-cache --runtime threads --output $(CHECK_DIR)/threads
 	@status=0; \
 	for new in $(CHECK_DIR)/sanitized/*.txt $(CHECK_DIR)/sanitized/*.json \
@@ -81,15 +77,9 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/ -m "not slow"
-
-test-fast:
-	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
-
-test-all:
 	$(PYTHON) -m pytest tests/
 
-# Quick smoke of the substrate's hot paths (seconds, skips slow experiments);
+# Quick smoke of the substrate's hot paths (seconds, skips the fig6 bench);
 # compares against the committed baseline so regressions are visible.
 bench:
 	$(PYTHON) -m repro.experiments bench --smoke
@@ -113,11 +103,8 @@ check-tracing-overhead:
 # must serve every cell from $(CHECK_DIR)/sanitized/cache and execute
 # zero experiment runners.
 check-campaign-cache: check-artifacts
-	$(PYTHON) -m repro.experiments campaign $(CHECK_SELECTION) \
+	$(PYTHON) -m repro.experiments campaign all \
 		--expect-all-cached --output $(CHECK_DIR)/sanitized
-
-experiments-fast:
-	$(PYTHON) -m repro.experiments run fast
 
 # Regenerate the whole committed record into results/ (minutes); the
 # diff is a statement that the artifacts intentionally moved.

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Campaign runner: parallel experiment execution with a warm cache.
 
-The paper's evaluation is ~22 artifacts (Tables I-VIII, Figs. 2-15,
-plus extras).  ``api.run_campaign`` runs any selection of them across a
+The paper's evaluation is 29 artifacts (Tables I-VIII, Figs. 2-15,
+plus extensions).  ``api.run_campaign`` runs any selection of them across a
 worker pool, merges the results in registry order (the simulator is
 deterministic, so parallel output is byte-identical to serial), and
 memoises each cell in a content-addressed cache keyed by experiment id,
@@ -12,8 +12,8 @@ honestly.
 
 The same machinery backs the CLI:
 
-    python -m repro.experiments campaign fast -j 4
-    python -m repro.experiments campaign fast -j 4 --expect-all-cached
+    python -m repro.experiments campaign fig2 table1 table5 -j 2
+    python -m repro.experiments campaign fig2 table1 table5 -j 2 --expect-all-cached
 
 Run:  python examples/campaign_demo.py
 """

@@ -141,16 +141,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.analysis.conformance import FAST_GOLDENS, check_golden
+    from repro.analysis.conformance import check_golden
+    from repro.experiments.goldens import GOLDEN_RUNS
 
-    names = sorted(args.names) if args.names else list(FAST_GOLDENS)
+    names = sorted(args.names or GOLDEN_RUNS)
     reports = []
     for name in names:
         try:
             reports.append(check_golden(name))
         except KeyError:
-            print(f"unknown golden {name!r} (fast tier: "
-                  f"{', '.join(FAST_GOLDENS)})", file=sys.stderr)
+            print(f"unknown golden {name!r} (goldens: "
+                  f"{', '.join(sorted(GOLDEN_RUNS))})", file=sys.stderr)
             return 2
     ok = all(r.ok for r in reports)
     if args.json:
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conformance",
         help="diff predicted comm graphs against recorded golden traces")
     conf.add_argument("names", nargs="*",
-                      help="golden names (default: the fast tier)")
+                      help="golden names (default: every golden)")
     conf.add_argument("--json", action="store_true")
     conf.set_defaults(fn=_cmd_conformance)
 

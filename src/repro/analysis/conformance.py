@@ -25,7 +25,7 @@ expected and counted, not diffed.
 The report renders deterministically (the simulator's schedules are
 reproducible and all aggregation is sorted), so running it twice must
 produce byte-identical output — ``tests/analysis/test_conformance.py``
-asserts exactly that over the fast tier.
+asserts exactly that over every golden.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.commgraph import InstGraph
 from repro.simmpi.message import MAX_USER_TAG
-
-#: goldens small enough for the conformance gate (the fast tier)
-FAST_GOLDENS = ("bcast", "enc_multipair", "pingpong")
 
 
 @dataclass
@@ -180,20 +177,16 @@ def check_golden(name: str, backend: str = "auto") -> ConformanceReport:
 
 
 def conformance_report(names=None) -> str:
-    """The full deterministic report over *names* (default fast tier)."""
-    selected = sorted(names) if names else list(FAST_GOLDENS)
+    """The full deterministic report over *names* (default: every
+    golden)."""
+    from repro.experiments.goldens import GOLDEN_RUNS
+
+    selected = sorted(names or GOLDEN_RUNS)
     return "\n".join(check_golden(name).format() for name in selected)
 
 
-def conformance_ok(names=None) -> bool:
-    selected = sorted(names) if names else list(FAST_GOLDENS)
-    return all(check_golden(name).ok for name in selected)
-
-
 __all__ = [
-    "FAST_GOLDENS",
     "ConformanceReport",
     "check_golden",
-    "conformance_ok",
     "conformance_report",
 ]

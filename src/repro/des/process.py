@@ -30,8 +30,8 @@ Both runtimes issue *identical* ``engine.schedule`` call sequences (one
 entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`;
 completed waits return without yielding), so artifacts are
 byte-identical between them — ``make check-artifacts`` regenerates
-the fast tier on threads and byte-compares it with the committed
-artifacts.
+eleven experiments on threads and byte-compares them with the
+committed artifacts.
 The ``runtime="auto"`` default picks per function, so both styles
 coexist in one simulation.
 """

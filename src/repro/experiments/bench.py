@@ -10,7 +10,7 @@ transport, and end-to-end experiments) and writes the numbers to
 Two modes:
 
 - ``full`` — the committed baseline: paper-scale payloads and event
-  counts (64 KiB AEAD messages, 200k events, the slow fig6 experiment);
+  counts (64 KiB AEAD messages, 200k events, the fig6 experiment);
 - ``smoke`` — seconds-not-minutes variant for ``make bench`` and CI;
   never meant to overwrite the committed baseline.
 
@@ -213,17 +213,17 @@ def _bench_simmpi_messages(mode: str) -> dict:
 # end-to-end experiments
 
 
-@_bench("experiment_fig4", "fig4 end-to-end (multi-pair 1B, fast cost)")
+@_bench("experiment_fig4", "fig4 end-to-end (multi-pair 1B)")
 def _bench_experiment_fig4(_mode: str) -> dict:
     from repro.experiments.figures import fig4
 
     return {"seconds": _timed(fig4)}
 
 
-@_bench("experiment_fig6", "fig6 end-to-end (multi-pair 2MB, slow cost)")
+@_bench("experiment_fig6", "fig6 end-to-end (multi-pair 2MB)")
 def _bench_experiment_fig6(mode: str) -> dict:
     if mode != "full":
-        return {"seconds": None, "skipped": "slow experiment; full mode only"}
+        return {"seconds": None, "skipped": "full mode only"}
     from repro.experiments.figures import fig6
 
     return {"seconds": _timed(fig6)}

@@ -111,7 +111,6 @@ def experiment_config_digest(
     exist to enforce."""
     doc: dict[str, Any] = {
         "kind": "experiment", "id": exp.id, "paper_ref": exp.paper_ref,
-        "cost": exp.cost,
     }
     if crypto is not None:
         doc["crypto"] = crypto.token()

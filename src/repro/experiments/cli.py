@@ -3,12 +3,11 @@
 Commands:
 
 - ``list`` — show every registered experiment with its paper reference
-  and rough cost;
+  and title;
 - ``run <selection>`` — regenerate the selected artifacts serially and
   print them; the selection grammar is shared with ``campaign``
-  (``all``, ``fast``, ``medium``, ``slow``, ``not-slow``, explicit
-  ids).  ``run all`` is ``campaign -j 1 --no-cache`` that writes
-  nothing unless ``--output DIR`` is given;
+  (``all`` or explicit ids).  ``run all`` is ``campaign -j 1
+  --no-cache`` that writes nothing unless ``--output DIR`` is given;
 - ``campaign <selection>`` — run a selection across ``-j`` worker
   processes with the content-addressed result cache, live per-cell
   progress, artifact exports, and a manifest; re-running it resumes
@@ -65,9 +64,9 @@ _RUNTIME_HELP = (
 
 
 def _cmd_list(_args) -> int:
-    print(f"{'id':8s} {'paper':11s} {'cost':7s} title")
+    print(f"{'id':8s} {'paper':11s} title")
     for exp in list_experiments():
-        print(f"{exp.id:8s} {exp.paper_ref:11s} {exp.cost:7s} {exp.title}")
+        print(f"{exp.id:8s} {exp.paper_ref:11s} {exp.title}")
     return 0
 
 
@@ -101,7 +100,7 @@ def _cmd_run(args) -> int:
 
     def on_start(exp, _index, _total) -> None:
         if not as_json:
-            print(f"--- running {exp.id} ({exp.paper_ref}; cost: {exp.cost}) ---")
+            print(f"--- running {exp.id} ({exp.paper_ref}) ---")
 
     def on_cell(cell, _done, _total) -> None:
         if not cell.ok:
@@ -403,8 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list experiments").set_defaults(func=_cmd_list)
     run = sub.add_parser(
         "run",
-        help="run experiments serially ('all', 'fast', 'medium', 'slow', "
-        "'not-slow', or ids)",
+        help="run experiments serially ('all' or experiment ids)",
     )
     run.add_argument("ids", nargs="+")
     run.add_argument(
@@ -445,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         "ids",
         nargs="*",
         default=["all"],
-        help="selection tokens (default: all); same grammar as 'run'",
+        help="'all' or experiment ids (default: all); same grammar as 'run'",
     )
     campaign.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
@@ -491,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--smoke",
         action="store_true",
-        help="seconds-not-minutes variant; skips slow experiments",
+        help="seconds-not-minutes variant; skips the fig6 experiment",
     )
     bench.add_argument(
         "--output",

@@ -1,18 +1,18 @@
-"""Static-vs-dynamic conformance over the fast-tier goldens."""
+"""Static-vs-dynamic conformance over the goldens."""
 
 from collections import Counter
 
 import pytest
 
 from repro.analysis.conformance import (
-    FAST_GOLDENS,
     ConformanceReport,
     check_golden,
     conformance_report,
 )
+from repro.experiments.goldens import GOLDEN_RUNS
 
 
-@pytest.mark.parametrize("name", FAST_GOLDENS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_fast_golden_conforms(name):
     report = check_golden(name)
     assert report.ok, report.format()

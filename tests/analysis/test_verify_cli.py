@@ -138,6 +138,8 @@ def test_lint_baseline_flag(tree, capsys):
 
 def test_conformance_unknown_golden_usage_error(capsys):
     assert main(["conformance", "definitely-not-a-golden"]) == 2
+    assert "(goldens: bcast, enc_multipair, pingpong)" \
+        in capsys.readouterr().err
 
 
 def test_conformance_pingpong_ok(capsys):

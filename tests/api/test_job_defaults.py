@@ -80,7 +80,7 @@ def test_fork_workers_inherit_the_default(monkeypatch):
     probes = ["probe-a", "probe-b"]
     for exp_id in probes:
         monkeypatch.setitem(registry.EXPERIMENTS, exp_id, registry.Experiment(
-            exp_id, "-", "sanitize probe", _sanitize_probe, "fast"))
+            exp_id, "-", "sanitize probe", _sanitize_probe))
     result = api.run_campaign(probes, jobs=2, cache=False, results_dir=None,
                               sanitize=True)
     assert result.ok

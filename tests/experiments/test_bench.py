@@ -21,7 +21,7 @@ def test_bench_document_shape():
     assert doc["schema"] == core_bench.SCHEMA
     assert doc["mode"] == "smoke"
     assert set(doc["benches"]) == set(core_bench._BENCHES)
-    # slow experiments must be skipped in smoke mode, not silently run
+    # the fig6 experiment must be skipped in smoke mode, not silently run
     assert doc["benches"]["experiment_fig6"]["seconds"] is None
 
 

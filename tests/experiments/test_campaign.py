@@ -50,9 +50,9 @@ def test_parallel_campaign_is_byte_identical_to_serial():
 
 
 def test_mixed_fast_medium_parallel_vs_serial_byte_equality(tmp_path):
-    """The acceptance invariant over a mixed fast/medium selection, down
-    to the exported artifact files' bytes."""
-    selection = ["fig2", "table1", "table2"]  # fast, fast, medium
+    """The acceptance invariant over two sub-second cells and a
+    multi-second one, down to the exported artifact files' bytes."""
+    selection = ["fig2", "table1", "table2"]
     ser_dir = tmp_path / "ser"
     par_dir = tmp_path / "par"
     ser = run_campaign(selection, jobs=1, cache=False,
@@ -68,8 +68,7 @@ def test_mixed_fast_medium_parallel_vs_serial_byte_equality(tmp_path):
 
 
 def test_failures_are_isolated_and_reported(monkeypatch):
-    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom,
-                                 "fast")
+    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom)
     monkeypatch.setitem(registry.EXPERIMENTS, "broken", broken)
     result = _bare(["broken", "fig2"])
     assert not result.ok

@@ -117,7 +117,7 @@ def test_failed_cells_are_not_cached(tmp_path, monkeypatch):
         calls["n"] += 1
         raise RuntimeError("flaky runner")
 
-    broken = registry.Experiment("flaky", "Fig. X", "flaky", flaky, "fast")
+    broken = registry.Experiment("flaky", "Fig. X", "flaky", flaky)
     monkeypatch.setitem(registry.EXPERIMENTS, "flaky", broken)
     first = run_campaign(["flaky"], jobs=1, results_dir=str(tmp_path))
     second = run_campaign(["flaky"], jobs=1, results_dir=str(tmp_path))

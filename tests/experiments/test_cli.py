@@ -11,6 +11,7 @@ def test_list(capsys):
     assert "table1" in out
     assert "fig15" in out
     assert "Table I" in out
+    assert out.splitlines()[0].split() == ["id", "paper", "title"]
 
 
 def test_run_single_fast_experiment(capsys):
@@ -61,17 +62,26 @@ def test_run_table_output_json(tmp_path, capsys):
 def test_run_unknown_experiment(capsys):
     assert main(["run", "table42"]) == 2
     assert "unknown experiment 'table42'" in capsys.readouterr().err
+    # a retired cost-tier token is an unknown id in any spelling
+    token = "Not-Slow"
+    assert main(["run", token]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"unknown experiment {token.lower()!r}; known: ")
 
 
 @pytest.mark.parametrize("args, message", [
     (["table42"], "unknown experiment 'table42'"),
+    (["fast"], "unknown experiment 'fast'"),
     (["fig2", "-j", "0"], "-j must be >= 1"),
     # the pair can never pass, so it fails before running any cell
     (["fig2", "--no-cache", "--expect-all-cached"], "--expect-all-cached"),
-], ids=["unknown-id", "zero-jobs", "no-cache-expect-all-cached"])
+], ids=["unknown-id", "retired-tier-token", "zero-jobs",
+        "no-cache-expect-all-cached"])
 def test_campaign_usage_error_exits_2(args, message, tmp_path, capsys):
     assert main(["campaign", *args, "--output", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
     assert not any(tmp_path.iterdir())
 
 
@@ -107,8 +117,7 @@ def _boom():
 def test_run_failure_exits_nonzero_with_summary(capsys, monkeypatch):
     from repro.experiments import registry
 
-    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom,
-                                 "fast")
+    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom)
     monkeypatch.setitem(registry.EXPERIMENTS, "broken", broken)
     assert main(["run", "broken", "fig2"]) == 1
     err = capsys.readouterr().err
@@ -144,8 +153,7 @@ def test_campaign_expect_all_cached_fails_cold(tmp_path, capsys):
 def test_campaign_failure_lists_failed_cells(tmp_path, capsys, monkeypatch):
     from repro.experiments import registry
 
-    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom,
-                                 "fast")
+    broken = registry.Experiment("broken", "Fig. X", "always fails", _boom)
     monkeypatch.setitem(registry.EXPERIMENTS, "broken", broken)
     assert main(["campaign", "broken", "fig2", "--no-cache",
                  "--output", str(tmp_path)]) == 1

@@ -23,7 +23,6 @@ def test_grid_is_the_full_size_ladder():
 
 def test_registry_entry():
     entry = get_experiment("predict")
-    assert entry.cost == "medium"
     assert entry.runner is exp.predict_validation
 
 

@@ -31,25 +31,14 @@ def test_get_experiment():
         get_experiment("table99")
 
 
-def test_costs_are_classified():
-    for exp in list_experiments():
-        assert exp.cost in ("fast", "medium", "slow")
-
-
-def test_select_expands_tier_tokens_in_registry_order():
+def test_select_takes_all_and_ids_only():
     registry_order = [e.id for e in list_experiments()]
-    everything = [e.id for e in select(["all"])]
-    assert everything == registry_order
-    fast = [e.id for e in select(["fast"])]
-    medium = [e.id for e in select(["medium"])]
-    slow = [e.id for e in select(["slow"])]
-    assert fast and medium and slow
-    assert all(get_experiment(i).cost == "fast" for i in fast)
-    assert all(get_experiment(i).cost == "medium" for i in medium)
-    not_slow = [e.id for e in select(["not-slow"])]
-    assert not_slow == [i for i in registry_order
-                        if get_experiment(i).cost != "slow"]
-    assert set(not_slow) == set(fast) | set(medium)
+    assert [e.id for e in select(["all"])] == registry_order
+    # the retired cost-tier tokens; selection folds case, so these are
+    # the same tokens in any spelling
+    for retired in ("fast", "Medium", "SLOW", "Not-Slow"):
+        with pytest.raises(ValueError, match="unknown experiment"):
+            select([retired])
 
 
 def test_select_dedupes_and_keeps_first_position():
@@ -64,9 +53,7 @@ def test_select_dedupes_and_keeps_first_position():
 
 def test_select_is_case_insensitive_and_validates():
     assert [e.id for e in select(["TABLE1"])] == ["table1"]
-    assert [e.id for e in select(["Not-Slow"])] == [
-        e.id for e in select(["not-slow"])
-    ]
+    assert [e.id for e in select(["ALL"])] == [e.id for e in select(["all"])]
     with pytest.raises(ValueError, match="unknown experiment"):
         select(["fig2", "nope"])
     assert select([]) == []

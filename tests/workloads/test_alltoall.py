@@ -27,8 +27,8 @@ IDENTITY_SIZES = (1, 16 * KiB, ALLTOALL_PAIRWISE_THRESHOLD,
 #: 64-rank 1 B cells are table3's 1 B cells (batched path); on 2x8,
 #: 16 KiB is batched and 64 KiB pairwise.  The 8x4 16 KiB cells put many
 #: rank pairs of one node pair in flight at once, the flow solver's
-#: large bundle classes that otherwise only the slow tier's 64-rank
-#: cells reach.
+#: large bundle classes that otherwise only the 64-rank cells of
+#: tables 3/7 and figs 8/15 reach.
 PIN = {
     ("ethernet", 64, PAPER_CLUSTER, 1, None): "0x1.3ace419dd860bp-12",
     ("ethernet", 64, PAPER_CLUSTER, 1, "boringssl"): "0x1.e02d224d2eef4p-12",

@@ -20,7 +20,6 @@ def test_medium_messages_saturate_early():
     assert t8 < 1.25 * t2  # nearly flat past 2 pairs
 
 
-@pytest.mark.slow
 def test_encrypted_catches_up_with_pairs_16kb():
     """§V-A: at 8 pairs even CryptoPP reaches the baseline for 16KB."""
     base = multipair_aggregate_throughput(16 * KiB, 8, network="ethernet")
@@ -40,7 +39,6 @@ def test_single_pair_large_is_crypto_bound():
     assert cpp < 0.6 * base
 
 
-@pytest.mark.slow
 def test_infiniband_16kb_gap_remains_at_8_pairs():
     """§V-B: on IB, BoringSSL reaches only ~82% of baseline at 8 pairs
     for 16KB messages (the fabric outruns 8 crypto cores)."""

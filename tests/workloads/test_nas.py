@@ -1,7 +1,7 @@
 """NAS proxy tests (scaled-down clusters for speed; the full 64-rank
 paper-scale runs are Tables IV/VIII, whose committed artifacts
 ``tests/integration/test_artifact_shapes.py`` checks against the paper
-and ``make check-artifacts-all`` regenerates)."""
+and ``make check-artifacts`` regenerates)."""
 
 import pytest
 
@@ -60,7 +60,6 @@ def test_encrypted_slower_than_baseline_small_scale(name):
     assert enc.total_seconds > base.total_seconds
 
 
-@pytest.mark.slow
 def test_library_ranking_small_scale():
     times = {
         lib: run_nas("ft", nranks=8, cluster=SMALL, library=lib).total_seconds
