@@ -29,10 +29,10 @@ lint:
 # Flow-sensitive verification: abstract-interpret every rank program in
 # the workload/experiment/example trees, extract its symbolic comm
 # graph, and check match completeness, tag consistency, collective
-# order, deadlock cycles, and crypto taint (MPI1xx/CRY1xx).  Findings
-# already recorded in lint-baseline.json are forgiven; new ones fail.
+# order, deadlock cycles, and crypto taint (MPI1xx/CRY1xx); exits
+# nonzero on any finding.
 verify:
-	$(PYTHON) -m repro.analysis verify --baseline lint-baseline.json
+	$(PYTHON) -m repro.analysis verify
 
 # The committed results/ are the reproduction's record, and this is its
 # gate.  It regenerates every experiment with the runtime sanitizer

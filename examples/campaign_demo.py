@@ -7,8 +7,9 @@ worker pool, merges the results in registry order (the simulator is
 deterministic, so parallel output is byte-identical to serial), and
 memoises each cell in a content-addressed cache keyed by experiment id,
 configuration digest, and a fingerprint of the source tree.  A second
-run therefore costs nothing — and a code change invalidates exactly
-honestly.
+run therefore costs nothing, and any edit under ``src/repro``
+invalidates every cell, because the code fingerprint covers the whole
+package.
 
 The same machinery backs the CLI:
 

@@ -3,10 +3,8 @@
 Four subcommands::
 
     python -m repro.analysis lint [paths...] [--json] [--select IDS]
-                                  [--fix] [--baseline FILE]
+                                  [--fix]
     python -m repro.analysis verify [paths...] [--json] [--sizes N,M]
-                                    [--baseline FILE]
-                                    [--write-baseline FILE]
     python -m repro.analysis conformance [names...] [--json]
     python -m repro.analysis rules
 
@@ -19,10 +17,8 @@ findings (or divergence) were reported, 2 on usage errors.
 Default lint paths cover the tree the repo promises to keep clean
 (``src/repro`` and ``examples``); default verify paths are the
 rank-program trees (:data:`repro.analysis.dataflow.VERIFY_PATHS`).
-With ``--baseline FILE``, findings already recorded in the baseline
-are forgiven and only new ones fail the run (see
-:mod:`repro.analysis.baseline`; the committed file is
-``lint-baseline.json``).
+Every finding fails the run; a deliberate exception is suppressed at
+its line with a ``# lint-ok: ID`` comment.
 """
 
 from __future__ import annotations
@@ -35,18 +31,6 @@ from repro.analysis.findings import all_rules
 from repro.analysis.linter import lint_paths
 
 DEFAULT_PATHS = ("src/repro", "examples")
-
-
-def _apply_baseline(findings, baseline_path: str):
-    from repro.analysis.baseline import filter_new, load_baseline
-
-    try:
-        baseline = load_baseline(baseline_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot read baseline {baseline_path}: {exc}",
-              file=sys.stderr)
-        return None
-    return filter_new(findings, baseline)
 
 
 def _emit_findings(findings, args, *, extra: dict | None = None) -> int:
@@ -92,12 +76,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if not args.json and fixed:
             print(f"{sum(fixed.values())} fix(es) in {len(fixed)} "
                   f"file(s); re-linting")
-    findings = lint_paths(paths, rules=selected)
-    if args.baseline:
-        findings = _apply_baseline(findings, args.baseline)
-        if findings is None:
-            return 2
-    return _emit_findings(findings, args)
+    return _emit_findings(lint_paths(paths, rules=selected), args)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -118,22 +97,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 2
     paths = args.paths or list(VERIFY_PATHS)
     result = verify_paths(paths, sizes=sizes)
-    findings = result.findings
-    if args.write_baseline:
-        from repro.analysis.baseline import write_baseline
-
-        count = write_baseline(findings, args.write_baseline)
-        print(f"wrote {count} baseline entr(ies) to "
-              f"{args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        findings = _apply_baseline(findings, args.baseline)
-        if findings is None:
-            return 2
     extra = {
         "programs": len(result.graphs),
         "notes": result.notes,
     }
-    code = _emit_findings(findings, args, extra=extra)
+    code = _emit_findings(result.findings, args, extra=extra)
     if not args.json and result.notes:
         for note in result.notes:
             print(f"note: {note}")
@@ -212,9 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--fix", action="store_true",
                       help="apply mechanical fixes (MPI002, DET002) in "
                            "place before linting")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="forgive findings recorded in FILE; fail "
-                           "only on new ones")
     lint.add_argument("--no-hints", action="store_true",
                       help="omit fix hints from text output")
     lint.set_defaults(fn=_cmd_lint)
@@ -231,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="world sizes to verify at (default 2,4; "
                              "a '# verify-sizes:' pragma in a module "
                              "overrides this)")
-    verify.add_argument("--baseline", metavar="FILE",
-                        help="forgive findings recorded in FILE; fail "
-                             "only on new ones")
-    verify.add_argument("--write-baseline", metavar="FILE",
-                        help="record the current findings to FILE and "
-                             "continue")
     verify.add_argument("--no-hints", action="store_true",
                         help="omit fix hints from text output")
     verify.set_defaults(fn=_cmd_verify)

@@ -64,9 +64,11 @@ _RUNTIME_HELP = (
 
 
 def _cmd_list(_args) -> int:
-    print(f"{'id':8s} {'paper':11s} title")
-    for exp in list_experiments():
-        print(f"{exp.id:8s} {exp.paper_ref:11s} {exp.title}")
+    exps = list_experiments()
+    width = max(len(exp.id) for exp in exps)
+    print(f"{'id':{width}s} {'paper':11s} title")
+    for exp in exps:
+        print(f"{exp.id:{width}s} {exp.paper_ref:11s} {exp.title}")
     return 0
 
 

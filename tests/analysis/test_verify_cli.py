@@ -1,5 +1,4 @@
-"""The ``verify`` / ``conformance`` subcommands and the ``lint``
-``--fix`` / ``--baseline`` flags."""
+"""The ``verify`` / ``conformance`` subcommands and ``lint --fix``."""
 
 import json
 
@@ -78,30 +77,17 @@ def test_verify_bad_sizes_usage_error(tree, capsys):
                  str(tree / "clean.py")]) == 2
 
 
-def test_verify_write_then_apply_baseline(tree, capsys):
-    baseline = tree / "baseline.json"
-    # record the debt...
-    assert main(["verify", "--write-baseline", str(baseline),
-                 str(tree / "mismatch.py")]) == 1
-    capsys.readouterr()
-    # ...and the same findings are now forgiven
-    assert main(["verify", "--baseline", str(baseline),
-                 str(tree / "mismatch.py")]) == 0
-    assert "clean: no findings" in capsys.readouterr().out
-
-
-def test_verify_baseline_still_fails_on_new_findings(tree, capsys):
-    baseline = tree / "baseline.json"
-    assert main(["verify", "--write-baseline", str(baseline),
-                 str(tree / "clean.py")]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--baseline", str(baseline),
-                 str(tree / "mismatch.py")]) == 1
-
-
-def test_verify_missing_baseline_usage_error(tree, capsys):
-    assert main(["verify", "--baseline", str(tree / "nope.json"),
-                 str(tree / "clean.py")]) == 2
+@pytest.mark.parametrize("command, flag", [
+    ("lint", "--baseline"),
+    ("verify", "--baseline"),
+    ("verify", "--write-baseline"),
+])
+def test_baseline_flags_are_unrecognized(command, flag, tree, capsys):
+    # every finding fails the run; there is no baseline to forgive one
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(tree / "F"), str(tree / "clean.py")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --------------------------------------------------------- lint --fix
@@ -120,18 +106,6 @@ def test_lint_fix_rewrites_then_relints_clean(tree, capsys):
     # a second --fix run is a no-op
     assert main(["lint", "--fix", str(target)]) == 0
     assert target.read_text() == fixed
-
-
-def test_lint_baseline_flag(tree, capsys):
-    target = tree / "fixable.py"
-    target.write_text(FIXABLE)
-    baseline = tree / "baseline.json"
-    from repro.analysis.baseline import write_baseline
-    from repro.analysis.linter import lint_paths
-
-    write_baseline(lint_paths([str(target)]), str(baseline))
-    assert main(["lint", "--baseline", str(baseline),
-                 str(target)]) == 0
 
 
 # -------------------------------------------------------- conformance

@@ -49,7 +49,7 @@ def test_parallel_campaign_is_byte_identical_to_serial():
         assert s_cell.text == p_cell.text
 
 
-def test_mixed_fast_medium_parallel_vs_serial_byte_equality(tmp_path):
+def test_parallel_vs_serial_artifact_files_byte_equal(tmp_path):
     """The acceptance invariant over two sub-second cells and a
     multi-second one, down to the exported artifact files' bytes."""
     selection = ["fig2", "table1", "table2"]

@@ -11,7 +11,12 @@ def test_list(capsys):
     assert "table1" in out
     assert "fig15" in out
     assert "Table I" in out
-    assert out.splitlines()[0].split() == ["id", "paper", "title"]
+    lines = out.splitlines()
+    assert lines[0].split() == ["id", "paper", "title"]
+    # the paper column starts at one offset, past the longest id
+    offset = lines[0].index("paper")
+    for line in lines[1:]:
+        assert line[offset - 1] == " " and line[offset] != " ", line
 
 
 def test_run_single_fast_experiment(capsys):

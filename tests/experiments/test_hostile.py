@@ -14,13 +14,13 @@ def capped_reps(monkeypatch):
     monkeypatch.setattr(hostile_mod, "REPS", 2)
 
 
-def test_registered_as_medium_tier():
+def test_registered_with_its_runner():
     exp = get_experiment("hostile")
     assert exp.runner is hostile_mod.hostile
 
 
 def test_exhausted_retries_fail_rather_than_fall_back_to_plaintext():
-    assert {p.escalation for _, p in hostile_mod.POLICY_CELLS} == {"fail"}
+    assert hostile_mod.POLICY.escalation == "fail"
 
 
 def test_hostile_is_byte_deterministic(capped_reps):
@@ -33,12 +33,12 @@ def test_hostile_is_byte_deterministic(capped_reps):
 def test_hostile_table_covers_the_grid(capped_reps):
     art = hostile_mod.hostile()
     labels = [row[0] for row in art.body.rows]
-    # 2 libraries x 2 fabrics x 2 loss rates x 2 policies ping-pong
-    # cells, 4 multipair cells, 4 mtlatency cells
-    assert len(labels) == 16 + 4 + 4
-    assert sum(lab.startswith("pp ") for lab in labels) == 16
-    assert sum(lab.startswith("mp ") for lab in labels) == 4
+    # 2 fabrics x 2 loss rates ping-pong cells, 2 multipair cells,
+    # 2 fabrics x 2 channel counts mtlatency cells
+    assert len(labels) == 4 + 2 + 4
+    assert sum(lab.startswith("pp ") for lab in labels) == 4
+    assert sum(lab.startswith("mp ") for lab in labels) == 2
     assert sum(lab.startswith("mt ") for lab in labels) == 4
     for fabric in ("wan", "iot"):
         assert any(fabric in lab for lab in labels)
-    assert art.headlines  # policy + channel comparisons present
+    assert set(art.headlines) == {"mt_iot_ch1_ms", "mt_iot_ch4_ms"}

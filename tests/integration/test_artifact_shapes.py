@@ -292,3 +292,19 @@ def test_table8_nas_infiniband():
     assert b < l < c
     assert b == pytest.approx(b_paper, abs=8)
     assert c == pytest.approx(c_paper, abs=8)
+
+
+# ---------------------------------------------------------------------------
+# Hostile fabrics (extension)
+# ---------------------------------------------------------------------------
+
+
+def test_hostile_rows_are_pairwise_distinct():
+    """Every axis of the sweep moves the result: an axis whose levels
+    render identical rows adds runs but no information."""
+    rows = _load("hostile")["rows"]
+    by_cells: dict[tuple, list[str]] = {}
+    for row in rows:
+        by_cells.setdefault(tuple(row["cells"]), []).append(row["label"])
+    ties = [labels for labels in by_cells.values() if len(labels) > 1]
+    assert ties == [], f"hostile rows with identical cells: {ties}"
