@@ -11,11 +11,12 @@ CHECK_DIR := .check
 	check-campaign-cache experiments-all examples clean
 
 # The default verification flow: static misuse analysis, unit tests
-# (the static-vs-dynamic conformance audit among them), the committed
-# artifacts regenerated (cold) and byte-compared, the warm-cache
-# invariant (the same campaign again executes zero runners), and every
-# example.
-check: lint verify test check-artifacts check-campaign-cache examples
+# (the static-vs-dynamic conformance audit among them, and every example
+# through tests/integration/test_examples.py), the committed artifacts
+# regenerated (cold) and byte-compared, and the warm-cache invariant
+# (the same campaign again executes zero runners).  `make examples`
+# runs the examples alone.
+check: lint verify test check-artifacts check-campaign-cache
 
 # Static misuse analysis (MPI protocol, determinism, crypto) over the
 # tree the repo promises to keep clean; exits nonzero on any finding.

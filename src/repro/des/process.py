@@ -9,6 +9,19 @@ once, in generator style, as a ``co_*`` method::
         yield _Sleep(1e-6)                     # advance virtual time
         return ctx.now
 
+A rank suspends in one of three ways:
+
+- ``yield _Sleep(d)`` — one heap entry wakes it *d* seconds later;
+- ``yield event`` — a pending :class:`SimEvent` wakes it through
+  :meth:`Scheduler.wake_soon` when it completes (a completed one
+  continues inline);
+- ``yield PARK`` — it schedules nothing.  Whatever parked it (the NIC
+  turn of an injection, the completion of a request's first wait) runs
+  as engine steps and wakes it through :meth:`Scheduler.wake_now`,
+  either from an entry that code scheduled or inline at the end of its
+  own step.  The rank's generator stack resumes only where rank code
+  must run.
+
 The blocking spelling of each operation (``comm.send``,
 ``request.wait`` …) is not written by hand: :func:`blocking` derives it
 from the ``co_*`` form, and :func:`run_blocking` interprets the
@@ -24,11 +37,11 @@ generators:
   user code written against the blocking API), and
   ``runtime="threads"`` forces generator ranks onto it as the parity
   reference: :func:`run_blocking` translates ``yield event`` into
-  ``event.wait()`` and ``yield _Sleep(d)`` into ``proc.sleep(d)``.
+  ``event.wait()``, ``yield _Sleep(d)`` into ``proc.sleep(d)`` and
+  ``yield PARK`` into a bare block until the next ``wake_now``.
 
 Both runtimes issue *identical* ``engine.schedule`` call sequences (one
-entry per sleep, one per event wake via :meth:`Scheduler.wake_soon`;
-completed waits return without yielding), so artifacts are
+entry per sleep, one per event wake, none for a park), so artifacts are
 byte-identical between them — ``make check-artifacts`` regenerates
 eleven experiments on threads and byte-compares them with the
 committed artifacts.
@@ -132,12 +145,25 @@ class _Sleep:
         self.delay = delay
 
 
+class _Park:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "parked"
+
+
+#: Yielded by rank code to suspend without scheduling anything; the
+#: engine step that parked it wakes it with :meth:`Scheduler.wake_now`.
+PARK = _Park()
+
+
 def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
     """Drive a ``co_*`` generator with thread-blocking semantics.
 
-    ``yield event`` becomes ``event.wait()`` and ``yield _Sleep(d)``
-    becomes ``current().sleep(d)``, so the engine sees the exact
-    schedule-call sequence the coroutine runtime issues.
+    ``yield event`` becomes ``event.wait()``, ``yield _Sleep(d)``
+    becomes ``current().sleep(d)`` and ``yield PARK`` blocks until a
+    ``wake_now``, so the engine sees the exact schedule-call sequence
+    the coroutine runtime issues.
     """
     try:
         item = gen.send(None)
@@ -145,6 +171,9 @@ def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
             try:
                 if type(item) is _Sleep:
                     scheduler.current().sleep(item.delay)
+                    value = None
+                elif item is PARK:
+                    scheduler.current()._block(PARK)
                     value = None
                 else:
                     value = item.wait()
@@ -447,7 +476,8 @@ class Scheduler:
         Already-completed events continue inline (mirroring the thread
         fast path in :meth:`SimEvent.wait`); pending events park the
         process on the event's waiter list; ``_Sleep`` schedules exactly
-        one heap entry — the same sequence the thread runtime issues.
+        one heap entry; ``PARK`` schedules none — the same sequence the
+        thread runtime issues.
         """
         prev = self._current
         self._current = proc
@@ -475,10 +505,13 @@ class Scheduler:
                     self.engine.schedule(item.delay, self.wake_now, proc)
                     proc._blocked_on = "sleep"
                     return
+                if item is PARK:
+                    proc._blocked_on = PARK
+                    return
                 if self.handoff_check and not isinstance(item, SimEvent):
                     raise RuntimeError(
                         f"{proc.name} yielded {item!r}; coroutine ranks may "
-                        "only yield SimEvents or _Sleep"
+                        "only yield SimEvents, _Sleep or PARK"
                     )
                 if item._done:
                     proc._waiting_on = item  # value/exc fed in next loop turn

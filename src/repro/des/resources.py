@@ -1,21 +1,26 @@
 """FIFO resources in virtual time.
 
 A :class:`Resource` models a pool of identical servers (CPU cores, a
-NIC's send engine, ...) that simulated processes acquire and release.
-Grant order is strictly FIFO at equal virtual times, preserving the
-engine's determinism.
+NIC's send engine, ...).  Simulated processes acquire and release it;
+engine-context code asks for a unit with :meth:`Resource.request` and
+gets a callback.  Grant order is strictly FIFO at equal virtual times,
+preserving the engine's determinism.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
-from repro.des.process import Scheduler, SimEvent, _Sleep, blocking
+from repro.des.process import PARK, Scheduler, SimEvent, _Sleep, blocking
 
 
 class Resource:
-    """A counted resource with FIFO queueing."""
+    """A counted resource with one FIFO of waiting callbacks.
+
+    A process waits as the callback ``scheduler.wake_now(proc)``, so
+    process and engine-context acquirers queue together.
+    """
 
     def __init__(self, scheduler: Scheduler, capacity: int, name: str = "resource"):
         if capacity < 1:
@@ -24,7 +29,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: deque[SimEvent] = deque()
+        self._queue: deque[tuple[Callable[..., None], tuple]] = deque()
 
     @property
     def in_use(self) -> int:
@@ -34,26 +39,36 @@ class Resource:
     def queued(self) -> int:
         return len(self._queue)
 
+    def request(self, callback: Callable[..., None], *args: Any) -> None:
+        """(Engine context) run *callback(*args)* holding one unit:
+        inline when a unit is free, else when a release hands it over."""
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            callback(*args)
+        else:
+            self._queue.append((callback, args))
+
     def co_acquire(self):
         """Suspend the calling process until a unit is available."""
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             return
-        grant = self._scheduler.event()
-        self._queue.append(grant)
-        yield grant
+        sched = self._scheduler
+        self._queue.append((sched.wake_now, (sched.current(),)))
+        yield PARK
 
     acquire = blocking(co_acquire)
 
     def release(self) -> None:
-        """Return one unit; wakes the longest-waiting acquirer, if any."""
+        """Return one unit; grants it to the longest waiter, if any."""
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._queue:
             # Hand the unit directly to the next waiter: in_use stays the
-            # same, the waiter proceeds at the current virtual time.
-            grant = self._queue.popleft()
-            grant.succeed(None)
+            # same, and one zero-delay entry runs its callback at the
+            # current virtual time.
+            callback, args = self._queue.popleft()
+            self._scheduler.engine.schedule(0.0, callback, *args)
         else:
             self._in_use -= 1
 
@@ -78,11 +93,11 @@ class Resource:
 class WorkPool:
     """A pool of identical servers for fire-and-forget work items.
 
-    Unlike :class:`Resource` — whose acquire/release protocol needs a
-    simulated *process* to block — a WorkPool is driven entirely by
-    engine callbacks: :meth:`submit` charges a duration against the next
-    free server and returns a :class:`SimEvent` that succeeds when the
-    item finishes.  Items queue FIFO when all servers are busy, at equal
+    Unlike :class:`Resource` — whose holder decides when to release its
+    unit — a WorkPool is driven entirely by engine callbacks:
+    :meth:`submit` charges a duration against the next free server and
+    returns a :class:`SimEvent` that succeeds when the item finishes.
+    Items queue FIFO when all servers are busy, at equal
     virtual times in submission order, so the completion schedule is
     deterministic.  This is the substrate of the per-node
     :class:`~repro.models.cpu.CoreAllocator`: hundreds of chunk-seal

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-from repro.des.process import Scheduler, SimEvent, _Sleep, blocking
+from repro.des.process import PARK, Scheduler, SimEvent, _Sleep, blocking
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,17 @@ class Request:
     receive whose message arrived first) returns at once, without
     suspending the rank.  The first wait on a receive charges the
     matched envelope's receiver-side CPU cost (matching and copy-out) in
-    the waiting rank's context.  The encrypted layer's
-    ``EncryptedRequest`` wraps a plain request and decrypts after its
-    wait.
+    the waiting rank's context.
+
+    A wait on a pending request parks the rank.  Completion makes one
+    zero-delay entry, the first of its scheduling effects (the
+    sanitizer's completion callback schedules nothing), and that step
+    marks the wait and schedules the rank's wake after the receive cost,
+    or wakes it inline when there is none or the request failed.  The
+    rank resumes once, where its own code continues.
+
+    The encrypted layer's ``EncryptedRequest`` wraps a plain request and
+    decrypts after its wait.
     """
 
     #: sanitizer bookkeeping (a repro.analysis.sanitize.PendingOp);
@@ -68,23 +77,42 @@ class Request:
         """Wait for completion; idempotent like MPI_Wait on a request."""
         event = self._event
         if not event._done:
-            value = yield event
-        elif event._exc is not None:
+            # completion schedules _resume_parked(proc, event) at once
+            sched = self._scheduler
+            event.callbacks.append(partial(
+                sched.engine.schedule, 0.0, self._resume_parked,
+                sched.current()))
+            yield PARK
+        elif event._exc is None:
+            overhead = self._mark_waited()
+            if overhead:
+                yield _Sleep(overhead)
+        if event._exc is not None:
             raise event._exc
-        else:
-            value = event._value
-        if self._san_op is not None:
-            self._san_op.mark_waited()
-        if not self._waited:
-            self._waited = True
-            env = self._match_env
-            if env is not None:
-                overhead = env.info.get("recv_overhead", 0.0)
-                if overhead:
-                    yield _Sleep(overhead)
-        return value
+        return event._value
 
     wait = blocking(co_wait)
+
+    def _mark_waited(self) -> float:
+        """Record a successful wait; return the receive cost the first
+        one charges (0.0 for later waits and for sends)."""
+        if self._san_op is not None:
+            self._san_op.mark_waited()
+        if self._waited:
+            return 0.0
+        self._waited = True
+        env = self._match_env
+        return 0.0 if env is None else env.info.get("recv_overhead", 0.0)
+
+    def _resume_parked(self, proc, event: SimEvent) -> None:
+        """(Engine context) finish a parked wait, then wake its rank."""
+        sched = self._scheduler
+        if event._exc is None:
+            overhead = self._mark_waited()
+            if overhead:
+                sched.engine.schedule(overhead, sched.wake_now, proc)
+                return
+        sched.wake_now(proc)
 
 
 def co_waitall(requests: list[Request]):

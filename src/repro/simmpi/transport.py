@@ -8,7 +8,9 @@ Three paths; each message's route class picks one, once:
   overhead (descriptor + buffer copy), NIC engine occupancy (the
   per-message injection cost that produces message-rate contention),
   then payload transfer and delivery after wire latency + the per-size
-  protocol residual;
+  protocol residual.  The rank parks for its whole injection: the NIC
+  turn after the overhead and the grant that starts the service time
+  are engine steps, and the rank resumes once, when the service ends;
 - **inter-node rendezvous** (above the threshold) — an RTS header
   travels to the receiver and enters the matching engine; when a recv
   matches it, the receive side calls the envelope's
@@ -16,7 +18,8 @@ Three paths; each message's route class picks one, once:
   CTS returns to the sender and the payload transfer begins.  The
   sender's request completes when the payload has left its buffer
   (flow completion), the receiver's when the payload arrives (the
-  envelope's ``data_ready`` event).
+  envelope's ``data_ready`` event).  Its RTS is injected like an eager
+  message.
 
 Each step after injection is a transport method handed the envelope
 as an argument, never a closure over it, so a delivered envelope is
@@ -40,7 +43,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from repro.des.process import Scheduler, SimEvent, _Sleep
+from repro.des.process import PARK, Scheduler, SimEvent, _Sleep
 from repro.models.network import WireCosts
 from repro.simmpi.matching import MatchingEngine
 from repro.simmpi.message import Envelope
@@ -132,16 +135,17 @@ class Transport:
 
     def _co_send_wire(self, env: Envelope, size: int, node: Node,
                       costs: WireCosts, on_sent: Callable[[], None]):
+        sched = self.sched
         node.active_senders += 1
-        try:
-            yield _Sleep(costs.send_overhead)
-            yield from node.nic_engine.co_acquire()
-            try:
-                yield _Sleep(self.net.nic_service_time(node.active_senders))
-            finally:
-                node.nic_engine.release()
-        finally:
-            node.active_senders -= 1
+        # After the send overhead the NIC turn runs as an engine step,
+        # and _nic_service wakes the rank when its service time ends.  A
+        # failed job closes the parked generator without cleanup; each
+        # job builds its own NIC.
+        sched.engine.schedule(costs.send_overhead, node.nic_engine.request,
+                              self._nic_service, node, sched.current())
+        yield PARK
+        node.nic_engine.release()
+        node.active_senders -= 1
         info = env.info
         # matching, plus the copy-out of an eager payload
         info["recv_overhead"] = costs.recv_overhead
@@ -162,6 +166,13 @@ class Transport:
         else:
             self._deliver_after(env, costs.transfer + costs.tail)
         on_sent()
+
+    def _nic_service(self, node: Node, proc) -> None:
+        """(Engine context) the NIC is granted to *proc*'s injection: it
+        resumes after the service time at the current sender count."""
+        sched = self.sched
+        sched.engine.schedule(self.net.nic_service_time(node.active_senders),
+                              sched.wake_now, proc)
 
     def _rendezvous_trigger(self, env: Envelope) -> None:
         """A recv matched the RTS (called from any context): the CTS

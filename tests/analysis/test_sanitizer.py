@@ -61,6 +61,31 @@ def test_sanitize_never_changes_timing_or_results():
     assert sanitized.spans == plain.spans
 
 
+def co_spaced_sends(ctx):
+    """Rank 1 waits on receives posted before their messages were sent,
+    so every wait parks and an engine step marks it."""
+    if ctx.rank == 0:
+        for _ in range(4):
+            yield from ctx.co_compute(1e-5)
+            yield from ctx.comm.co_send(b"s" * 64, 1, TAG_PING)
+        return None
+    reqs = [ctx.comm.irecv(0, TAG_PING) for _ in range(4)]
+    for req in reqs:
+        assert not req.completed
+        yield from req.co_wait()
+    return ctx.now
+
+
+def test_parked_receives_are_marked_waited_without_moving_time():
+    plain = api.run_job(co_spaced_sends, nranks=2)
+    sanitized = api.run_job(co_spaced_sends, nranks=2, sanitize=True)
+    report = sanitized.sanitizer
+    assert report.ok and report.ops_tracked == 8
+    assert not report.leaked and not report.unwaited
+    assert sanitized.duration == plain.duration
+    assert sanitized.results == plain.results
+
+
 def test_encrypted_job_counts_nonces():
     def enc_pingpong(ctx):
         peer = 1 - ctx.rank

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des.process import Scheduler
+from repro.des.process import Scheduler, _Sleep
 from repro.des.resources import Resource
 
 
@@ -112,3 +112,57 @@ def test_in_use_and_queued_counters():
     sched.spawn(waiter)
     sched.run()
     assert snapshots == [(1, 1), (1, 0)]
+
+
+def test_request_runs_inline_when_a_unit_is_free():
+    sched = Scheduler()
+    res = Resource(sched, capacity=1)
+    log = []
+    res.request(log.append, "granted")
+    assert log == ["granted"]
+    assert (res.in_use, res.queued) == (1, 0)
+
+
+def test_requests_queue_fifo_behind_a_parked_acquire():
+    """Process and engine-context acquirers share one FIFO; every grant
+    after the first comes from a zero-delay entry at the releaser's
+    virtual time, never from inside release()."""
+    sched = Scheduler()
+    res = Resource(sched, capacity=1)
+    log = []
+
+    def release(name):
+        res.release()
+        log.append(("released", name, sched.now))
+
+    def holder():
+        yield from res.co_acquire()
+        yield _Sleep(1.0)
+        release("holder")
+
+    def parked():
+        yield _Sleep(0.1)
+        yield from res.co_acquire()  # queued: the holder has the unit
+        log.append(("granted", "parked", sched.now))
+        yield _Sleep(1.0)
+        release("parked")
+
+    def granted(name):
+        log.append(("granted", name, sched.now))
+        sched.engine.schedule(0.5, release, name)
+
+    sched.spawn(holder, name="holder")
+    sched.spawn(parked, name="parked")
+    sched.engine.schedule(0.2, res.request, granted, "first")
+    sched.engine.schedule(0.3, res.request, granted, "second")
+    sched.run()
+    assert log == [
+        ("released", "holder", 1.0),
+        ("granted", "parked", 1.0),
+        ("released", "parked", 2.0),
+        ("granted", "first", 2.0),
+        ("released", "first", 2.5),
+        ("granted", "second", 2.5),
+        ("released", "second", 3.0),
+    ]
+    assert (res.in_use, res.queued) == (0, 0)

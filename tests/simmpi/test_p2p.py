@@ -1,6 +1,9 @@
 """Point-to-point semantics tests for the simulated MPI."""
 
 import dataclasses
+import gc
+import sys
+from collections import Counter
 
 import pytest
 
@@ -292,6 +295,78 @@ def test_every_rank_step_enters_through_wake_now(monkeypatch):
 
     run_program(4, program, cluster=ClusterSpec(2, 2))
     assert steps and all(steps)
+
+
+def _count_wakes(monkeypatch) -> Counter:
+    """Count ``Scheduler.wake_now`` calls per process name."""
+    wakes: Counter = Counter()
+    wake_now = Scheduler.wake_now
+
+    def wake(sched, proc):
+        wakes[proc.name] += 1
+        return wake_now(sched, proc)
+
+    monkeypatch.setattr(Scheduler, "wake_now", wake)
+    return wakes
+
+
+def _co_pingpong(size: int, rounds: int):
+    def program(ctx):
+        peer = 1 - ctx.rank
+        for _ in range(rounds):
+            if ctx.rank == 0:
+                yield from ctx.comm.co_send(b"x" * size, peer, 0)
+                yield from ctx.comm.co_recv(peer, 0)
+            else:
+                yield from ctx.comm.co_recv(peer, 0)
+                yield from ctx.comm.co_send(b"x" * size, peer, 0)
+    return program
+
+
+@pytest.mark.parametrize("size, rounds, wakes_per_round, duration", [
+    (64, 2, 2, "0x1.5a5e4ae5619bdp-14"),
+    (64, 8, 2, "0x1.5a5e4ae5619bdp-12"),
+    (1 << 20, 2, 3, "0x1.1cd8fa79e4c75p-8"),
+    (1 << 20, 8, 3, "0x1.1cd8fa79e4c7cp-6"),
+])
+def test_pingpong_rank_resumes_only_to_run_its_own_code(
+        monkeypatch, size, rounds, wakes_per_round, duration):
+    """Across two nodes, an injection resumes its rank once, when the NIC
+    service ends, and a parked receive once, after its receive cost; a
+    rendezvous send's wait adds one more.  So each rank wakes 1 + 2n
+    times at 64 B and 1 + 3n at 1 MiB (1 + 4n and 1 + 5n when every
+    timer took a rank step of its own), at unchanged virtual times."""
+    wakes = _count_wakes(monkeypatch)
+    res = run_program(2, _co_pingpong(size, rounds),
+                      cluster=ClusterSpec(2, 1))
+    assert wakes == {f"rank{r}": 1 + wakes_per_round * rounds
+                     for r in (0, 1)}
+    assert res.duration.hex() == duration
+
+
+def test_failure_while_a_rank_is_parked_mid_injection(monkeypatch):
+    """Rank 0 raises while rank 1's send is parked behind its NIC turn:
+    the job fails with rank 0's error, and closing the parked generator
+    raises nothing of its own."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    parked = []
+
+    def program(ctx):
+        if ctx.rank == 1:
+            yield from ctx.comm.co_send(b"x" * 64, 0, 0)
+            return
+        yield _Sleep(1e-9)  # after rank 1 parked, before its NIC turn
+        parked.append(ctx._cluster.node_of(1).active_senders)
+        raise KeyError("rank 0 failed")
+
+    with pytest.raises(ProcessFailed) as failed:
+        run_program(2, program, cluster=ClusterSpec(2, 1))
+    gc.collect()
+    assert parked == [1]
+    cause = failed.value.__cause__
+    assert type(cause) is KeyError and cause.args == ("rank 0 failed",)
+    assert unraisable == []
 
 
 # -- completed waits -------------------------------------------------------

@@ -4,11 +4,13 @@ The coroutine rank runtime is only admissible because it is
 *observationally identical* to the thread runtime: same virtual times,
 same event streams, same artifacts.  This suite pins that equivalence
 on the golden workloads, the cryptmpi chunk pipeline (helper-core
-schedule and chunk retries included), the OSU collective workload and
-cheap experiment cells, plus the EngineOptions enforcement edges
-(strict-coroutines rejection of plain rank functions and the max_ranks
-ceiling).
+schedule and chunk retries included), the OSU collective workload,
+cheap experiment cells and a contended NIC engine, plus the
+EngineOptions enforcement edges (strict-coroutines rejection of plain
+rank functions and the max_ranks ceiling).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ import repro.api as api
 from repro.crypto.aead import NONCE_SIZE
 from repro.defaults import job_defaults
 from repro.des.options import EngineOptions
+from repro.des.process import Scheduler
 from repro.encmpi.pipeline import HEADER_SIZE
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
@@ -131,6 +134,49 @@ def test_max_ranks_ceiling_is_enforced():
             4, _co_pingpong, cluster=CLUSTER,
             engine=EngineOptions(runtime="coroutines", max_ranks=2),
         )
+
+
+# ---------------------------------------------------- contended NIC engine
+
+NIC_MESSAGES = 50
+#: the four senders' makespans, shared by both runtimes
+NIC_MAKESPANS = ["0x1.259f4be028496p-13", "0x1.26405b8fc8b58p-13",
+                 "0x1.26e16b3f6921ap-13", "0x1.27827aef098dcp-13"]
+
+
+def _co_nic_contention(ctx):
+    """Ranks 0-3 share node 0's NIC, each injecting one-byte isends to
+    its partner on node 1."""
+    if ctx.rank < 4:
+        t0 = ctx.now
+        reqs = []
+        for _ in range(NIC_MESSAGES):
+            reqs.append((yield from ctx.comm.co_isend(b"m", ctx.rank + 4)))
+        yield from ctx.comm.co_waitall(reqs)
+        return ctx.now - t0
+    yield from ctx.comm.co_waitall(
+        [ctx.comm.irecv(ctx.rank - 4, 0) for _ in range(NIC_MESSAGES)])
+
+
+@pytest.mark.parametrize("runtime_name", ["threads", "coroutines"])
+def test_contended_nic_wakes_each_rank_once_per_message(runtime_name,
+                                                        monkeypatch):
+    """A queued NIC grant starts the service time as an engine step, so
+    a sender wakes once per isend and a receiver once per wait, at the
+    same virtual times on both runtimes."""
+    wakes: Counter = Counter()
+    wake_now = Scheduler.wake_now
+
+    def wake(sched, proc):
+        wakes[proc.name] += 1
+        return wake_now(sched, proc)
+
+    monkeypatch.setattr(Scheduler, "wake_now", wake)
+    res = run_program(8, _co_nic_contention,
+                      cluster=parse_cluster_spec("2x8"),
+                      engine=_force(runtime_name))
+    assert [t.hex() for t in res.results[:4]] == NIC_MAKESPANS
+    assert wakes == {f"rank{r}": 1 + NIC_MESSAGES for r in range(8)}
 
 
 def test_auto_runtime_picks_by_program_kind():
