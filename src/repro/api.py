@@ -30,6 +30,7 @@ Design rules of the facade:
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field, replace
 from functools import wraps
@@ -39,15 +40,8 @@ from repro.defaults import job_defaults
 from repro.des.options import EngineOptions, parse_engine_options
 from repro.encmpi.config import SecurityConfig
 from repro.encmpi.plan import CryptoPlan, parse_crypto_plan
-from repro.experiments.registry import (
-    Experiment,
-    get_experiment,
-    list_experiments,
-)
-from repro.experiments.stats import JobStats, StatsSpec, parse_stats_spec
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec, parse_cluster_spec
 from repro.models.network import FabricSpec, NetworkModel, parse_network_spec
-from repro.models.predict import Prediction, predict
 from repro.simmpi.faults import FaultPlan, parse_fault_plan
 from repro.simmpi.resilience import (
     ResiliencePolicy,
@@ -59,6 +53,30 @@ from repro.simmpi.world import RankContext, run_program
 
 if TYPE_CHECKING:
     from repro.experiments.campaign import CampaignResult
+    from repro.experiments.registry import Experiment
+    from repro.experiments.stats import JobStats, StatsSpec
+
+#: exported names whose modules load on first use: the experiment
+#: registry imports every experiment module, and no job needs it
+_LAZY = {
+    "Experiment": "repro.experiments.registry",
+    "get_experiment": "repro.experiments.registry",
+    "list_experiments": "repro.experiments.registry",
+    "JobStats": "repro.experiments.stats",
+    "StatsSpec": "repro.experiments.stats",
+    "parse_stats_spec": "repro.experiments.stats",
+    "Prediction": "repro.models.predict",
+    "predict": "repro.models.predict",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a lazily exported name (PEP 562) and keep it here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
 
 __all__ = [
     "ClusterSpec",
@@ -117,7 +135,10 @@ def _checked_settings(
             raise TypeError(
                 f"{name} must be a {cls.__name__} or None, got {value!r}")
     engine = None if engine is None else EngineOptions.coerce(engine)
-    stats = None if stats is None else StatsSpec.coerce(stats)
+    if stats is not None:
+        from repro.experiments.stats import StatsSpec
+
+        stats = StatsSpec.coerce(stats)
     return engine, stats
 
 

@@ -50,6 +50,8 @@ class EncryptedRequest:
         self._source = source
         self._tag = tag
         self._result: bytes | None = None
+        #: what the first wait raised; every later wait raises it again
+        self._exc: Exception | None = None
         self._waited = False
 
     @property
@@ -65,13 +67,29 @@ class EncryptedRequest:
         return self._owner._scheduler
 
     def co_wait(self):
-        """Wait for completion; a receive returns the decrypted payload."""
+        """Wait for completion; a receive returns the decrypted payload.
+
+        Only the first wait on a receive decrypts; later waits return
+        its plaintext, or raise its failure again."""
         if self.kind == "send":
             yield from self._inner.co_wait()
             return None
-        if self._waited:
-            return self._result
-        self._waited = True
+        if not self._waited:
+            self._waited = True
+            try:
+                self._result = yield from self._co_open()
+            except Exception as exc:
+                self._exc = exc
+                raise
+        if self._exc is not None:
+            raise self._exc
+        return self._result
+
+    wait = blocking(co_wait)
+
+    def _co_open(self):
+        """Wait for the frame, then authenticate and decrypt it (with a
+        NACK and a re-posted receive per failure under resilience)."""
         owner = self._owner
         value = yield from self._inner.co_wait()
         attempts = 0
@@ -86,10 +104,10 @@ class EncryptedRequest:
                     nonce = value.prefix if isinstance(value, OpaquePayload) \
                         else bytes(value[:NONCE_SIZE])
                     counter = owner._replay_screen(status.source, nonce)
-                self._result = yield from owner._co_decrypt_charged(value, aad)
+                plain = yield from owner._co_decrypt_charged(value, aad)
                 if counter is not None:
                     owner._replay_commit(status.source, counter)
-                return self._result
+                return plain
             except (AuthenticationError, ReplayError) as exc:
                 mgr = owner._resilience
                 if mgr is None:
@@ -116,8 +134,6 @@ class EncryptedRequest:
                     _require_id=decision.require_id,
                 )
                 value = yield from self._inner.co_wait()
-
-    wait = blocking(co_wait)
 
 
 class EncryptedComm:

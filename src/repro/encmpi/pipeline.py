@@ -136,6 +136,8 @@ class ChunkedRecvRequest:
         self._tag = tag
         self._first = pipe.enc.ctx.comm.irecv(source, tag)
         self._result: bytes | None = None
+        #: what the first wait raised; every later wait raises it again
+        self._exc: Exception | None = None
         self._waited = False
         self.status: Status | None = None
 
@@ -144,10 +146,15 @@ class ChunkedRecvRequest:
         return self._waited or self._first.completed
 
     def co_wait(self):
-        if self._waited:
-            return self._result
-        self._waited = True
-        self._result = yield from self._pipe._recv_wait(self)
+        if not self._waited:
+            self._waited = True
+            try:
+                self._result = yield from self._pipe._recv_wait(self)
+            except Exception as exc:
+                self._exc = exc
+                raise
+        if self._exc is not None:
+            raise self._exc
         return self._result
 
     wait = blocking(co_wait)

@@ -27,6 +27,7 @@ from repro.experiments.report import Artifact
 from repro.models.cpu import parse_cluster_spec
 from repro.util.tables import Table
 from repro.util.units import format_bytes
+from repro.workloads.pingpong import pingpong_oneway_time
 
 #: two nodes, eight cores each — ranks on different nodes, helpers idle
 CRYPTMPI_CLUSTER = parse_cluster_spec("2x8")
@@ -56,10 +57,6 @@ CRYPTMPI_PLAN = CryptoPlan(
 
 
 def _pingpong_rows(table: Table) -> list[float]:
-    # imported lazily: repro.api imports the experiment registry, which
-    # imports this module
-    from repro.workloads.pingpong import pingpong_oneway_time
-
     speedups: list[float] = []
     for size in PINGPONG_SIZES:
         plain = pingpong_oneway_time(size, network=NETWORK)

@@ -16,6 +16,7 @@ the committed ``results/resilience.*`` byte for byte — the property
 
 from __future__ import annotations
 
+from repro.api import run_job
 from repro.encmpi import CryptoPlan, SecurityConfig
 from repro.experiments.report import Artifact
 from repro.models.cpu import parse_cluster_spec
@@ -82,10 +83,6 @@ def _pingpong(ctx):
 
 
 def _run_cell(plan: FaultPlan, policy: ResiliencePolicy):
-    # imported lazily: repro.api itself imports the experiment registry,
-    # which imports this module
-    from repro.api import run_job
-
     return run_job(
         _pingpong,
         nranks=2,

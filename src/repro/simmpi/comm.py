@@ -140,9 +140,14 @@ class CommHandle:
             payload = bytes(data)
         else:
             raise TypeError(f"payload must be bytes-like, got {type(data).__name__}")
+        members = self._members
+        if members is None:  # the world: local ranks are global
+            src, dst = self.rank, dest
+        else:
+            src, dst = members[self.rank], members[dest]
         env = Envelope(
-            src=self._global_rank(self.rank),
-            dst=self._global_rank(dest),
+            src=src,
+            dst=dst,
             tag=tag,
             comm_id=self._comm_id,
             payload=payload,
@@ -184,42 +189,29 @@ class CommHandle:
         if source != ANY_SOURCE:
             self._check_peer(source)
         self._check_tag(tag, _internal, allow_any=True)
-        sched = self._comm.scheduler
+        comm = self._comm
+        sched = comm.scheduler
         req = Request(sched, "recv")
-        rec = self._comm.recorder
-        my_global = self._global_rank(self.rank)
-        match_source = (
-            source if source == ANY_SOURCE else self._global_rank(source)
-        )
+        members = self._members
+        if members is None:  # the world: local ranks are global
+            me, match_source = self.rank, source
+        else:
+            me = members[self.rank]
+            match_source = source if source == ANY_SOURCE else members[source]
+            req._to_local = self._to_local  # its status reports local ranks
+        rec = comm.recorder
         if rec is not None:
-            rec.emit("transport", "recv_posted", my_global, src=match_source,
+            rec.emit("transport", "recv_posted", me, src=match_source,
                      tag=tag)
-
-        def on_match(env: Envelope) -> None:
-            req._match_env = env  # Request.co_wait charges its recv_overhead
-            if rec is not None:
-                rec.emit("transport", "match", my_global, src=env.src,
-                         tag=env.tag, bytes=env.payload_bytes)
-            status = Status(self._local_rank(env.src), env.tag,
-                            len(env.payload))
-            trigger = env.info.get("rendezvous_trigger")
-            if trigger is None:
-                req.complete(env.payload, status)
-                return
-            # The payload follows the CTS, so it arrives strictly later.
-            trigger(env)
-            env.info["data_ready"].callbacks.append(
-                lambda _ev: req.complete(env.payload, status)
-            )
-
-        san = self._comm.sanitizer
+        san = comm.sanitizer
         if san is not None:
-            san.note_post(req, kind="recv", rank=my_global,
-                          peer=match_source, tag=tag, nbytes=0,
-                          now=sched.now)
-        self._comm.transport.engines[my_global].post_recv(
-            match_source, tag, self._comm_id, on_match, require_id=_require_id
-        )
+            san.note_post(req, kind="recv", rank=me, peer=match_source,
+                          tag=tag, nbytes=0, now=sched.now)
+        # the request is its own posted receive: the matching engine
+        # calls its on_match
+        comm.transport.engines[me].post_recv(
+            match_source, tag, self._comm_id, req.on_match,
+            require_id=_require_id)
         return req
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
@@ -227,8 +219,9 @@ class CommHandle:
         """Receive; returns (payload, status)."""
         req = self.irecv(source, tag, _internal=_internal)
         data = yield from req.co_wait()
-        assert req.status is not None
-        return data, req.status
+        status = req.status
+        assert status is not None
+        return data, status
 
     recv = blocking(co_recv)
 
@@ -248,8 +241,9 @@ class CommHandle:
                                         _internal=_internal)
         data = yield from rreq.co_wait()
         yield from sreq.co_wait()
-        assert rreq.status is not None
-        return data, rreq.status
+        status = rreq.status
+        assert status is not None
+        return data, status
 
     sendrecv = blocking(co_sendrecv)
     waitall = staticmethod(waitall)

@@ -104,12 +104,17 @@ class Envelope:
     already excludes them) pass the true data size so point-to-point and
     collective byte accounting agree.
 
+    ``link`` is the envelope's place in its route's FIFO delivery chain
+    (a :class:`repro.simmpi.transport._RouteLink`), set when the
+    transport injects it; copies made by the fault injector and the
+    reliability layer have none.
+
     One is built per message, by keyword; it is a slotted class, with no
     per-instance ``__dict__``.
     """
 
     __slots__ = ("src", "dst", "tag", "comm_id", "payload", "wire_bytes",
-                 "payload_bytes", "info")
+                 "payload_bytes", "info", "link")
 
     def __init__(self, *, src: int, dst: int, tag: int, comm_id,
                  payload, wire_bytes: int = -1,
@@ -122,10 +127,10 @@ class Envelope:
         self.wire_bytes = len(payload) if wire_bytes < 0 else wire_bytes
         self.payload_bytes = \
             len(payload) if payload_bytes < 0 else payload_bytes
-        #: extra metadata for upper layers (transport route chaining,
-        #: receive overhead, rendezvous state, the reliability layer's
-        #: delivery id and reseal closure)
+        #: extra metadata for upper layers (receive overhead, rendezvous
+        #: state, the reliability layer's delivery id and reseal closure)
         self.info: dict[str, Any] = {}
+        self.link = None
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope satisfy a recv posted for (source, tag)?"""

@@ -32,10 +32,12 @@ time directly, since for them the NIC message engine — not bandwidth —
 is the contended resource.
 
 Delivery on each ordered (src, dst) route is chained FIFO — an
-envelope enters the receiver's matching engine only after every
-earlier-sent envelope on that route has — which gives MPI's
-non-overtaking guarantee the same way an in-order fabric does (an RTS
-cannot pass the previous message's last byte on the wire).
+envelope enters the receiver's matching engine only after the
+envelope sent before it on that route has left the chain — which gives
+MPI's non-overtaking guarantee the same way an in-order fabric does (an
+RTS cannot pass the previous message's last byte on the wire).  Each
+envelope's place in the chain is a :class:`_RouteLink`, a slotted
+record that queues every delivery attempt blocked behind it, in order.
 """
 
 from __future__ import annotations
@@ -55,7 +57,31 @@ from repro.simmpi.topology import ClusterRuntime, Node
 FLOW_CUTOFF = 2048
 
 
+class _RouteLink:
+    """One envelope's place in its route's FIFO delivery chain.
+
+    The envelope may enter the matching engine once ``prev``, the link
+    of the envelope sent before it on the route, is released.  Until
+    then every delivery attempt that reaches it (the first, and each
+    retransmission its timer makes while it is blocked) waits in
+    ``prev.waiting``, and all of them run, in order, on the release.
+    """
+
+    __slots__ = ("prev", "released", "waiting")
+
+    def __init__(self, prev: "_RouteLink | None") -> None:
+        self.prev = prev
+        self.released = False
+        #: envelopes whose delivery attempts wait for this release
+        self.waiting: list[Envelope] | None = None
+
+
 class Transport:
+    """One job's message mover: the three send paths, a matching engine
+    per rank, and per ordered route the last :class:`_RouteLink` of its
+    delivery chain, with the optional fault injector and reliability
+    layer applied at delivery."""
+
     def __init__(self, scheduler: Scheduler, cluster: ClusterRuntime,
                  recorder=None):
         self.sched = scheduler
@@ -75,11 +101,11 @@ class Transport:
         #: fire-and-forget transport, byte-identical behaviour
         self.resilience = None
         self.engines: list[MatchingEngine] = [
-            MatchingEngine(r) for r in range(cluster.nranks)
+            MatchingEngine(r, recorder) for r in range(cluster.nranks)
         ]
-        #: per ordered (src, dst) route: delivery event of the last
-        #: envelope sent, chaining FIFO delivery order
-        self._route_tail: dict[tuple[int, int], SimEvent] = {}
+        #: per ordered (src, dst) route: the link of the last envelope
+        #: sent, chaining FIFO delivery order
+        self._route_tail: dict[tuple[int, int], _RouteLink] = {}
 
     # ------------------------------------------------------------------
     # sending
@@ -111,9 +137,8 @@ class Transport:
         # order is decided by *send* order, not by which transfer
         # finishes first.
         route = (env.src, env.dst)
-        info = env.info
-        info["prev_delivery"] = self._route_tail.get(route)
-        info["delivery_done"] = self._route_tail[route] = SimEvent(self.sched)
+        tails = self._route_tail
+        env.link = tails[route] = _RouteLink(tails.get(route))
         if self.resilience is not None:
             self.resilience.track(env)
         if costs is None:
@@ -229,21 +254,26 @@ class Transport:
             # resilience arm, so retransmission timers budget for the
             # perturbed flight time; retries re-enter here and get a
             # fresh draw.  FIFO order survives regardless — delivery is
-            # chained on prev_delivery, not on schedule order.
+            # chained on the route links, not on schedule order.
             delay = self._perturb(delay)
         if self.resilience is not None:
             self.resilience.arm(env, delay)
         self.sched.engine.schedule(delay, self._try_deliver, env)
 
     def _try_deliver(self, env: Envelope) -> None:
-        prev: SimEvent | None = env.info.get("prev_delivery")
-        if prev is None or prev.done:
+        link = env.link
+        prev = None if link is None else link.prev
+        if prev is None or prev.released:
             self._deliver_now(env)
+        elif prev.waiting is None:
+            prev.waiting = [env]
         else:
-            prev.callbacks.append(lambda _ev: self._deliver_now(env))
+            prev.waiting.append(env)
 
     def _deliver_now(self, env: Envelope) -> None:
-        env.info.pop("prev_delivery", None)  # release the chain reference
+        link = env.link
+        if link is not None:
+            link.prev = None  # release the chain reference
         rec = self.recorder
         mgr = self.resilience
         if mgr is not None and not mgr.should_deliver(env):
@@ -263,7 +293,7 @@ class Transport:
             if out is env:
                 delivered = True
         if mgr is None:
-            env.info["delivery_done"].succeed(None)
+            self._release(link)
             return
         if delivered:
             self._finish_delivery(env)
@@ -272,10 +302,20 @@ class Transport:
         # and the route chain stays held so FIFO order survives retries.
 
     def _finish_delivery(self, env: Envelope) -> None:
-        """Resolve the envelope's chain event (retry clones have none)."""
-        done = env.info.get("delivery_done")
-        if done is not None and not done.done:
-            done.succeed(None)
+        """Release the envelope's chain link (retry clones have none)."""
+        link = env.link
+        if link is not None and not link.released:
+            self._release(link)
+
+    def _release(self, link: _RouteLink) -> None:
+        """The link's envelope left the chain: run every delivery
+        attempt waiting behind it, in the order they arrived."""
+        link.released = True
+        waiting = link.waiting
+        if waiting is not None:
+            link.waiting = None
+            for env in waiting:
+                self._deliver_now(env)
 
     # -- structured-event helpers ------------------------------------------
 

@@ -135,6 +135,26 @@ def test_api_import_leaves_the_campaign_executor_unloaded():
         "'concurrent.futures')") == "[]"
 
 
+def test_api_import_leaves_the_experiment_registry_unloaded():
+    """No job needs the registry (which imports every experiment), the
+    stats module or the predictor: importing the facade loads none of
+    them, and the names it exports from them resolve on first use."""
+    probe = (
+        "import sys, repro.api as api; "
+        "lazy = ('repro.experiments.registry', 'repro.experiments.stats', "
+        "'repro.models.predict'); "
+        "print([m for m in lazy if m in sys.modules]); "
+        "print(api.get_experiment('fig6').id); "
+        "from repro.api import StatsSpec, predict; "
+        "print(StatsSpec.__module__, predict.__module__)")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "[]", "fig6", "repro.experiments.stats repro.models.predict"]
+
+
 def test_api_import_leaves_numpy_unloaded():
     """The package imports no numpy: it is a test-only dependency."""
     assert _modules_after_api_import("m.split('.')[0] == 'numpy'") == "[]"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import api
+from repro.crypto.errors import AuthenticationError
 from repro.des.process import ProcessFailed
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
@@ -125,6 +127,37 @@ def test_tampering_detected_end_to_end():
 
     with pytest.raises(ProcessFailed, match="AuthenticationError|tamper"):
         _run(2, prog)
+
+
+@pytest.mark.parametrize("mode", ["serial", "cryptmpi"])
+def test_failed_encrypted_receive_fails_every_wait(mode):
+    """A receive whose frame fails authentication raises on its first
+    wait and on every later one, as a plain request re-raises its
+    failure; a second wait must not read as a success."""
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.enc.co_send(b"x" * 64, 1, 0)
+            return None
+        req = ctx.enc.irecv(0, 0)
+        raised = []
+        for _ in range(2):
+            try:
+                yield from req.co_wait()
+            except AuthenticationError as exc:
+                raised.append(exc)
+            else:
+                raised.append(None)
+        return raised
+
+    security = api.SecurityConfig(crypto=CryptoPlan(mode=mode,
+                                                    bytework="real"))
+    res = api.run_job(prog, nranks=2, security=security,
+                      faults=api.FaultPlan(corrupt=1.0,
+                                           corrupt_bit=8 * 40 + 3))
+    first, second = res.results[1]
+    assert isinstance(first, AuthenticationError)
+    assert second is first
 
 
 def test_isend_irecv_decrypt_in_wait():

@@ -61,5 +61,31 @@ def test_span_targets_exist_and_unwrap_cleanly(perfbench):
     assert spans.leftover_wrappers() == []
 
 
+def test_traced_first_cells_load_and_bypass_the_declared_layers(perfbench):
+    """What ``run.py --trace 1`` checks, on the first cell of every kind:
+    each workload's ``loads`` counters are positive, its ``zeros``
+    counters are zero, and no wrapper survives ``remove()``.  The cells
+    run untraced first: a module first imported while the wrappers are
+    installed would keep a wrapped function after ``remove()``."""
+    cells, spans = perfbench["cells"], perfbench["spans"]
+    for name, workload in cells.WORKLOADS.items():
+        first = workload.cells(cells.DEFAULT_SEED)[:len(workload.kinds)]
+        for cell in first:
+            cells.run_cell(cell)
+        tracer = spans.Tracer()
+        installation = spans.Installation(tracer).install()
+        try:
+            for cell in first:
+                cells.run_cell(cell)
+        finally:
+            installation.remove()
+        assert spans.leftover_wrappers() == [], name
+        counts = tracer.layer_counts()
+        assert {key: counts[key] for key in workload.zeros} == \
+            dict.fromkeys(workload.zeros, 0), name
+        assert [key for key in workload.loads if counts[key] <= 0] == [], \
+            name
+
+
 def test_process_defaults_pin_runs(perfbench):
     perfbench["run"]._pin_process_defaults()

@@ -12,6 +12,7 @@ from repro.simmpi.faults import (
     target_route,
 )
 from repro.simmpi.message import Envelope, OpaquePayload
+from repro.simmpi.transport import _RouteLink
 
 
 def _env(payload=b"\x00" * 8, src=0, dst=1):
@@ -52,12 +53,14 @@ def test_injector_ledger_counts():
 
 def test_duplicate_returns_two_independent_envelopes():
     inj = FaultInjector(target_route(0, 1, FaultAction.DUPLICATE))
-    outs = inj.apply(_env())
+    env = _env()
+    env.link = _RouteLink(None)  # as the transport chains it
+    outs = inj.apply(env)
     assert len(outs) == 2
-    assert outs[0] is not outs[1]
+    assert outs[0] is env and outs[1] is not env
     assert outs[0].payload == outs[1].payload
     # The clone must not share the delivery-chain bookkeeping.
-    assert "delivery_done" not in outs[1].info
+    assert outs[1].link is None
 
 
 def test_duplicate_of_rts_is_suppressed():

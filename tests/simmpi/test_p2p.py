@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.des.engine import DeadlockError
-from repro.des.process import ProcessFailed, Scheduler, _Sleep
+from repro.des.process import ProcessFailed, Scheduler, SimEvent, _Sleep
 from repro.encmpi.context import EncryptedRequest
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.simmpi import ANY_SOURCE, ANY_TAG, run_program
@@ -342,6 +342,67 @@ def test_pingpong_rank_resumes_only_to_run_its_own_code(
     assert wakes == {f"rank{r}": 1 + wakes_per_round * rounds
                      for r in (0, 1)}
     assert res.duration.hex() == duration
+
+
+def _count_made(monkeypatch, *classes) -> Counter:
+    """Count instances of *classes* built from now on, by class name."""
+    made: Counter = Counter()
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("rounds, duration", [
+    (1, "0x1.5a5e4ae5619bfp-15"),
+    (8, "0x1.5a5e4ae5619bdp-12"),
+])
+def test_eager_pingpong_builds_no_event_or_status_per_message(
+        monkeypatch, rounds, duration):
+    """A request is its own completion event and its own posted receive,
+    and the route chain links envelopes without an event: the only
+    SimEvents of a 2-rank eager ping-pong are the ranks' ``finished``
+    events, and it builds no Status when no status is read."""
+    made = _count_made(monkeypatch, SimEvent, Status)
+
+    def program(ctx):
+        peer = 1 - ctx.rank
+        for _ in range(rounds):
+            if ctx.rank == 1:
+                yield from ctx.comm.irecv(peer, 0).co_wait()
+            yield from ctx.comm.co_send(b"x" * 64, peer, 0)
+            if ctx.rank == 0:
+                yield from ctx.comm.irecv(peer, 0).co_wait()
+
+    res = run_program(2, program, cluster=ClusterSpec(2, 1))
+    assert made == {"SimEvent": 2}
+    assert res.duration.hex() == duration
+
+
+def test_split_status_is_built_on_first_read_with_the_local_source(
+        monkeypatch):
+    """``Request.status`` on a split group's receive reports the
+    sender's rank in the group, and the Status is built when it is first
+    read, once."""
+    made = _count_made(monkeypatch, Status)
+
+    def program(ctx):
+        sub = yield from ctx.comm.co_split(color=ctx.rank % 2)
+        if sub.rank == 1:  # global ranks 2 and 3
+            yield from sub.co_send(b"data", 0, 5)
+            return None
+        req = sub.irecv(ANY_SOURCE, ANY_TAG)
+        yield from req.co_wait()
+        before = made["Status"]  # one rank step: no other rank runs
+        status = req.status
+        return status, req.status is status, made["Status"] - before
+
+    res = run_program(4, program, cluster=ClusterSpec(2, 2))
+    assert res.results[:2] == [(Status(1, 5, 4), True, 1)] * 2
 
 
 def test_failure_while_a_rank_is_parked_mid_injection(monkeypatch):

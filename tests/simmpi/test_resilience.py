@@ -202,6 +202,43 @@ def test_fifo_order_survives_retransmission():
     assert res.results[1] == [0, 1, 2, 3]
 
 
+def test_route_blocked_retransmissions_all_wait_for_the_chain():
+    """Message B waits behind A on its route while A's first two copies
+    are lost.  B's own timer retransmits it once in that time, so two
+    delivery attempts of B wait on A's chain link, and both are offered
+    to the fault injector the moment A arrives: the first is dropped
+    and the second delivered then."""
+    clock, offers = [], []
+    drops = {1: 2, 2: 1}  # tag -> leading offers dropped (A is tag 1)
+
+    def policy(env):
+        offers.append((env.tag, clock[0].now))
+        if drops.get(env.tag):
+            drops[env.tag] -= 1
+            return FaultAction.DROP
+        return FaultAction.DELIVER
+
+    def program(ctx):
+        clock.append(ctx)
+        if ctx.rank == 0:
+            first = yield from ctx.comm.co_isend(b"a" * 64, 1, 1)
+            second = yield from ctx.comm.co_isend(b"b" * 64, 1, 2)
+            yield from ctx.comm.co_waitall([first, second])
+        else:
+            yield from ctx.comm.co_waitall(
+                [ctx.comm.irecv(0, 1), ctx.comm.irecv(0, 2)])
+
+    res = run_program(2, program, cluster=ClusterSpec(2, 1),
+                      fault_injector=FaultInjector(policy),
+                      resilience=ResiliencePolicy(max_retries=6,
+                                                  timeout=2e-4))
+    released = offers[2][1]  # A's third copy arrives
+    assert [tag for tag, _t in offers] == [1, 1, 1, 2, 2]
+    assert [t for _tag, t in offers[2:]] == [released] * 3
+    assert res.resilience.retransmits == 4  # A twice, B twice
+    assert res.duration.hex() == "0x1.5af5770b92dafp-11"
+
+
 # -- encrypted NACK path (auth failures) ---------------------------------------
 
 
