@@ -164,14 +164,14 @@ class Sanitizer:
                   tag: int, nbytes: int, now: float) -> PendingOp:
         """Register a just-posted isend/irecv.  Must be called before
         the transport may complete the request (completion is observed
-        through the request's done event)."""
+        through the request's completion callbacks)."""
         op = PendingOp(self, self._next_id, rank, kind, peer, tag,
                        nbytes, now)
         self._next_id += 1
         self.ops_tracked += 1
         self._pending[op.op_id] = op
         req._san_op = op
-        req.done_event.callbacks.append(lambda _ev, op=op: self._complete(op))
+        req.callbacks.append(lambda _req, op=op: self._complete(op))
         return op
 
     def _complete(self, op: PendingOp) -> None:

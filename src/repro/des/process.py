@@ -5,46 +5,46 @@ that wakes it.  Every operation that blocks in virtual time is written
 once, in generator style, as a ``co_*`` method::
 
     def co_program(ctx):
-        yield from ctx.comm.co_send(b"x", 1)   # may yield SimEvents
+        yield from ctx.comm.co_send(b"x", 1)   # waits by co_wait()
         yield _Sleep(1e-6)                     # advance virtual time
         return ctx.now
 
-A rank suspends in one of three ways:
+A rank suspends in one of two ways:
 
 - ``yield _Sleep(d)`` — one heap entry wakes it *d* seconds later;
-- ``yield event`` — a pending :class:`SimEvent` wakes it through
-  :meth:`Scheduler.wake_soon` when it completes (a completed one
-  continues inline);
-- ``yield PARK`` — it schedules nothing.  Whatever parked it (the NIC
-  turn of an injection, the completion of a request's first wait) runs
-  as engine steps and wakes it through :meth:`Scheduler.wake_now`,
-  either from an entry that code scheduled or inline at the end of its
-  own step.  The rank's generator stack resumes only where rank code
-  must run.
+- ``yield PARK`` — it schedules nothing.  Whatever parked it (the
+  completion of a :class:`SimEvent` or a request it waits on, the NIC
+  turn of an injection) runs as engine steps and wakes it, from an
+  entry that code scheduled or inline at the end of its own step.  The
+  rank's generator stack resumes only where rank code must run.
+
+Waiting has one spelling, ``yield from x.co_wait()``, for a
+:class:`SimEvent` as for a request: a pending one parks the rank, a
+completed one returns at once.  A rank that yields anything but a
+``_Sleep`` or ``PARK`` fails with a :class:`TypeError` that names
+``co_wait``.
 
 The blocking spelling of each operation (``comm.send``,
-``request.wait`` …) is not written by hand: :func:`blocking` derives it
-from the ``co_*`` form, and :func:`run_blocking` interprets the
-generator on the calling thread rank.  Two runtimes step the same
-generators:
+``request.wait``, ``event.wait`` …) is not written by hand:
+:func:`blocking` derives it from the ``co_*`` form, and
+:func:`run_blocking` interprets the generator on the calling thread
+rank.  Two runtimes step the same generators:
 
-- **coroutines** — :meth:`Scheduler._step_coro` sends values straight
-  into the generator from the engine context: no locks, no threads, one
-  heap entry per wake, O(ranks) memory.  Every in-repo workload runs
-  here.
+- **coroutines** — :meth:`Scheduler._step_coro` resumes the generator
+  straight from the engine context: no locks, no threads, one heap
+  entry per wake, O(ranks) memory.  Every in-repo workload runs here.
 - **threads** — a rank on its own OS thread with strict one-at-a-time
   handoff.  It exists for plain-function ranks (NAS kernels, examples,
   user code written against the blocking API), and
   ``runtime="threads"`` forces generator ranks onto it as the parity
-  reference: :func:`run_blocking` translates ``yield event`` into
-  ``event.wait()``, ``yield _Sleep(d)`` into ``proc.sleep(d)`` and
-  ``yield PARK`` into a bare block until the next ``wake_now``.
+  reference: :func:`run_blocking` translates ``yield _Sleep(d)`` into
+  ``proc.sleep(d)`` and ``yield PARK`` into a bare block until the next
+  ``wake_now``.
 
 Both runtimes issue *identical* ``engine.schedule`` call sequences (one
-entry per sleep, one per event wake, none for a park), so artifacts are
-byte-identical between them — ``make check-artifacts`` regenerates
-eleven experiments on threads and byte-compares them with the
-committed artifacts.
+entry per sleep, none for a park), so artifacts are byte-identical
+between them — ``make check-artifacts`` regenerates eleven experiments
+on threads and byte-compares them with the committed artifacts.
 The ``runtime="auto"`` default picks per function, so both styles
 coexist in one simulation.
 """
@@ -66,13 +66,93 @@ class ProcessFailed(RuntimeError):
     """A simulated process raised; re-raised in the engine's thread."""
 
 
+class _Sleep:
+    """Yielded by coroutine rank code to advance its virtual time."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: float):
+        if delay < 0:
+            raise ValueError(f"negative sleep: {delay}")
+        self.delay = delay
+
+
+class _Park:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "parked"
+
+
+#: Yielded by rank code to suspend without scheduling anything; the
+#: engine step that parked it wakes it with :meth:`Scheduler.wake_now`.
+PARK = _Park()
+
+
+def _bad_yield(item: object) -> TypeError:
+    return TypeError(
+        f"rank code yielded {item!r}; a rank suspends only by yielding "
+        "_Sleep or PARK: wait on an event or request with "
+        "'yield from x.co_wait()'"
+    )
+
+
+def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
+    """Drive a ``co_*`` generator with thread-blocking semantics.
+
+    ``yield _Sleep(d)`` becomes ``current().sleep(d)`` and ``yield
+    PARK`` blocks until a ``wake_now``, so the engine sees the exact
+    schedule-call sequence the coroutine runtime issues.  Anything else
+    yielded is thrown back into the generator as a :class:`TypeError`.
+    """
+    try:
+        item = gen.send(None)
+        while True:
+            try:
+                if type(item) is _Sleep:
+                    scheduler.current().sleep(item.delay)
+                elif item is PARK:
+                    scheduler.current()._block(PARK)
+                else:
+                    raise _bad_yield(item)
+            except BaseException as exc:  # noqa: BLE001 - forwarded into the coroutine
+                item = gen.throw(exc)
+            else:
+                item = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+
+
+def blocking(co_method: Callable[..., Any]) -> Callable[..., Any]:
+    """Derive the blocking spelling of a ``co_*`` generator method.
+
+    In a class body, ``wait = blocking(co_wait)`` makes ``obj.wait(...)``
+    run ``obj.co_wait(...)`` through :func:`run_blocking` on the calling
+    thread rank.  The owner class exposes the job's scheduler as
+    ``_scheduler``.  The ``co_*`` method is looked up on the instance at
+    call time, so the two spellings can never drift apart.
+    """
+    co_name = co_method.__name__
+
+    @functools.wraps(co_method)
+    def method(self, *args: Any, **kwargs: Any) -> Any:
+        return run_blocking(self._scheduler,
+                            getattr(self, co_name)(*args, **kwargs))
+
+    name = co_name.replace("co_", "", 1)
+    method.__name__ = name
+    method.__qualname__ = co_method.__qualname__[:-len(co_name)] + name
+    return method
+
+
 class SimEvent:
     """A one-shot future in virtual time.
 
-    Processes ``wait()`` on it (threads) or ``yield`` it (coroutines);
-    any code (process or engine callback) may ``succeed(value)`` or
-    ``fail(exc)`` it exactly once.  All waiters are woken at the virtual
-    time of completion, in FIFO order.
+    Rank code waits on it with ``yield from event.co_wait()`` (or the
+    derived blocking ``event.wait()``); any code (process or engine
+    callback) may ``succeed(value)`` or ``fail(exc)`` it exactly once.
+    All waiters are woken at the virtual time of completion, in FIFO
+    order.
     """
 
     __slots__ = ("_scheduler", "_done", "_value", "_exc", "_waiters", "callbacks")
@@ -123,88 +203,20 @@ class SimEvent:
             for cb in callbacks:
                 cb(self)
 
-    def wait(self) -> Any:
-        """Block the calling process until completion; return the value."""
-        proc = self._scheduler.current()
+    def co_wait(self):
+        """Wait for completion; return the value or raise the failure.
+
+        A pending event parks the rank until completion wakes it
+        (:meth:`Scheduler.wake_soon`); a completed one returns at once.
+        """
         if not self._done:
-            self._waiters.append(proc)
-            proc._block(self)  # formatted lazily in deadlock reports
+            self._waiters.append(self._scheduler.current())
+            yield PARK
         if self._exc is not None:
             raise self._exc
         return self._value
 
-
-class _Sleep:
-    """Yielded by coroutine rank code to advance its virtual time."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float):
-        if delay < 0:
-            raise ValueError(f"negative sleep: {delay}")
-        self.delay = delay
-
-
-class _Park:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "parked"
-
-
-#: Yielded by rank code to suspend without scheduling anything; the
-#: engine step that parked it wakes it with :meth:`Scheduler.wake_now`.
-PARK = _Park()
-
-
-def run_blocking(scheduler: "Scheduler", gen: Any) -> Any:
-    """Drive a ``co_*`` generator with thread-blocking semantics.
-
-    ``yield event`` becomes ``event.wait()``, ``yield _Sleep(d)``
-    becomes ``current().sleep(d)`` and ``yield PARK`` blocks until a
-    ``wake_now``, so the engine sees the exact schedule-call sequence
-    the coroutine runtime issues.
-    """
-    try:
-        item = gen.send(None)
-        while True:
-            try:
-                if type(item) is _Sleep:
-                    scheduler.current().sleep(item.delay)
-                    value = None
-                elif item is PARK:
-                    scheduler.current()._block(PARK)
-                    value = None
-                else:
-                    value = item.wait()
-            except BaseException as exc:  # noqa: BLE001 - forwarded into the coroutine
-                item = gen.throw(exc)
-            else:
-                item = gen.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
-def blocking(co_method: Callable[..., Any]) -> Callable[..., Any]:
-    """Derive the blocking spelling of a ``co_*`` generator method.
-
-    In a class body, ``wait = blocking(co_wait)`` makes ``obj.wait(...)``
-    run ``obj.co_wait(...)`` through :func:`run_blocking` on the calling
-    thread rank.  The owner class exposes the job's scheduler as
-    ``_scheduler``.  The ``co_*`` method is looked up on the instance at
-    call time, so the two spellings can never drift apart.
-    """
-    co_name = co_method.__name__
-
-    @functools.wraps(co_method)
-    def method(self, *args: Any, **kwargs: Any) -> Any:
-        return run_blocking(self._scheduler,
-                            getattr(self, co_name)(*args, **kwargs))
-
-    name = co_name.replace("co_", "", 1)
-    method.__name__ = name
-    method.__qualname__ = co_method.__qualname__[:-len(co_name)] + name
-    return method
+    wait = blocking(co_wait)
 
 
 class SimProcess:
@@ -288,8 +300,7 @@ class CoroProcess:
     """
 
     __slots__ = (
-        "_scheduler", "name", "_gen", "_blocked_on", "_waiting_on",
-        "finished", "result",
+        "_scheduler", "name", "_gen", "_blocked_on", "finished", "result",
     )
 
     def __init__(
@@ -308,8 +319,6 @@ class CoroProcess:
                 f"{fn!r} returned {type(self._gen).__name__}"
             )
         self._blocked_on: object | None = "not started"
-        #: the SimEvent whose value/exception is fed in at the next step
-        self._waiting_on: SimEvent | None = None
         self.finished = SimEvent(scheduler)
         self.result: Any = None
 
@@ -325,8 +334,8 @@ class CoroProcess:
 
     def _block(self, reason: object) -> None:
         raise RuntimeError(
-            f"{self.name} is a coroutine rank: yield the event "
-            f"({reason}) instead of calling wait()"
+            f"{self.name} is a coroutine rank: wait with 'yield from "
+            f"x.co_wait()' instead of a blocking call ({reason})"
         )
 
     def _close(self) -> None:
@@ -473,34 +482,17 @@ class Scheduler:
     def _step_coro(self, proc: CoroProcess) -> None:
         """(Engine context) step *proc*'s generator until it suspends.
 
-        Already-completed events continue inline (mirroring the thread
-        fast path in :meth:`SimEvent.wait`); pending events park the
-        process on the event's waiter list; ``_Sleep`` schedules exactly
-        one heap entry; ``PARK`` schedules none — the same sequence the
-        thread runtime issues.
+        ``_Sleep`` schedules exactly one heap entry and ``PARK`` none —
+        the same sequence the thread runtime issues.  Anything else is
+        thrown back into the generator as a :class:`TypeError`.
         """
         prev = self._current
         self._current = proc
+        proc._blocked_on = None
         gen = proc._gen
         try:
+            item = gen.send(None)
             while True:
-                ev = proc._waiting_on
-                proc._waiting_on = None
-                proc._blocked_on = None
-                try:
-                    if ev is None:
-                        item = gen.send(None)
-                    elif ev._exc is not None:
-                        item = gen.throw(ev._exc)
-                    else:
-                        item = gen.send(ev._value)
-                except StopIteration as stop:
-                    proc.result = stop.value
-                    self._on_coro_exit(proc, None)
-                    return
-                except BaseException as exc:  # noqa: BLE001 - forwarded to run()
-                    self._on_coro_exit(proc, exc)
-                    return
                 if type(item) is _Sleep:
                     self.engine.schedule(item.delay, self.wake_now, proc)
                     proc._blocked_on = "sleep"
@@ -508,18 +500,12 @@ class Scheduler:
                 if item is PARK:
                     proc._blocked_on = PARK
                     return
-                if self.handoff_check and not isinstance(item, SimEvent):
-                    raise RuntimeError(
-                        f"{proc.name} yielded {item!r}; coroutine ranks may "
-                        "only yield SimEvents, _Sleep or PARK"
-                    )
-                if item._done:
-                    proc._waiting_on = item  # value/exc fed in next loop turn
-                    continue
-                item._waiters.append(proc)
-                proc._waiting_on = item
-                proc._blocked_on = item
-                return
+                item = gen.throw(_bad_yield(item))
+        except StopIteration as stop:
+            proc.result = stop.value
+            self._on_coro_exit(proc, None)
+        except BaseException as exc:  # noqa: BLE001 - forwarded to run()
+            self._on_coro_exit(proc, exc)
         finally:
             self._current = prev
 

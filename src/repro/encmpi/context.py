@@ -6,6 +6,12 @@ decrypted, per Algorithm 1.  The configured library's calibrated cost
 is charged to the rank's core; under ``bytework="real"`` the AEAD work
 is additionally performed on the actual bytes, so tampering anywhere in
 the simulated fabric is detected exactly as on the paper's clusters.
+
+One request class, :class:`EncryptedRequest`, serves every encrypted
+send and receive, serial or CryptMPI-chunked
+(:mod:`repro.encmpi.pipeline`), and a frame that fails to open is
+NACKed and its receive re-posted in one place,
+:meth:`EncryptedComm._co_nack_and_repost`.
 """
 
 from __future__ import annotations
@@ -21,34 +27,47 @@ from repro.simmpi.resilience import ResilienceExhausted
 from repro.models.cryptolib import CryptoLibraryProfile, profile_for_network
 from repro.des.process import _Sleep, blocking
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
-from repro.simmpi.request import Request, co_waitall, waitall
+from repro.simmpi.request import Request, Status, co_waitall, waitall
 from repro.simmpi.world import RankContext
 
 
 class EncryptedRequest:
-    """Wraps a plain request; decryption happens inside ``wait``.
+    """An encrypted send or receive; a receive decrypts inside its wait.
 
     This mirrors the paper's Encrypted_IRecv/MPI_Wait split: the
     non-blocking call returns immediately and the cryptographic work is
-    deferred to the wait, keeping the non-blocking property.
+    deferred to the wait, keeping the non-blocking property.  One class
+    serves serial and CryptMPI (chunked) messages alike:
 
-    When the job runs with a :class:`ResiliencePolicy` armed, a receive
-    whose frame fails authentication (or is rejected by the replay
-    guard) does not raise immediately: the failure is reported to the
-    :class:`~repro.simmpi.resilience.ReliabilityManager` as a NACK, and
-    the wait re-posts a receive pinned to the retransmitted copy —
+    - a send waits on its plain request, or on every chunk's;
+    - a receive holds the plain receive of its (first) frame.  Its first
+      wait runs the serial open (:meth:`_co_open`) or the chunk
+      pipeline's :meth:`~repro.encmpi.pipeline.ChunkPipeline._recv_wait`
+      once; every later wait returns that plaintext or raises that
+      failure again.  ``status`` is the accepted message's, None until
+      the open succeeds.
+
+    When the job runs with a :class:`ResiliencePolicy` armed, a frame
+    that fails authentication (or is rejected by the replay guard) does
+    not fail the wait at once: :meth:`EncryptedComm._co_nack_and_repost`
+    reports it to the :class:`~repro.simmpi.resilience.ReliabilityManager`
+    as a NACK and re-posts a receive pinned to the retransmitted copy —
     which the sender re-seals with a fresh nonce — until the retry
     budget is exhausted and the policy escalates.
     """
 
-    def __init__(self, inner: Request, owner: "EncryptedComm", kind: str,
-                 source: int | None = None, tag: int | None = None):
-        self._inner = inner
+    def __init__(self, owner: "EncryptedComm", kind: str,
+                 inners: list[Request], source: int = ANY_SOURCE,
+                 tag: int = ANY_TAG):
         self._owner = owner
         self.kind = kind
-        # requested (source, tag) — needed to re-post under resilience
+        #: the plain requests: every frame's for a send, the (first)
+        #: frame's receive for a receive
+        self._inners = inners
+        # requested (source, tag): a serial receive re-posts on them
         self._source = source
         self._tag = tag
+        self._status: Status | None = None
         self._result: bytes | None = None
         #: what the first wait raised; every later wait raises it again
         self._exc: Exception | None = None
@@ -56,11 +75,11 @@ class EncryptedRequest:
 
     @property
     def completed(self) -> bool:
-        return self._inner.completed
+        return all(r.completed for r in self._inners)
 
     @property
-    def status(self):
-        return self._inner.status
+    def status(self) -> Status | None:
+        return self._status
 
     @property
     def _scheduler(self):
@@ -72,12 +91,15 @@ class EncryptedRequest:
         Only the first wait on a receive decrypts; later waits return
         its plaintext, or raise its failure again."""
         if self.kind == "send":
-            yield from self._inner.co_wait()
+            for inner in self._inners:
+                yield from inner.co_wait()
             return None
         if not self._waited:
             self._waited = True
+            pipe = self._owner._pipe
             try:
-                self._result = yield from self._co_open()
+                self._result = yield from (
+                    self._co_open() if pipe is None else pipe._recv_wait(self))
             except Exception as exc:
                 self._exc = exc
                 raise
@@ -88,13 +110,15 @@ class EncryptedRequest:
     wait = blocking(co_wait)
 
     def _co_open(self):
-        """Wait for the frame, then authenticate and decrypt it (with a
-        NACK and a re-posted receive per failure under resilience)."""
+        """Wait for a serial frame, then authenticate and decrypt it
+        (with a NACK and a re-posted receive per failure under
+        resilience)."""
         owner = self._owner
-        value = yield from self._inner.co_wait()
+        inner = self._inners[0]
+        value = yield from inner.co_wait()
         attempts = 0
         while True:
-            status = self._inner.status
+            status = inner.status
             aad = b""
             if status is not None and owner.config.bind_header:
                 aad = owner._aad_for_peer(status.source, status.tag)
@@ -107,33 +131,14 @@ class EncryptedRequest:
                 plain = yield from owner._co_decrypt_charged(value, aad)
                 if counter is not None:
                     owner._replay_commit(status.source, counter)
+                self._status = status
                 return plain
             except (AuthenticationError, ReplayError) as exc:
-                mgr = owner._resilience
-                if mgr is None:
-                    raise
                 attempts += 1
-                env = getattr(self._inner, "_match_env", None)
-                decision = mgr.on_recv_failure(
-                    env, owner.rank, attempts,
-                    reason="replay" if isinstance(exc, ReplayError)
-                    else "auth_fail",
-                )
-                if decision.outcome == "fail":
-                    src = env.src if env is not None else "?"
-                    raise ResilienceExhausted(
-                        f"rank {owner.rank}: message from {src} still "
-                        f"failing after {attempts} receive attempts "
-                        f"(escalation='fail')"
-                    ) from exc
-                if decision.outcome == "drop":
-                    raise
-                self._inner = owner.ctx.comm.irecv(
-                    self._source if self._source is not None else ANY_SOURCE,
-                    self._tag if self._tag is not None else ANY_TAG,
-                    _require_id=decision.require_id,
-                )
-                value = yield from self._inner.co_wait()
+                env = inner._match_env
+                inner, value = yield from owner._co_nack_and_repost(
+                    inner, exc, self._source, self._tag, attempts,
+                    f"message from {env.src if env is not None else '?'}")
 
 
 class EncryptedComm:
@@ -337,6 +342,37 @@ class EncryptedComm:
         """Accept a screened counter whose frame authenticated."""
         self._replay_guards[source].commit(counter)
 
+    def _co_nack_and_repost(self, inner: Request, exc: Exception,
+                            source: int, tag: int, attempts: int, what: str,
+                            *, internal: bool = False):
+        """NACK the frame that *inner* received, which failed with *exc*
+        on the receive's *attempts*-th try, and re-post the receive on
+        (*source*, *tag*), pinned to the retransmission; return the new
+        ``(receive, frame)``.  The serial open, CryptMPI's frame-0
+        authentication and every chunk open come here.
+
+        Raises *exc* without resilience or when the policy drops the
+        frame, and :class:`ResilienceExhausted` naming *what* failed
+        when the policy escalates with ``"fail"``.
+        """
+        mgr = self._resilience
+        if mgr is None:
+            raise exc
+        decision = mgr.on_recv_failure(
+            inner._match_env, self.rank, attempts,
+            reason="replay" if isinstance(exc, ReplayError) else "auth_fail",
+        )
+        if decision.outcome == "fail":
+            raise ResilienceExhausted(
+                f"rank {self.rank}: {what} still failing after {attempts} "
+                f"receive attempts (escalation='fail')"
+            ) from exc
+        if decision.outcome == "drop":
+            raise exc
+        inner = self.ctx.comm.irecv(source, tag, _internal=internal,
+                                    _require_id=decision.require_id)
+        return inner, (yield from inner.co_wait())
+
     def _make_reseal(self, plaintext: bytes, aad: bytes):
         """Closure the reliability layer calls to re-frame a message.
 
@@ -389,7 +425,7 @@ class EncryptedComm:
             wire, dest, tag, wire_bytes=self._wire_bytes(len(data)),
             _reseal=reseal,
         )
-        return EncryptedRequest(inner, self, "send")
+        return EncryptedRequest(self, "send", [inner])
 
     isend = blocking(co_isend)
 
@@ -400,11 +436,13 @@ class EncryptedComm:
     send = blocking(co_send)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        """Encrypted_IRecv: post the (first) frame's receive; the wait
+        decrypts."""
         if self._pipe is not None:
             return self._pipe.irecv(source, tag)
         inner = self.ctx.comm.irecv(source, tag)
         self.messages_received += 1
-        return EncryptedRequest(inner, self, "recv", source=source, tag=tag)
+        return EncryptedRequest(self, "recv", [inner], source, tag)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Receive and decrypt; returns (plaintext, status)."""

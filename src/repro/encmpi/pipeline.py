@@ -13,7 +13,10 @@ opens run on the node's idle helper cores
 (:class:`repro.models.cpu.CoreAllocator`) while earlier chunks are
 already on the wire.  Its send and receive paths are generators, like
 every other blocking operation, so cryptmpi plans run on either rank
-runtime.
+runtime, and they hand back the same
+:class:`~repro.encmpi.context.EncryptedRequest` as serial messages: a
+chunked send waits on every chunk's request, and a chunked receive runs
+:meth:`ChunkPipeline._recv_wait` in its first wait.
 
 Its closed form is the analytical predictor's
 (:func:`repro.models.predict.predict` with a cryptmpi plan), which
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 from repro.crypto.aead import NONCE_SIZE, WIRE_OVERHEAD
 from repro.crypto.errors import AuthenticationError
-from repro.des.process import _Sleep, blocking
+from repro.des.process import _Sleep
+from repro.encmpi.context import EncryptedRequest
 from repro.encmpi.replay import ReplayError
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, OpaquePayload
 from repro.simmpi.request import Status
@@ -96,70 +100,6 @@ def _tiled_buffer(frames):
     return base if pos == len(base) else None
 
 
-class ChunkedSendRequest:
-    """Composite handle over one chunk-framed logical send."""
-
-    kind = "send"
-    status = None
-
-    def __init__(self, inners, scheduler):
-        self._inners = inners
-        self._scheduler = scheduler
-
-    @property
-    def completed(self) -> bool:
-        return all(r.completed for r in self._inners)
-
-    def co_wait(self):
-        for r in self._inners:
-            yield from r.co_wait()
-
-    wait = blocking(co_wait)
-
-
-class ChunkedRecvRequest:
-    """Composite handle over one chunk-framed logical receive.
-
-    Only the first chunk's receive is posted up front — the frame's
-    header tells the receiver how many siblings to expect, so the
-    remaining receives (and the helper-core decrypt jobs) are posted
-    inside ``co_wait``, preserving the non-blocking property of
-    Encrypted_IRecv just like the serial path.
-    """
-
-    kind = "recv"
-
-    def __init__(self, pipe: "ChunkPipeline", source: int, tag: int):
-        self._pipe = pipe
-        self._scheduler = pipe.enc.ctx._scheduler
-        self._source = source
-        self._tag = tag
-        self._first = pipe.enc.ctx.comm.irecv(source, tag)
-        self._result: bytes | None = None
-        #: what the first wait raised; every later wait raises it again
-        self._exc: Exception | None = None
-        self._waited = False
-        self.status: Status | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self._waited or self._first.completed
-
-    def co_wait(self):
-        if not self._waited:
-            self._waited = True
-            try:
-                self._result = yield from self._pipe._recv_wait(self)
-            except Exception as exc:
-                self._exc = exc
-                raise
-        if self._exc is not None:
-            raise self._exc
-        return self._result
-
-    wait = blocking(co_wait)
-
-
 class ChunkPipeline:
     """CryptMPI-style pipelined encryption for point-to-point traffic.
 
@@ -197,7 +137,11 @@ class ChunkPipeline:
 
     :meth:`isend`, :meth:`_recv_wait` and :meth:`_open_chunk_reliable`
     are generators: the rank waits on helper-core events and on chunk
-    receives by yielding them, under either rank runtime.
+    receives with their ``co_wait``, under either rank runtime.
+    Only frame 0's receive is posted up front — its header tells the
+    receiver how many siblings to expect, so the remaining receives (and
+    the helper-core opens) are posted inside the wait, preserving the
+    non-blocking property of Encrypted_IRecv just like the serial path.
     """
 
     def __init__(self, enc_comm):
@@ -256,8 +200,7 @@ class ChunkPipeline:
         inners = []
         for i, window in enumerate(windows):
             if cap > 0:
-                if not events[i].done:  # helper work never fails
-                    yield events[i]
+                yield from events[i].co_wait()  # helper work never fails
             elif durs[i]:
                 yield _Sleep(durs[i])  # serial-chunked fallback
             wire = self._seal_chunk(seq, i, total, data, window, aad_tail,
@@ -272,7 +215,7 @@ class ChunkPipeline:
                 _internal=i > 0,
                 _reseal=reseal,
             )))
-        return ChunkedSendRequest(inners, enc.ctx._scheduler)
+        return EncryptedRequest(enc, "send", inners)
 
     def _seal_chunk(self, seq: int, index: int, total: int, data: bytes,
                     window: tuple[int, int], aad_tail: bytes, dur: float):
@@ -297,16 +240,22 @@ class ChunkPipeline:
     # -- receiver --------------------------------------------------------
 
     def irecv(self, source: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> ChunkedRecvRequest:
-        self.enc.messages_received += 1
-        return ChunkedRecvRequest(self, source, tag)
+              tag: int = ANY_TAG) -> EncryptedRequest:
+        """Post frame 0's receive; the wait does the rest."""
+        enc = self.enc
+        enc.messages_received += 1
+        return EncryptedRequest(enc, "recv", [enc.ctx.comm.irecv(source, tag)],
+                                source, tag)
 
-    def _recv_wait(self, req: ChunkedRecvRequest):
+    def _recv_wait(self, req: EncryptedRequest):
+        """The first wait on a chunked receive: authenticate frame 0,
+        post the siblings its header announces, open every chunk and
+        return the message."""
         enc = self.enc
         comm = enc.ctx.comm
         alloc = enc.ctx.node_alloc
         cap = self._helper_cap(alloc)
-        first = req._first
+        first = req._inners[0]
         wire0 = yield from first.co_wait()
         src, tag = first.status.source, first.status.tag
         # Frame 0's header sizes and routes every sibling receive, so
@@ -348,8 +297,7 @@ class ChunkPipeline:
                     inners[i], wire, src, tag, seq, i, total, dur)
         if cap > 0:
             for i in range(total):
-                if not open_events[i].done:  # helper work never fails
-                    yield open_events[i]
+                yield from open_events[i].co_wait()  # helper work never fails
                 plain_len = max(0, len(wires[i]) - HEADER_SIZE - WIRE_OVERHEAD)
                 dur = enc._crypto_time(plain_len)
                 accepted[i], plains[i] = yield from self._open_chunk_reliable(
@@ -358,8 +306,8 @@ class ChunkPipeline:
         if data is None:
             data = b"".join(plains)
         # Like the serial path, count reflects delivered frame bytes.
-        req.status = Status(source=src, tag=tag,
-                            count=sum(len(w) for w in wires))
+        req._status = Status(source=src, tag=tag,
+                             count=sum(len(w) for w in wires))
         return data
 
     def _authentic_first(self, inner, wire, src: int, tag: int):
@@ -391,8 +339,8 @@ class ChunkPipeline:
                 else:
                     return inner, wire
             attempts += 1
-            inner, wire = yield from self._nack_and_repost(
-                inner, exc, src, tag, 0, attempts)
+            inner, wire = yield from enc._co_nack_and_repost(
+                inner, exc, src, tag, attempts, f"chunk 0 from {src}")
 
     def _header_authentic(self, wire, src: int, tag: int) -> bool:
         """Whether a chunk frame's tag verifies over its clear header.
@@ -425,41 +373,13 @@ class ChunkPipeline:
                                               total, dur)
             except (AuthenticationError, ReplayError) as exc:
                 attempts += 1
-                inner, wire = yield from self._nack_and_repost(
-                    inner, exc, src, channel, index, attempts)
+                inner, wire = yield from self.enc._co_nack_and_repost(
+                    inner, exc, src, channel, attempts,
+                    f"chunk {index} from {src}", internal=index > 0)
                 # Retry decrypt runs on the rank's core — the helper
                 # schedule for the happy path is already spent.
                 if dur:
                     yield _Sleep(dur)
-
-    def _nack_and_repost(self, inner, exc: Exception, src: int,
-                         channel: int, index: int, attempts: int):
-        """NACK chunk *index*'s failed frame and re-post its receive on
-        *channel*, pinned to the retransmission; returns the new
-        ``(receive, frame)``.  Raises *exc* without resilience or when
-        the policy drops the frame."""
-        enc = self.enc
-        mgr = enc._resilience
-        if mgr is None:
-            raise exc
-        decision = mgr.on_recv_failure(
-            getattr(inner, "_match_env", None), enc.rank, attempts,
-            reason="replay" if isinstance(exc, ReplayError) else "auth_fail",
-        )
-        if decision.outcome == "fail":
-            from repro.simmpi.resilience import ResilienceExhausted
-
-            raise ResilienceExhausted(
-                f"rank {enc.rank}: chunk {index} from {src} still "
-                f"failing after {attempts} receive attempts "
-                f"(escalation='fail')"
-            ) from exc
-        if decision.outcome == "drop":
-            raise exc
-        inner = enc.ctx.comm.irecv(src, channel, _internal=index > 0,
-                                   _require_id=decision.require_id)
-        wire = yield from inner.co_wait()
-        return inner, wire
 
     def _open_chunk(self, wire, src: int, tag: int, seq: int, index: int,
                     total: int, dur: float) -> bytes:

@@ -143,3 +143,21 @@ def modeled_plan(library: str | None,
         return None
     base = crypto if crypto is not None else apply_default_plan(CryptoPlan())
     return replace(base, library=library, bytework="modeled")
+
+
+def refuse_modeled_corruption(library: str | None, faults) -> None:
+    """Refuse a fault plan that corrupts frames in an encrypted
+    simulator benchmark (*library* set): raise :class:`ValueError`.
+
+    Those benchmarks run :func:`modeled_plan`'s modeled byte work, which
+    never authenticates a frame, so a corrupted frame would cost nothing
+    and the run would read as fault-free.  Plain runs (*library* None)
+    and drop-only plans pass.
+    """
+    if library is not None and faults is not None and faults.corrupt > 0:
+        raise ValueError(
+            f"faults with corrupt={faults.corrupt} cannot run encrypted "
+            f"(library={library!r}): the benchmark runs modeled byte work, "
+            "which never authenticates a frame, so a corruption would "
+            "cost nothing; use a drop-only fault plan"
+        )

@@ -237,6 +237,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_nas(args) -> int:
     from repro.defaults import job_defaults
+    from repro.encmpi.plan import refuse_modeled_corruption
     from repro.util.stats import overhead_percent
     from repro.workloads.nas import NAS_BENCHMARKS, run_nas
 
@@ -245,6 +246,11 @@ def _cmd_nas(args) -> int:
     if specs is None:
         return 2
     faults, policy, crypto, engine, fabric = specs
+    try:
+        refuse_modeled_corruption(args.library, faults)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     net_label = fabric.token()
     perturbed = dict(faults=faults, resilience=policy, crypto=crypto)
     names = NAS_BENCHMARKS() if args.benchmark == "all" else [args.benchmark]

@@ -67,7 +67,7 @@ def _bcast_binomial(handle, data: bytes | None, root: int, tag: int):
     v = vrank_of(handle.rank, root, size)
     if v != 0:
         parent = rank_of(binomial_parent(v), root, size)
-        data, _status = yield from handle.co_recv(parent, tag, _internal=True)
+        data = yield from handle.irecv(parent, tag, _internal=True).co_wait()
     assert data is not None
     for child in binomial_children(v, size):
         yield from handle.co_send(data, rank_of(child, root, size), tag,
@@ -91,7 +91,8 @@ def _bcast_scatter_allgather(
         owned = {i: chunks[i] for i in range(size)}
     else:
         parent = rank_of(binomial_parent(v), root, size)
-        payload, _status = yield from handle.co_recv(parent, tag, _internal=True)
+        payload = yield from handle.irecv(parent, tag,
+                                          _internal=True).co_wait()
         lo, hi = subtree_span(v, size)
         owned = {}
         offset = 0

@@ -52,9 +52,9 @@ def gather(handle, data: bytes, root: int = 0):
     # arrives first in MPICH; order does not change the result).
     for child in reversed(binomial_children(v, size)):
         clo, chi = subtree_span(child, size)
-        payload, _status = yield from handle.co_recv(
+        payload = yield from handle.irecv(
             rank_of(child, root, size), tag, _internal=True
-        )
+        ).co_wait()
         owned.update(_unpack(payload, clo, chi))
     if v == 0:
         return [owned[vrank_of(r, root, size)] for r in range(size)]
@@ -83,7 +83,8 @@ def scatter(handle, chunks: Sequence[bytes] | None, root: int = 0):
         owned = {i: as_bytes(chunks[i]) for i in range(size)}
     else:
         parent = rank_of(binomial_parent(v), root, size)
-        payload, _status = yield from handle.co_recv(parent, tag, _internal=True)
+        payload = yield from handle.irecv(parent, tag,
+                                          _internal=True).co_wait()
         lo, hi = subtree_span(v, size)
         owned = _unpack(payload, lo, hi)
     for child in binomial_children(v, size):

@@ -32,8 +32,8 @@ def reduce(handle, data: bytes, op: ReduceOp, root: int = 0):
     acc = data
     # Combine children (deepest subtrees last, matching their arrival).
     for child in reversed(binomial_children(v, size)):
-        payload, _status = yield from handle.co_recv(
-            rank_of(child, root, size), tag, _internal=True)
+        payload = yield from handle.irecv(
+            rank_of(child, root, size), tag, _internal=True).co_wait()
         acc = _apply(op, acc, payload)
     if v == 0:
         return acc
@@ -62,8 +62,8 @@ def allreduce(handle, data: bytes, op: ReduceOp):
         yield from handle.co_send(acc, rank - pow2, tag, _internal=True)
         acc = None
     elif rank < extra:
-        payload, _status = yield from handle.co_recv(rank + pow2, tag,
-                                                     _internal=True)
+        payload = yield from handle.irecv(rank + pow2, tag,
+                                          _internal=True).co_wait()
         acc = _apply(op, acc, payload)
 
     if acc is not None:
@@ -80,7 +80,8 @@ def allreduce(handle, data: bytes, op: ReduceOp):
     if rank < extra:
         yield from handle.co_send(acc, rank + pow2, tag, _internal=True)
     elif rank >= pow2:
-        acc, _status = yield from handle.co_recv(rank - pow2, tag, _internal=True)
+        acc = yield from handle.irecv(rank - pow2, tag,
+                                      _internal=True).co_wait()
     assert acc is not None
     return acc
 

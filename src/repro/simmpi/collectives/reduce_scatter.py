@@ -111,8 +111,8 @@ def scan(handle, data: bytes, op: ReduceOp):
             sreq = yield from handle.co_isend(carry, rank + distance, tag,
                                               _internal=True)
         if rank - distance >= 0:
-            received, _status = yield from handle.co_recv(rank - distance, tag,
-                                                          _internal=True)
+            received = yield from handle.irecv(rank - distance, tag,
+                                               _internal=True).co_wait()
             result = _apply(op, received, result)
             carry = _apply(op, received, carry)
         if sreq is not None:

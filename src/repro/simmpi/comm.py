@@ -450,7 +450,7 @@ class CommHandle:
         engine = self._comm.transport.engines[self._global_rank(self.rank)]
         ready = self._comm.scheduler.event()
         engine.post_probe(match_source, tag, self._comm_id, ready.succeed)
-        env = yield ready
+        env = yield from ready.co_wait()
         return Status(
             source=self._local_rank(env.src), tag=env.tag, count=len(env.payload)
         )

@@ -8,6 +8,10 @@ engine calls, and the :class:`Status` is built from the matched
 envelope on first read.  So a message allocates its envelope, its two
 requests and the transport's route link, and no event, status or
 closure.
+
+Rank code waits on a request as on an event, with ``yield from
+req.co_wait()``: a pending request parks the rank, a completed one
+returns at once.
 """
 
 from __future__ import annotations
@@ -49,12 +53,8 @@ class Request:
     from the matched envelope on first read, with the source in the
     posting handle's ranks (a ``split`` group's local rank).
 
-    ``done_event`` is the request itself: it has the ``callbacks``
-    list and the ``fail`` method that the sanitizer and tests use on a
-    completion event.
-
-    The encrypted layer's ``EncryptedRequest`` wraps a plain request and
-    decrypts after its wait.
+    The encrypted layer's ``EncryptedRequest`` wraps plain requests and
+    decrypts after their wait.
     """
 
     __slots__ = ("kind", "_scheduler", "_done", "_value", "_exc",
@@ -133,10 +133,6 @@ class Request:
         if self._callbacks is None:
             self._callbacks = []
         return self._callbacks
-
-    @property
-    def done_event(self) -> "Request":
-        return self
 
     # -- user side ------------------------------------------------------------
 

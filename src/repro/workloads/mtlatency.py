@@ -16,7 +16,7 @@ from __future__ import annotations
 # verify-sizes: 2  (a strictly two-rank exchange; ranks >= 2 never exist)
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import modeled_plan
+from repro.encmpi.plan import modeled_plan, refuse_modeled_corruption
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -57,6 +57,7 @@ def mtlatency_round_time(
         raise ValueError(f"channels must be >= 1, got {channels}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    refuse_modeled_corruption(library, faults)
     payload = b"\x4d" * size
     out = [0.0]
     plan = modeled_plan(library, crypto)

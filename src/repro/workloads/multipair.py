@@ -10,7 +10,7 @@ reported.  The +28 encrypted-wire bytes are excluded, as in the paper.
 from __future__ import annotations
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import modeled_plan
+from repro.encmpi.plan import modeled_plan, refuse_modeled_corruption
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -55,6 +55,7 @@ def multipair_aggregate_throughput(
         )
     if size < 1:
         raise ValueError(f"message size must be >= 1, got {size}")
+    refuse_modeled_corruption(library, faults)
     payload = b"\x5a" * size
     nranks = 2 * pairs
     per_pair_rate: list[float] = [0.0] * pairs

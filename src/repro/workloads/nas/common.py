@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import modeled_plan
+from repro.encmpi.plan import modeled_plan, refuse_modeled_corruption
 from repro.models.cpu import PAPER_CLUSTER, ClusterSpec
 from repro.models.network import FabricSpec
 from repro.simmpi import RankContext, run_program
@@ -226,6 +226,7 @@ def run_nas(
     mid-process can't serve stale times.
     """
     bench = get_benchmark(name)
+    refuse_modeled_corruption(library, faults)
     # Canonical fabric spec: bare names coerce cleanly, and the memo
     # keys use the token so noisy fabrics never collide with clean ones
     # (or with differently-seeded variants of themselves).

@@ -11,7 +11,7 @@ from __future__ import annotations
 # verify-sizes: 2  (a strictly two-rank exchange; ranks >= 2 never exist)
 
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
-from repro.encmpi.plan import modeled_plan
+from repro.encmpi.plan import modeled_plan, refuse_modeled_corruption
 from repro.models.cpu import parse_cluster_spec
 from repro.models.network import FabricSpec
 from repro.simmpi import run_program
@@ -61,6 +61,7 @@ def pingpong_oneway_time(
         raise ValueError(f"negative message size {size}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    refuse_modeled_corruption(library, faults)
     payload = b"\xa5" * size
     plan = modeled_plan(library, crypto)
 

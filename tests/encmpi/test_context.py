@@ -3,11 +3,14 @@
 import pytest
 
 from repro import api
+from repro.crypto.aead import NONCE_SIZE
 from repro.crypto.errors import AuthenticationError
 from repro.des.process import ProcessFailed
 from repro.encmpi import CryptoPlan, EncryptedComm, SecurityConfig
+from repro.encmpi.pipeline import CHUNK_TAG_BASE, HEADER_SIZE
 from repro.models.cpu import ClusterSpec, TWO_NODE_CLUSTER
 from repro.simmpi import run_program
+from repro.simmpi.resilience import ResilienceExhausted
 from repro.util.units import KiB, MiB
 
 CLUSTER4 = ClusterSpec(nodes=4, cores_per_node=4)
@@ -158,6 +161,47 @@ def test_failed_encrypted_receive_fails_every_wait(mode):
     first, second = res.results[1]
     assert isinstance(first, AuthenticationError)
     assert second is first
+
+
+#: a ciphertext bit of a serial frame, and of a chunk frame (past the
+#: chunk header and the nonce)
+SERIAL_CT_BIT = 8 * 40 + 3
+CHUNK_CT_BIT = 8 * (HEADER_SIZE + NONCE_SIZE) + 3
+
+
+@pytest.mark.parametrize("mode, faults, what", [
+    ("serial", api.FaultPlan(corrupt=1.0, corrupt_bit=SERIAL_CT_BIT),
+     "message from 0"),
+    # frame 0 fails its header authentication
+    ("cryptmpi", api.FaultPlan(corrupt=1.0, tag=0, corrupt_bit=CHUNK_CT_BIT),
+     "chunk 0 from 0"),
+    # frame 0 passes; its first sibling fails to open
+    ("cryptmpi", api.FaultPlan(corrupt=1.0, tag=CHUNK_TAG_BASE,
+                               corrupt_bit=CHUNK_CT_BIT),
+     "chunk 1 from 0"),
+], ids=["serial", "cryptmpi-frame0", "cryptmpi-sibling"])
+def test_exhausted_encrypted_receive_names_what_kept_failing(mode, faults,
+                                                             what):
+    """Every NACK of a frame that never opens spends the retry budget;
+    with ``escalation="fail"`` the receive then raises
+    ResilienceExhausted naming the message or chunk and the attempts."""
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.enc.co_send(b"x" * 2048, 1, 0)
+            return
+        yield from ctx.enc.irecv(0, 0).co_wait()
+
+    security = api.SecurityConfig(crypto=CryptoPlan(
+        mode=mode, chunk_bytes=1024, bytework="real"))
+    with pytest.raises(ProcessFailed) as failed:
+        api.run_job(prog, nranks=2, security=security, faults=faults,
+                    resilience=api.ResiliencePolicy(
+                        max_retries=2, timeout=1e-3, escalation="fail"))
+    cause = failed.value.__cause__
+    assert type(cause) is ResilienceExhausted
+    assert str(cause) == (f"rank 1: {what} still failing after 3 receive "
+                          "attempts (escalation='fail')")
 
 
 def test_isend_irecv_decrypt_in_wait():

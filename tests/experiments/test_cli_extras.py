@@ -54,6 +54,17 @@ def test_nas_subcommand_bad_fault_spec(capsys):
     assert "bad --faults/--resilience spec" in err
 
 
+def test_nas_subcommand_refuses_corruption_under_a_library(capsys):
+    """Encrypted NAS runs modeled byte work, where a corrupted frame
+    would cost nothing: the command prints why, runs nothing, exits 2."""
+    assert main(["nas", "ep", "--library", "boringssl",
+                 "--faults", "drop=0.01,corrupt=0.01,seed=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "modeled byte work" in line
+
+
 def test_nas_output_identical_on_both_runtimes(capsys, monkeypatch):
     outs = []
     for runtime in ("threads", "coroutines"):

@@ -449,7 +449,7 @@ def test_completed_request_wait_ends_on_its_first_step():
 
 def test_failed_request_wait_raises_on_its_first_step():
     req = Request(Scheduler(), "recv")
-    req.done_event.fail(KeyError("lost"))
+    req.fail(KeyError("lost"))
     with pytest.raises(KeyError, match="lost"):
         next(req.co_wait())
 
@@ -472,5 +472,5 @@ def test_matched_receive_charges_its_overhead_once():
 def test_completed_encrypted_send_wait_ends_like_its_plain_request():
     inner = Request(Scheduler(), "send")
     inner.complete(None)
-    req = EncryptedRequest(inner, owner=None, kind="send")
+    req = EncryptedRequest(None, "send", [inner])
     assert _returns_on_first_step(req.co_wait()) is None

@@ -7,7 +7,8 @@ on the golden workloads, the cryptmpi chunk pipeline (helper-core
 schedule and chunk retries included), the OSU collective workload,
 cheap experiment cells and a contended NIC engine, plus the
 EngineOptions enforcement edges (strict-coroutines rejection of plain
-rank functions and the max_ranks ceiling).
+rank functions and the max_ranks ceiling) and the one wait protocol (a
+rank that yields a bare event fails on either runtime).
 """
 
 from collections import Counter
@@ -18,7 +19,7 @@ import repro.api as api
 from repro.crypto.aead import NONCE_SIZE
 from repro.defaults import job_defaults
 from repro.des.options import EngineOptions
-from repro.des.process import Scheduler
+from repro.des.process import ProcessFailed, Scheduler
 from repro.encmpi.pipeline import HEADER_SIZE
 from repro.experiments import goldens
 from repro.models.cpu import parse_cluster_spec
@@ -134,6 +135,22 @@ def test_max_ranks_ceiling_is_enforced():
             4, _co_pingpong, cluster=CLUSTER,
             engine=EngineOptions(runtime="coroutines", max_ranks=2),
         )
+
+
+@pytest.mark.parametrize("runtime_name", ["threads", "coroutines"])
+def test_a_rank_yielding_a_bare_event_fails_naming_co_wait(runtime_name):
+    """A rank suspends only by ``_Sleep`` or ``PARK``: yielding a
+    SimEvent, once a spelling of a wait, fails the job on either
+    runtime, and the error says how to wait."""
+
+    def program(ctx):
+        yield ctx._scheduler.timeout(1e-6)
+
+    with pytest.raises(ProcessFailed) as failed:
+        run_program(2, program, cluster=CLUSTER, engine=_force(runtime_name))
+    cause = failed.value.__cause__
+    assert type(cause) is TypeError
+    assert "'yield from x.co_wait()'" in str(cause)
 
 
 # ---------------------------------------------------- contended NIC engine

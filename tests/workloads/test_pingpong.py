@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.simmpi.faults import FaultPlan
+from repro.simmpi.resilience import ResiliencePolicy
 from repro.util.units import KiB, MiB
+from repro.workloads import mtlatency, multipair, pingpong
+from repro.workloads.nas import common as nas_common
 from repro.workloads.pingpong import pingpong_oneway_time, pingpong_throughput
 
 
@@ -61,3 +65,50 @@ def test_validation():
         pingpong_oneway_time(-1)
     with pytest.raises(ValueError):
         pingpong_oneway_time(16, iters=0)
+
+
+# -- fault plans under modeled byte work -------------------------------------
+
+#: the retry policy of the corrupted ping-pong below
+POLICY = ResiliencePolicy(max_retries=6, timeout=2e-4)
+
+
+def test_encrypted_pingpong_refuses_a_corrupting_fault_plan():
+    """Modeled byte work never authenticates a frame, so a corrupting
+    plan used to read as fault-free (63.518 µs either way); it is now
+    refused, and the same call without corruption reads as before."""
+    with pytest.raises(ValueError, match="modeled byte work"):
+        pingpong_oneway_time(1024, library="boringssl", iters=20,
+                             faults=FaultPlan(corrupt=0.3, seed=3),
+                             resilience=POLICY)
+    clean = pingpong_oneway_time(1024, library="boringssl", iters=20,
+                                 faults=FaultPlan(corrupt=0.0, seed=3),
+                                 resilience=POLICY)
+    assert clean.hex() == "0x1.0a69ba3368c72p-14"
+
+
+@pytest.mark.parametrize("module, run", [
+    (pingpong, lambda **kw: pingpong.pingpong_oneway_time(64, **kw)),
+    (multipair, lambda **kw: multipair.multipair_aggregate_throughput(
+        64, 2, **kw)),
+    (mtlatency, lambda **kw: mtlatency.mtlatency_round_time(64, **kw)),
+    (nas_common, lambda **kw: nas_common.run_nas("ep", **kw)),
+], ids=["pingpong", "multipair", "mtlatency", "nas"])
+def test_encrypted_entry_points_refuse_corruption_before_any_rank_runs(
+        monkeypatch, module, run):
+    """Every encrypted workload entry point refuses a corrupting plan
+    before it starts a job; plain runs keep the plan."""
+
+    def no_job(*_args, **_kwargs):
+        raise AssertionError("a job started")
+
+    monkeypatch.setattr(module, "run_program", no_job)
+    with pytest.raises(ValueError, match="modeled byte work"):
+        run(library="openssl", faults=FaultPlan(drop=0.1, corrupt=0.01),
+            resilience=POLICY)
+    with pytest.raises(AssertionError, match="a job started"):
+        run(library=None, faults=FaultPlan(drop=0.1, corrupt=0.01),
+            resilience=POLICY)
+    with pytest.raises(AssertionError, match="a job started"):
+        run(library="openssl", faults=FaultPlan(drop=0.1),
+            resilience=POLICY)
